@@ -13,33 +13,31 @@ from .algebroid import (SectionError, anchor, decode_section, derived_sign,
                         verify_leibniz)
 from .chart import ChartError, ChartSpec, Generator, make_chart
 from .config import Config, ConfigError, parse_config, render_config
-from .element import GradedElement, component, euler_degree, gmul, monomial_basis
+from .element import GradedElement, monomial_basis
 from .forms import (DiffForm, FormError, Section, classical_dorfman, ext_d,
                     homotopy, interior, lie_deriv, poincare_primitive,
                     sort_indices, vec_lie_bracket, wedge)
 from .genmetric import (Background, GenMetric, MatrixError, act, b_shift,
                         block_swap, build_gen_metric, eta_matrix, extract,
                         gl_embed, odd_check)
-from .kernel import BACKEND
 from .npq import (Hamiltonian, HamiltonianError, embed_form, extract_form,
                   kinetic_term, master_equation, q_apply, q_square_check,
                   theta_m5, theta_vinogradov)
 from .poly import Poly, PolyError, PolyParseError, parse_poly
 from .reports import CheckReport, SuiteReport
-from .symplectic import GaugeError, PoissonStructure, gauge_exp, poisson
+from .symplectic import GaugeError, gauge_exp, poisson
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "BACKEND", "Background", "ChartError", "ChartSpec", "CheckReport",
-    "Config", "ConfigError", "DiffForm", "FormError", "GaugeError",
-    "GenMetric", "Generator", "GradedElement", "Hamiltonian",
-    "HamiltonianError", "MatrixError", "Poly", "PolyError", "PolyParseError",
-    "PoissonStructure", "Section", "SectionError", "SuiteReport", "act",
-    "anchor", "b_shift", "block_swap", "build_gen_metric", "classical_dorfman",
-    "component", "decode_section", "derived_sign", "dorfman", "embed_form",
-    "encode_section", "eta_matrix", "euler_degree", "ext_d", "extract",
-    "extract_form", "gauge_exp", "gl_embed", "gmul", "homotopy", "interior",
+    "Background", "ChartError", "ChartSpec", "CheckReport", "Config",
+    "ConfigError", "DiffForm", "FormError", "GaugeError", "GenMetric",
+    "Generator", "GradedElement", "Hamiltonian", "HamiltonianError",
+    "MatrixError", "Poly", "PolyError", "PolyParseError", "Section",
+    "SectionError", "SuiteReport", "act", "anchor", "b_shift", "block_swap",
+    "build_gen_metric", "classical_dorfman", "decode_section", "derived_sign",
+    "dorfman", "embed_form", "encode_section", "eta_matrix", "ext_d",
+    "extract", "extract_form", "gauge_exp", "gl_embed", "homotopy", "interior",
     "kinetic_term", "lambda_rank", "lie_deriv", "make_chart",
     "master_equation", "module_basis", "module_rank", "monomial_basis",
     "odd_check", "pairing", "parse_config", "parse_poly", "poincare_primitive",

@@ -1,14 +1,9 @@
-"""Pure-Python hot kernels: exact rational polynomials and graded monomials.
+"""Hot kernels: exact rational polynomials and graded monomials.
 
 A polynomial is a dict mapping exponent tuples (length d) to nonzero
 Fractions.  A graded monomial is a tuple of (generator id, exponent)
-pairs sorted by generator id; odd generators carry exponent 1.  The
-compiled kernel (_kernel_c) implements the same API.
+pairs sorted by generator id; odd generators carry exponent 1.
 """
-
-from fractions import Fraction
-
-BACKEND = "python"
 
 
 def poly_add(a, b):

@@ -286,7 +286,6 @@ def verify_courant(theta: Hamiltonian, trials: int = 100, seed: int = 0,
             record("axiom 5 (rho* of d eta(A,A))", t, lhs - rhs)
 
         # chain complex: rho o rho* = 0
-        from .forms import DiffForm as _DF
         lam1 = DiffForm(chart.d, 1)
         lam1.add_term((rng.randint(1, chart.d),), random_poly(rng, chart.d, max_degree))
         val = anchor(theta, rho_star(chart, lam1), f)

@@ -105,14 +105,6 @@ class ChartSpec:
     def generator(self, sid: int) -> Generator:
         return self.supers[sid]
 
-    @property
-    def families(self):
-        fams = [("x", self.d, 0), ("psi", self.d, 1)]
-        if self.kind == "m5":
-            fams.append(("zeta", 1, 3))
-        fams.extend([("chi", self.d, self.p - 1), ("p", self.d, self.p)])
-        return fams
-
     def mono_degree(self, mono) -> int:
         return sum(e * self.degrees[g] for g, e in mono)
 

@@ -60,10 +60,6 @@ def _suite_result(command: str, suite: SuiteReport) -> tuple[dict, str, int]:
     return payload, suite.render(), PASS if suite.passed else FAIL
 
 
-def _render_form(form: DiffForm) -> str:
-    return str(form)
-
-
 def _form_terms(form: DiffForm) -> list[dict]:
     return [{"indices": list(idx), "coeff": str(form.terms[idx])}
             for idx in sorted(form.terms)]
@@ -105,6 +101,8 @@ def cmd_check_master(config: Config, args) -> tuple[dict, str, int]:
 
 
 def cmd_q_square(config: Config, args) -> tuple[dict, str, int]:
+    if args.samples < 0:
+        raise ConfigError("--samples", f"must be at least 0, got {args.samples}")
     suite = q_square_check(config.theta, samples=args.samples,
                            seed=_resolve_seed(args, config),
                            max_degree=_resolve_max_degree(args, config))
@@ -133,6 +131,8 @@ def cmd_bracket(config: Config, args) -> tuple[dict, str, int]:
 def cmd_axioms(config: Config, args) -> tuple[dict, str, int]:
     seed = _resolve_seed(args, config)
     trials = args.trials if args.trials is not None else config.trials
+    if trials < 1:
+        raise ConfigError("--trials", f"must be at least 1, got {trials}")
     max_degree = _resolve_max_degree(args, config)
     if args.suite == "courant":
         suite = verify_courant(config.theta, trials=trials, seed=seed,

@@ -45,7 +45,8 @@ def _expect(obj, key, where, kind=None, default=None, required=True):
             return default
         raise ConfigError(f"{where}.{key}", "missing required field")
     val = obj[key]
-    if kind is not None and not isinstance(val, kind):
+    # JSON true/false load as bool, a subclass of int; no field takes one
+    if kind is not None and (not isinstance(val, kind) or isinstance(val, bool)):
         names = kind.__name__ if not isinstance(kind, tuple) else \
             "/".join(k.__name__ for k in kind)
         raise ConfigError(f"{where}.{key}", f"expected {names}, "
@@ -67,7 +68,7 @@ def _parse_form(entries, d: int, rank: int, where: str) -> DiffForm:
         if len(indices) != rank:
             raise ConfigError(f"{loc}.indices",
                               f"expected {rank} indices, got {len(indices)}")
-        if any(not isinstance(i, int) for i in indices):
+        if any(not isinstance(i, int) or isinstance(i, bool) for i in indices):
             raise ConfigError(f"{loc}.indices", "indices must be integers")
         coeff = _expect(entry, "coeff", loc, (str, int))
         try:
@@ -176,6 +177,8 @@ def parse_config(text: str) -> Config:
 
     harness = _expect(doc, "harness", "<root>", dict, required=False, default={}) or {}
     trials = _expect(harness, "trials", "harness", int, required=False, default=100)
+    if trials < 1:
+        raise ConfigError("harness.trials", f"must be at least 1, got {trials}")
     seed = _expect(harness, "seed", "harness", int, required=False, default=None)
     max_deg = _expect(harness, "max_coeff_degree", "harness", int,
                       required=False, default=2)

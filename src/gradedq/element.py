@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .chart import ChartError, ChartSpec
-from .kernel import element_mul, mono_partial
+from ._kernel_py import element_mul, mono_partial
 from .poly import Poly
 
 INHOMOGENEOUS = "inhomogeneous"
@@ -143,9 +143,6 @@ class GradedElement:
             self.chart,
             {m: p for m, p in self.terms.items() if self.chart.mono_degree(m) == n})
 
-    def max_degree(self) -> int:
-        return max((self.chart.mono_degree(m) for m in self.terms), default=0)
-
     # graded derivatives ----------------------------------------------
     def x_partial(self, mu: int) -> "GradedElement":
         return GradedElement(self.chart,
@@ -168,9 +165,6 @@ class GradedElement:
         return GradedElement(self.chart, out)
 
     # structure -------------------------------------------------------
-    def coefficient(self, mono) -> Poly:
-        return self.terms.get(tuple(mono), Poly.zero(self.chart.d))
-
     def monomials(self):
         return sorted(self.terms, key=self._mono_key)
 
@@ -250,16 +244,3 @@ def monomial_basis(chart: ChartSpec, n: int) -> list[tuple]:
 
     rec(0, n, [])
     return sorted(out)
-
-
-def gmul(f: GradedElement, g: GradedElement) -> GradedElement:
-    """Graded-commutative product."""
-    return f * g
-
-
-def euler_degree(f: GradedElement):
-    return f.euler_degree()
-
-
-def component(f: GradedElement, n: int) -> GradedElement:
-    return f.component(n)

@@ -244,12 +244,6 @@ class Section:
     def d(self) -> int:
         return self.lam.d
 
-    @classmethod
-    def zero(cls, d: int, lam_rank: int, with_sigma: bool = False) -> "Section":
-        sigma = DiffForm.zero(d, 5) if with_sigma else None
-        return cls(tuple(Poly.zero(d) for _ in range(d)),
-                   DiffForm.zero(d, lam_rank), sigma)
-
     def __add__(self, other: "Section") -> "Section":
         sigma = None
         if (self.sigma is None) != (other.sigma is None):

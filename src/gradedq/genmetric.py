@@ -45,10 +45,6 @@ def mat_mul(a, b) -> tuple:
                  for row in a)
 
 
-def mat_add(a, b) -> tuple:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def mat_sub(a, b) -> tuple:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
@@ -113,19 +109,6 @@ def eta_matrix(d: int) -> tuple:
     return assemble(mat_zero(d), mat_identity(d), mat_identity(d), mat_zero(d))
 
 
-def is_positive_definite(g) -> bool:
-    """Optional diagnostic: leading principal minors all positive."""
-    n = len(g)
-    work = [list(row) for row in g]
-    for col in range(n):  # fraction-exact Cholesky-style elimination
-        if work[col][col] <= 0:
-            return False
-        for r in range(col + 1, n):
-            factor = work[r][col] / work[col][col]
-            work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    return True
-
-
 # ---------------------------------------------------------------------
 # backgrounds and generalised metrics
 # ---------------------------------------------------------------------
@@ -173,10 +156,6 @@ class GenMetric:
     @property
     def d(self) -> int:
         return len(self.H) // 2
-
-    @property
-    def eta(self) -> tuple:
-        return eta_matrix(self.d)
 
 
 def build_gen_metric(bg: Background) -> GenMetric:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .kernel import poly_add, poly_mul, poly_neg, poly_partial, poly_scale
+from ._kernel_py import poly_add, poly_mul, poly_neg, poly_partial, poly_scale
 
 
 class PolyError(ValueError):
@@ -116,18 +116,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self) -> int:
-        """Maximum total x-degree; 0 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=0)
-
-    def constant_value(self) -> Fraction:
-        """Value if the polynomial is constant."""
-        if not self.terms:
-            return Fraction(0)
-        if list(self.terms) != [(0,) * self.d]:
-            raise PolyError("polynomial is not constant")
-        return self.terms[(0,) * self.d]
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Poly.const(self.d, other)
@@ -204,7 +192,10 @@ def _tokenize(text: str):
                     k += 1
                 if k == j + 1:
                     raise PolyParseError(f"bad rational at position {i}")
-                tokens.append((("num", Fraction(int(text[i:j]), int(text[j + 1:k]))), i))
+                den = int(text[j + 1:k])
+                if not den:
+                    raise PolyParseError(f"zero denominator at position {i}")
+                tokens.append((("num", Fraction(int(text[i:j]), den)), i))
                 i = k
             else:
                 tokens.append((("num", Fraction(int(text[i:j]))), i))

@@ -24,16 +24,6 @@ class GaugeError(ValueError):
     pass
 
 
-class PoissonStructure:
-    """The bracket of one chart; generator pairs reproduce the table."""
-
-    def __init__(self, chart: ChartSpec):
-        self.chart = chart
-
-    def bracket(self, f: GradedElement, g: GradedElement) -> GradedElement:
-        return poisson(f, g)
-
-
 def _partial(f: GradedElement, tag, from_right: bool) -> GradedElement:
     kind, idx = tag
     if kind == "x":

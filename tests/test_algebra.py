@@ -134,6 +134,11 @@ class TestPoly:
             with pytest.raises(PolyParseError):
                 parse_poly(bad, 3)
 
+    def test_parse_zero_denominator(self):
+        for bad in ("1/0", "x1 + 3/00"):
+            with pytest.raises(PolyParseError, match="zero denominator"):
+                parse_poly(bad, 1)
+
 
 # ---------------------------------------------------------------------
 # graded elements

@@ -240,7 +240,59 @@ class TestCommands:
         # O is the full block swap; the result is again of metric form
         assert "g" in doc and "b" in doc
 
+    def test_q_square_zero_samples_still_probes_generators(self):
+        doc = json.loads(run_cli("q-square", GOLDEN_PASS, "--samples", "0",
+                                 "--json").stdout)
+        assert doc["exit_code"] == 0 and doc["checks"]
+
     def test_max_coeff_degree_flag_accepted(self):
         out = run_cli("axioms", GOLDEN_PASS, "--suite", "leibniz",
                       "--trials", "3", "--seed", "2", "--max-coeff-degree", "1")
         assert out.returncode == 0
+
+
+# ---------------------------------------------------------------------
+# inputs that must exit 2 and name the field
+# ---------------------------------------------------------------------
+
+def config_with(path, value):
+    """The golden PASS config with the field at `path` set to `value`."""
+    cfg = json.loads(pathlib.Path(GOLDEN_PASS).read_text())
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return cfg
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("command, flags, field", [
+        ("axioms", ("--suite", "courant", "--trials", "0"), "--trials"),
+        ("axioms", ("--suite", "leibniz", "--trials", "-3"), "--trials"),
+        ("q-square", ("--samples", "-2"), "--samples"),
+    ])
+    def test_empty_or_negative_counts(self, capsys, command, flags, field):
+        code = main([command, GOLDEN_PASS, *flags, "--json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 2 and doc["status"] == "ERROR"
+        assert doc["error"].startswith(field + ":")
+
+    @pytest.mark.parametrize("path, value, field", [
+        (("harness", "trials"), 0, "harness.trials"),
+        (("theta", "beta", 0, "coeff"), "1/0", "theta.beta[0].coeff"),
+        # JSON booleans are not integers
+        (("chart", "d"), True, "chart.d"),
+        (("chart", "p"), True, "chart.p"),
+        (("harness", "trials"), True, "harness.trials"),
+        (("harness", "seed"), True, "harness.seed"),
+        (("harness", "max_coeff_degree"), True, "harness.max_coeff_degree"),
+        (("theta", "beta", 0, "indices", 0), True, "theta.beta[0].indices"),
+    ])
+    def test_bad_config_field(self, capsys, tmp_path, path, value, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config_with(path, value)))
+        code = main(["axioms", str(cfg), "--suite", "leibniz", "--trials", "1",
+                     "--json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 2 and doc["status"] == "ERROR"
+        assert doc["error"].startswith(field + ":")

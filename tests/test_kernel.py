@@ -1,38 +1,8 @@
-"""Backend selection and compiled/pure kernel agreement."""
+"""The coefficient kernel: polynomial and graded-monomial primitives."""
 
-import os
-import random
-import subprocess
-import sys
 from fractions import Fraction
 
-import pytest
-
 from gradedq import _kernel_py
-
-try:
-    from gradedq import _kernel_c
-except ImportError:
-    _kernel_c = None
-
-needs_c = pytest.mark.skipif(_kernel_c is None,
-                             reason="compiled kernel not built")
-
-
-def random_inputs(seed, n_gens=10, d=3):
-    rng = random.Random(seed)
-    parity = tuple(rng.randint(0, 1) for _ in range(n_gens))
-
-    def mono():
-        gens = sorted(rng.sample(range(n_gens), rng.randint(0, 5)))
-        return tuple((g, 1 if parity[g] else rng.randint(1, 3)) for g in gens)
-
-    def poly():
-        return {tuple(rng.randint(0, 3) for _ in range(d)):
-                Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4))
-                for _ in range(rng.randint(1, 4))}
-
-    return rng, parity, mono, poly
 
 
 class TestPythonKernel:
@@ -62,61 +32,3 @@ class TestPythonKernel:
     def test_even_partial_brings_down_exponent(self):
         parity = (0,)
         assert _kernel_py.mono_partial(((0, 3),), 0, parity, False) == (3, ((0, 2),))
-
-
-@needs_c
-class TestBackendAgreement:
-    def test_all_operations_agree(self):
-        rng, parity, mono, poly = random_inputs(71)
-        for _ in range(300):
-            m1, m2 = mono(), mono()
-            a, b = poly(), poly()
-            assert _kernel_py.mono_mul(m1, m2, parity) == \
-                _kernel_c.mono_mul(m1, m2, parity)
-            g = rng.randrange(len(parity))
-            fr = rng.random() < 0.5
-            assert _kernel_py.mono_partial(m1, g, parity, fr) == \
-                _kernel_c.mono_partial(m1, g, parity, fr)
-            assert _kernel_py.poly_add(a, b) == _kernel_c.poly_add(a, b)
-            assert _kernel_py.poly_mul(a, b) == _kernel_c.poly_mul(a, b)
-            assert _kernel_py.poly_neg(a) == _kernel_c.poly_neg(a)
-            assert _kernel_py.poly_scale(a, Fraction(2, 3)) == \
-                _kernel_c.poly_scale(a, Fraction(2, 3))
-            mu = rng.randrange(3)
-            assert _kernel_py.poly_partial(a, mu) == _kernel_c.poly_partial(a, mu)
-            assert _kernel_py.element_mul({m1: a}, {m2: b}, parity) == \
-                _kernel_c.element_mul({m1: a}, {m2: b}, parity)
-
-    def test_backend_labels(self):
-        assert _kernel_py.BACKEND == "python"
-        assert _kernel_c.BACKEND == "c"
-
-
-class TestSelection:
-    def run_probe(self, env_value):
-        env = dict(os.environ)
-        if env_value is None:
-            env.pop("GRADEDQ_KERNEL", None)
-        else:
-            env["GRADEDQ_KERNEL"] = env_value
-        out = subprocess.run(
-            [sys.executable, "-c", "import gradedq; print(gradedq.BACKEND)"],
-            env=env, capture_output=True, text=True)
-        return out
-
-    def test_force_python(self):
-        out = self.run_probe("py")
-        assert out.returncode == 0 and out.stdout.strip() == "python"
-
-    @needs_c
-    def test_force_c(self):
-        out = self.run_probe("c")
-        assert out.returncode == 0 and out.stdout.strip() == "c"
-
-    def test_auto_picks_something(self):
-        out = self.run_probe(None)
-        assert out.returncode == 0 and out.stdout.strip() in ("python", "c")
-
-    def test_invalid_choice(self):
-        out = self.run_probe("fortran")
-        assert out.returncode != 0

@@ -5,8 +5,8 @@ import random
 import pytest
 from fractions import Fraction
 
-from gradedq import (GaugeError, GradedElement, Poly, PoissonStructure,
-                     gauge_exp, make_chart, poisson)
+from gradedq import (GaugeError, GradedElement, Poly, gauge_exp, make_chart,
+                     poisson)
 from gradedq.randomgen import random_homogeneous
 
 CHARTS = [make_chart("vinogradov", 3, 2), make_chart("vinogradov", 4, 3),
@@ -110,12 +110,6 @@ class TestPoissonLaws:
             rhs = poisson(poisson(f, g), h) + poisson(g, poisson(f, h)).scale(
                 sign((nf - chart.p) * (ng - chart.p)))
             assert lhs == rhs
-
-    def test_structure_wrapper(self, chart):
-        ps = PoissonStructure(chart)
-        f = gen(chart, "psi1")
-        g = gen(chart, "chi1")
-        assert ps.bracket(f, g) == poisson(f, g)
 
 
 def test_bracket_with_polynomial_coefficients():
