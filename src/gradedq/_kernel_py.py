@@ -3,7 +3,14 @@
 A polynomial is a dict mapping exponent tuples (length d) to nonzero
 Fractions.  A graded monomial is a tuple of (generator id, exponent)
 pairs sorted by generator id; odd generators carry exponent 1.
+
+Invariants the code relies on: monomials are canonically sorted with
+no repeated generator, no stored coefficient is zero, and a derivative
+in one generator is injective on the terms it keeps, so those terms
+never collide and need no merging.
 """
+
+from bisect import bisect_right
 
 
 def poly_add(a, b):
@@ -56,18 +63,8 @@ def poly_mul(a, b):
 
 
 def poly_partial(a, mu):
-    out = {}
-    for exp, c in a.items():
-        k = exp[mu]
-        if k:
-            e = exp[:mu] + (k - 1,) + exp[mu + 1:]
-            v = c * k
-            s = out.get(e)
-            if s is None:
-                out[e] = v
-            else:
-                out[e] = s + v  # distinct sources never cancel here
-    return out
+    return {exp[:mu] + (exp[mu] - 1,) + exp[mu + 1:]: c * exp[mu]
+            for exp, c in a.items() if exp[mu]}
 
 
 def mono_mul(m1, m2, parity):
@@ -81,16 +78,10 @@ def mono_mul(m1, m2, parity):
     for g, _ in m2:
         if parity[g]:
             # crossings with odd letters of m1 that end up to the right
-            lo, hi = 0, len(odd1)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if odd1[mid] <= g:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            if lo and odd1[lo - 1] == g:
+            k = bisect_right(odd1, g)
+            if k and odd1[k - 1] == g:
                 return 0, None
-            swaps += len(odd1) - lo
+            swaps += len(odd1) - k
     # merge
     out = []
     i = j = 0
@@ -110,8 +101,7 @@ def mono_mul(m1, m2, parity):
             j += 1
     out.extend(m1[i:])
     out.extend(m2[j:])
-    sign = -1 if swaps & 1 else 1
-    return sign, tuple(out)
+    return (-1 if swaps & 1 else 1), tuple(out)
 
 
 def mono_partial(m, gid, parity, from_right):
@@ -121,25 +111,18 @@ def mono_partial(m, gid, parity, from_right):
     the generator is absent.  For odd generators the coefficient is the
     Koszul sign of commuting the derivation to the generator's slot.
     """
-    pos = -1
-    for k, (g, _) in enumerate(m):
+    for pos, (g, e) in enumerate(m):
         if g == gid:
-            pos = k
             break
-    if pos < 0:
-        return 0, None
-    g, e = m[pos]
-    if parity[gid]:
-        if from_right:
-            crossings = sum(1 for gg, _ in m[pos + 1:] if parity[gg])
-        else:
-            crossings = sum(1 for gg, _ in m[:pos] if parity[gg])
-        coeff = -1 if crossings & 1 else 1
-        reduced = m[:pos] + m[pos + 1:]
     else:
-        coeff = e
-        reduced = m[:pos] + ((g, e - 1),) + m[pos + 1:] if e > 1 else m[:pos] + m[pos + 1:]
-    return coeff, reduced
+        return 0, None
+    if not parity[gid]:
+        if e > 1:
+            return e, m[:pos] + ((g, e - 1),) + m[pos + 1:]
+        return e, m[:pos] + m[pos + 1:]
+    crossed = m[pos + 1:] if from_right else m[:pos]
+    odd = sum(parity[h] for h, _ in crossed)
+    return (-1 if odd & 1 else 1), m[:pos] + m[pos + 1:]
 
 
 def element_mul(f, g, parity):

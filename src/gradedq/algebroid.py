@@ -15,9 +15,8 @@ import warnings
 
 from .chart import ChartError, ChartSpec
 from .element import GradedElement, monomial_basis
-from .forms import (DiffForm, FormError, Section, classical_dorfman, ext_d,
-                    vec_lie_bracket)
-from .npq import Hamiltonian, embed_form, extract_form, theta_vinogradov
+from .forms import DiffForm, FormError, Section, ext_d, vec_lie_bracket
+from .npq import Hamiltonian, embed_form
 from .poly import Poly
 from .randomgen import as_rng, random_poly, random_section
 from .reports import CheckReport, SuiteReport, witnesses_of
@@ -248,9 +247,9 @@ def verify_courant(theta: Hamiltonian, trials: int = 100, seed: int = 0,
         f = random_poly(rng, chart.d, max_degree)
 
         # 1. anchored Leibniz: L_A(f B) = f L_A B + (rho(A).f) B
-        lhs = dorfman(theta, A, B.scale_poly(f))
-        rhs = dorfman(theta, A, B).scale_poly(f) \
-            + B.scale_poly(anchor(theta, A, f))
+        lhs = dorfman(theta, A, B.scale(f))
+        rhs = dorfman(theta, A, B).scale(f) \
+            + B.scale(anchor(theta, A, f))
         if not (lhs - rhs).is_zero():
             record("axiom 1 (anchored Leibniz)", t, lhs - rhs)
 

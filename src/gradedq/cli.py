@@ -19,8 +19,7 @@ from fractions import Fraction
 
 from . import genmetric as gm
 from .algebroid import (SectionError, decode_section, dorfman, encode_section,
-                        module_basis, module_rank, verify_courant,
-                        verify_leibniz)
+                        module_basis, verify_courant, verify_leibniz)
 from .chart import ChartError
 from .config import Config, ConfigError, parse_config
 from .element import GradedElement
@@ -51,6 +50,9 @@ def _resolve_seed(args, config: Config) -> int:
 
 def _resolve_max_degree(args, config: Config) -> int:
     if getattr(args, "max_coeff_degree", None) is not None:
+        if args.max_coeff_degree < 0:
+            raise ConfigError("--max-coeff-degree",
+                              f"must be at least 0, got {args.max_coeff_degree}")
         return args.max_coeff_degree
     return config.max_coeff_degree
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .chart import ChartError, ChartSpec, make_chart
 from .forms import DiffForm, Section
 from .npq import Hamiltonian, theta_m5, theta_vinogradov
-from .poly import Poly, PolyError, parse_poly
+from .poly import PolyError, parse_poly
 
 
 class ConfigError(ValueError):
@@ -93,11 +93,9 @@ def _parse_section(obj, chart: ChartSpec, where: str) -> Section:
     v = []
     for mu, expr in enumerate(v_raw or ["0"] * d):
         try:
-            v.append(parse_poly(str(expr), d) if str(expr) != "0" else Poly.zero(d))
+            v.append(parse_poly(str(expr), d))
         except PolyError as exc:
             raise ConfigError(f"{where}.v[{mu}]", str(exc)) from None
-    if not v:
-        v = [Poly.zero(d) for _ in range(d)]
     lam = _parse_form(obj.get("lambda", []), d, lambda_rank(chart), f"{where}.lambda")
     sigma = None
     if chart.kind == "m5":
@@ -182,6 +180,9 @@ def parse_config(text: str) -> Config:
     seed = _expect(harness, "seed", "harness", int, required=False, default=None)
     max_deg = _expect(harness, "max_coeff_degree", "harness", int,
                       required=False, default=2)
+    if max_deg < 0:
+        raise ConfigError("harness.max_coeff_degree",
+                          f"must be at least 0, got {max_deg}")
 
     return Config(chart=chart, theta=theta, sections=sections, matrices=matrices,
                   trials=trials, seed=seed, max_coeff_degree=max_deg, raw=doc)

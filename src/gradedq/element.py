@@ -102,10 +102,8 @@ class GradedElement:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction, Poly)):
             return self.scale(other)
-        if isinstance(other, Poly):
-            return self.scale_poly(other)
         self._check(other)
         raw = element_mul(
             {m: p.terms for m, p in self.terms.items()},
@@ -121,9 +119,6 @@ class GradedElement:
 
     def scale(self, c) -> "GradedElement":
         return GradedElement(self.chart, {m: p * c for m, p in self.terms.items()})
-
-    def scale_poly(self, q: Poly) -> "GradedElement":
-        return GradedElement(self.chart, {m: p * q for m, p in self.terms.items()})
 
     # degree bookkeeping ---------------------------------------------
     def is_zero(self) -> bool:
@@ -153,15 +148,8 @@ class GradedElement:
         parity = self.chart.parity
         for mono, poly in self.terms.items():
             coeff, reduced = mono_partial(mono, sid, parity, from_right)
-            if not coeff:
-                continue
-            add = poly * coeff
-            cur = out.get(reduced)
-            s = add if cur is None else cur + add
-            if s:
-                out[reduced] = s
-            else:
-                out.pop(reduced, None)
+            if coeff:
+                out[reduced] = poly * coeff
         return GradedElement(self.chart, out)
 
     # structure -------------------------------------------------------

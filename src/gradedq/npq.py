@@ -10,12 +10,14 @@ dF7 + (1/2) F4 ^ F4 = 0 (the calibration is pinned by a test).
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 from .chart import ChartError, ChartSpec
-from .element import GradedElement, monomial_basis
+from .element import GradedElement
 from .forms import DiffForm, FormError
 from .poly import Poly
+from .randomgen import random_homogeneous
 from .reports import CheckReport, SuiteReport, witnesses_of
 from .symplectic import poisson
 
@@ -136,9 +138,6 @@ def q_square_check(theta: Hamiltonian, samples: int = 8, seed: int = 0,
     Passing coincides with the master equation holding; failures carry the
     leading offending monomials as witnesses.
     """
-    from .randomgen import random_homogeneous  # deferred: avoids import cycle
-    import random as _random
-
     chart = theta.chart
     suite = SuiteReport("q-square", seed=seed)
     probes: list[tuple[str, GradedElement]] = []
@@ -146,7 +145,7 @@ def q_square_check(theta: Hamiltonian, samples: int = 8, seed: int = 0,
         probes.append((g.name, GradedElement.generator(chart, g.name)))
     for g in chart.supers:
         probes.append((g.name, GradedElement.generator(chart, g.name)))
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     for k in range(samples):
         n = rng.randint(0, chart.p + 1)
         probes.append((f"random[{k}] (degree {n})",

@@ -164,6 +164,11 @@ class PolyParseError(PolyError):
     pass
 
 
+# parentheses may nest this deep; the recursive-descent parser would
+# otherwise run out of stack on hostile input
+_MAX_NESTING = 100
+
+
 def _tokenize(text: str):
     tokens = []
     i, n = 0, len(text)
@@ -277,6 +282,12 @@ def parse_poly(text: str, d: int) -> Poly:
 
     if not tokens:
         raise PolyParseError("empty polynomial expression")
+    depth = 0
+    for tok, at in tokens:
+        depth += (tok == "(") - (tok == ")")
+        if depth > _MAX_NESTING:
+            raise PolyParseError(f"parentheses nested deeper than {_MAX_NESTING} "
+                                 f"at position {at}")
     result = parse_sum()
     if pos != len(tokens):
         raise PolyParseError(f"trailing input at position {tokens[pos][1]}")

@@ -64,8 +64,7 @@ def gauge_exp(R: GradedElement, f: GradedElement,
     if deg != chart.p:
         raise GaugeError(f"gauge generator must be homogeneous of degree p={chart.p}, "
                          f"got degree {deg}")
-    momentum_free = _momentum_free(R)
-    if momentum_free:
+    if _momentum_weight(R) == 0:
         budget = max(budget, _momentum_weight(f) + 1)
     out = f
     term = f
@@ -85,12 +84,6 @@ def _momentum_families(chart: ChartSpec):
     if chart.kind == "m5":
         fams.add("zeta")
     return fams
-
-
-def _momentum_free(R: GradedElement) -> bool:
-    fams = _momentum_families(R.chart)
-    return all(R.chart.generator(sid).family not in fams
-               for mono in R.terms for sid, _ in mono)
 
 
 def _momentum_weight(f: GradedElement) -> int:

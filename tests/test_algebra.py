@@ -139,6 +139,12 @@ class TestPoly:
             with pytest.raises(PolyParseError, match="zero denominator"):
                 parse_poly(bad, 1)
 
+    def test_parse_nesting_limit(self):
+        assert parse_poly("(" * 100 + "x1" + ")" * 100, 1) == Poly.var(1, 1)
+        for depth in (101, 3000):
+            with pytest.raises(PolyParseError, match="nested deeper than 100"):
+                parse_poly("(" * depth + "x1" + ")" * depth, 1)
+
 
 # ---------------------------------------------------------------------
 # graded elements

@@ -270,6 +270,11 @@ class TestInputErrors:
         ("axioms", ("--suite", "courant", "--trials", "0"), "--trials"),
         ("axioms", ("--suite", "leibniz", "--trials", "-3"), "--trials"),
         ("q-square", ("--samples", "-2"), "--samples"),
+        ("axioms", ("--suite", "courant", "--trials", "1", "--max-coeff-degree", "-1"),
+         "--max-coeff-degree"),
+        ("axioms", ("--suite", "leibniz", "--trials", "1", "--max-coeff-degree", "-1"),
+         "--max-coeff-degree"),
+        ("q-square", ("--max-coeff-degree", "-2"), "--max-coeff-degree"),
     ])
     def test_empty_or_negative_counts(self, capsys, command, flags, field):
         code = main([command, GOLDEN_PASS, *flags, "--json"])
@@ -287,6 +292,9 @@ class TestInputErrors:
         (("harness", "seed"), True, "harness.seed"),
         (("harness", "max_coeff_degree"), True, "harness.max_coeff_degree"),
         (("theta", "beta", 0, "indices", 0), True, "theta.beta[0].indices"),
+        (("harness", "max_coeff_degree"), -1, "harness.max_coeff_degree"),
+        pytest.param(("theta", "beta", 0, "coeff"), "(" * 3000 + "1" + ")" * 3000,
+                     "theta.beta[0].coeff", id="nested-3000-deep"),
     ])
     def test_bad_config_field(self, capsys, tmp_path, path, value, field):
         cfg = tmp_path / "cfg.json"
@@ -296,3 +304,8 @@ class TestInputErrors:
         doc = json.loads(capsys.readouterr().out)
         assert code == 2 and doc["status"] == "ERROR"
         assert doc["error"].startswith(field + ":")
+
+    def test_zero_max_coeff_degree_is_legal(self, capsys):
+        code = main(["axioms", GOLDEN_PASS, "--suite", "leibniz", "--trials", "1",
+                     "--max-coeff-degree", "0", "--json"])
+        assert code == 0 and json.loads(capsys.readouterr().out)["status"] == "PASS"

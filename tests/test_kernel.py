@@ -2,7 +2,64 @@
 
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from gradedq import _kernel_py
+
+# up to 33 generators: the m5 chart at d=8
+MAX_GENERATORS = 33
+
+
+@st.composite
+def parity_and_monos(draw, count):
+    """A parity table and `count` canonical monomials over it."""
+    n = draw(st.just(MAX_GENERATORS) | st.integers(1, MAX_GENERATORS))
+    parity = tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    monos = []
+    for _ in range(count):
+        gens = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=8))
+        monos.append(tuple(sorted(
+            (g, 1 if parity[g] else draw(st.integers(1, 5))) for g in gens)))
+    return parity, monos
+
+
+def word_of(mono):
+    """The generator word of a monomial, one letter per unit of exponent."""
+    return [g for g, e in mono for _ in range(e)]
+
+
+def mono_of(word):
+    return tuple((g, word.count(g)) for g in sorted(set(word)))
+
+
+def reference_mul(m1, m2, parity):
+    """Bubble-sort the concatenated word, counting odd-odd transpositions."""
+    word = word_of(m1) + word_of(m2)
+    odd = [g for g in word if parity[g]]
+    if len(odd) != len(set(odd)):
+        return 0, None
+    swaps = 0
+    for end in range(len(word) - 1, 0, -1):
+        for k in range(end):
+            if word[k] > word[k + 1]:
+                swaps += parity[word[k]] * parity[word[k + 1]]
+                word[k], word[k + 1] = word[k + 1], word[k]
+    return (-1) ** swaps, mono_of(word)
+
+
+def reference_partial(mono, gid, parity, from_right):
+    """Strike one letter gid from the word; an odd letter's sign counts the
+    odd letters the derivation crosses to reach it."""
+    word = word_of(mono)
+    if gid not in word:
+        return 0, None
+    k = word.index(gid)
+    rest = word[:k] + word[k + 1:]
+    if not parity[gid]:
+        return word.count(gid), mono_of(rest)
+    crossed = word[k + 1:] if from_right else word[:k]
+    return (-1) ** sum(parity[g] for g in crossed), mono_of(rest)
 
 
 class TestPythonKernel:
@@ -32,3 +89,36 @@ class TestPythonKernel:
     def test_even_partial_brings_down_exponent(self):
         parity = (0,)
         assert _kernel_py.mono_partial(((0, 3),), 0, parity, False) == (3, ((0, 2),))
+
+
+class TestKernelAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(parity_and_monos(2))
+    def test_mono_mul_matches_bubble_sort(self, case):
+        parity, (m1, m2) = case
+        assert _kernel_py.mono_mul(m1, m2, parity) == reference_mul(m1, m2, parity)
+
+    @settings(max_examples=300, deadline=None)
+    @given(parity_and_monos(1), st.integers(0, MAX_GENERATORS - 1), st.booleans())
+    def test_mono_partial_matches_letter_strike(self, case, gid, from_right):
+        parity, (m,) = case
+        gid %= len(parity)
+        assert _kernel_py.mono_partial(m, gid, parity, from_right) == \
+            reference_partial(m, gid, parity, from_right)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+        st.dictionaries(st.tuples(*[st.integers(0, 4)] * d),
+                        st.builds(Fraction, st.integers(-9, 9).filter(bool),
+                                  st.integers(1, 5)), max_size=8),
+        st.integers(0, d - 1))))
+    def test_poly_partial_term_by_term(self, case):
+        a, mu = case
+        expected = {}
+        for exp, c in a.items():
+            if exp[mu]:
+                e = list(exp)
+                e[mu] -= 1
+                key = tuple(e)
+                expected[key] = expected.get(key, 0) + c * exp[mu]
+        assert _kernel_py.poly_partial(a, mu) == expected
