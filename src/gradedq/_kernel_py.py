@@ -1,8 +1,11 @@
 """Hot kernels: exact rational polynomials and graded monomials.
 
 A polynomial is a dict mapping exponent tuples (length d) to nonzero
-Fractions.  A graded monomial is a tuple of (generator id, exponent)
-pairs sorted by generator id; odd generators carry exponent 1.
+coefficients, each an `int` (when integral) or a `Fraction`.  Inputs
+enter integral values as `int`; arithmetic may still leave an integral
+`Fraction`, which compares and hashes equal to its `int`.  A graded
+monomial is a tuple of (generator id, exponent) pairs sorted by
+generator id; odd generators carry exponent 1.
 
 Invariants the code relies on: monomials are canonically sorted with
 no repeated generator, no stored coefficient is zero, and a derivative
@@ -37,6 +40,10 @@ def poly_neg(a):
 
 
 def poly_scale(a, c):
+    if c == 1:
+        return dict(a)
+    if c == -1:
+        return poly_neg(a)
     if not c:
         return {}
     return {exp: c * v for exp, v in a.items()}

@@ -18,7 +18,6 @@ Sign conventions (documented choices, validated by the test suite):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 class ChartError(ValueError):
@@ -77,20 +76,19 @@ class ChartSpec:
             self._by_family[(g.family, g.index)] = i
 
         # Pairing table over tagged generator ids: ('x', mu) or ('s', sid).
-        one = Fraction(1)
-        chi_psi = one if p % 2 == 0 else -one
-        pairs: dict[tuple, Fraction] = {}
+        chi_psi = 1 if p % 2 == 0 else -1
+        pairs: dict[tuple, int] = {}
         for mu in range(1, d + 1):
             sp = self.sid("p", mu)
             spsi = self.sid("psi", mu)
             schi = self.sid("chi", mu)
-            pairs[(("s", sp), ("x", mu))] = one
-            pairs[(("x", mu), ("s", sp))] = -one
-            pairs[(("s", spsi), ("s", schi))] = one
+            pairs[(("s", sp), ("x", mu))] = 1
+            pairs[(("x", mu), ("s", sp))] = -1
+            pairs[(("s", spsi), ("s", schi))] = 1
             pairs[(("s", schi), ("s", spsi))] = chi_psi
         if kind == "m5":
             sz = self.sid("zeta", 0)
-            pairs[(("s", sz), ("s", sz))] = one
+            pairs[(("s", sz), ("s", sz))] = 1
         self.pairs = pairs
 
     def sid(self, family: str, index: int) -> int:

@@ -3,7 +3,8 @@
 Every command reads one JSON config (chart, theta, sections, matrices,
 harness) and writes a deterministic report, human text by default or a
 machine-readable document with --json.  Exit codes: 0 all checks pass,
-1 a verified violation, 2 input error.  The seed is resolved as
+1 a verified violation, 2 input error, 3 internal error (a defect in
+gradedq, never a verdict).  The seed is resolved as
 --seed, then the config's harness.seed, then the GB_SEED environment
 variable, then 0.
 """
@@ -28,10 +29,10 @@ from .npq import HamiltonianError, master_equation, q_square_check
 from .poly import PolyError
 from .reports import CheckReport, SuiteReport, witnesses_of
 
-PASS, FAIL, INPUT_ERROR = 0, 1, 2
+PASS, FAIL, INPUT_ERROR, INTERNAL_ERROR = 0, 1, 2, 3
 
 _INPUT_ERRORS = (ConfigError, ChartError, FormError, SectionError,
-                 HamiltonianError, PolyError, gm.MatrixError, KeyError)
+                 HamiltonianError, PolyError, gm.MatrixError)
 
 
 def _resolve_seed(args, config: Config) -> int:
@@ -340,6 +341,13 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
+    except Exception as exc:  # a defect in gradedq, not in the input
+        message = f"{type(exc).__name__}: {exc}".replace("\n", " ")
+        if args.json:
+            print(json.dumps({"command": args.command, "status": "INTERNAL",
+                              "error": message}, sort_keys=True, indent=2))
+        print(f"internal error: {message}", file=sys.stderr)
+        return INTERNAL_ERROR
     payload["exit_code"] = code
     _emit(args, payload, text)
     return code

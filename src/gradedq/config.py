@@ -131,6 +131,8 @@ def parse_config(text: str) -> Config:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"line {exc.lineno}", f"JSON syntax error: {exc.msg}") \
             from None
+    except RecursionError:
+        raise ConfigError("<root>", "JSON nested too deep") from None
     if not isinstance(doc, dict):
         raise ConfigError("<root>", "config must be a JSON object")
 

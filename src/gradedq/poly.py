@@ -11,28 +11,31 @@ class PolyError(ValueError):
     pass
 
 
-def _as_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
+def _as_rational(c) -> int | Fraction:
+    """An exact coefficient: an `int` when integral, else a `Fraction`."""
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)  # a bool becomes a plain int
     if isinstance(c, str):
-        return Fraction(c)
-    raise PolyError(f"coefficients must be exact rationals, got {type(c).__name__}")
+        c = Fraction(c)
+    elif not isinstance(c, Fraction):
+        raise PolyError(f"coefficients must be exact rationals, got {type(c).__name__}")
+    return c.numerator if c.denominator == 1 else c
 
 
 class Poly:
-    """Sparse polynomial: exponent tuples of length d -> nonzero Fraction."""
+    """Sparse polynomial: exponent tuples of length d -> nonzero coefficient,
+    an `int` (when integral on entry) or a `Fraction`."""
 
     __slots__ = ("d", "terms")
 
     def __init__(self, d: int, terms=None):
         self.d = d
-        if terms is None:
-            self.terms = {}
-        else:
-            self.terms = {tuple(e): _as_fraction(c) for e, c in dict(terms).items()
-                          if _as_fraction(c) != 0}
+        self.terms = {}
+        if terms is not None:
+            for e, c in dict(terms).items():
+                c = _as_rational(c)
+                if c:
+                    self.terms[tuple(e)] = c
 
     # constructors ----------------------------------------------------
     @classmethod
@@ -41,7 +44,7 @@ class Poly:
 
     @classmethod
     def const(cls, d: int, c) -> "Poly":
-        c = _as_fraction(c)
+        c = _as_rational(c)
         p = cls(d)
         if c:
             p.terms = {(0,) * d: c}
@@ -54,7 +57,7 @@ class Poly:
             raise PolyError(f"variable index {mu} out of range 1..{d}")
         e = [0] * d
         e[mu - 1] = power
-        return cls(d, {tuple(e): Fraction(1)})
+        return cls(d, {tuple(e): 1})
 
     @classmethod
     def _raw(cls, d: int, terms: dict) -> "Poly":
@@ -88,7 +91,7 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Poly._raw(self.d, poly_scale(self.terms, _as_fraction(other)))
+            return Poly._raw(self.d, poly_scale(self.terms, other))
         self._check(other)
         return Poly._raw(self.d, poly_mul(self.terms, other.terms))
 
@@ -200,10 +203,10 @@ def _tokenize(text: str):
                 den = int(text[j + 1:k])
                 if not den:
                     raise PolyParseError(f"zero denominator at position {i}")
-                tokens.append((("num", Fraction(int(text[i:j]), den)), i))
+                tokens.append((("num", _as_rational(Fraction(int(text[i:j]), den))), i))
                 i = k
             else:
-                tokens.append((("num", Fraction(int(text[i:j]))), i))
+                tokens.append((("num", int(text[i:j])), i))
                 i = j
         else:
             raise PolyParseError(f"unexpected character {ch!r} at position {i}")
@@ -251,12 +254,10 @@ def parse_poly(text: str, d: int) -> Poly:
         if peek() == "^":
             take()
             t = peek()
-            if not (isinstance(t, tuple) and t[0] == "num" and t[1].denominator == 1):
+            if not (isinstance(t, tuple) and t[0] == "num" and isinstance(t[1], int)):
                 raise PolyParseError("exponent must be a non-negative integer")
             take()
-            n = int(t[1])
-            if n < 0:
-                raise PolyParseError("exponent must be a non-negative integer")
+            n = t[1]
             base = base ** n
         return base
 

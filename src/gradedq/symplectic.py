@@ -71,7 +71,9 @@ def gauge_exp(R: GradedElement, f: GradedElement,
     k = 0
     while True:
         k += 1
-        term = poisson(term, R) * Fraction(1, k)
+        term = poisson(term, R)
+        if k > 1:
+            term = term * Fraction(1, k)
         if term.is_zero():
             return out
         if k > budget:

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from gradedq import Config, ConfigError, parse_config, render_config
+from gradedq import Config, ConfigError, cli, parse_config, render_config
 from gradedq.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -309,3 +309,40 @@ class TestInputErrors:
         code = main(["axioms", GOLDEN_PASS, "--suite", "leibniz", "--trials", "1",
                      "--max-coeff-degree", "0", "--json"])
         assert code == 0 and json.loads(capsys.readouterr().out)["status"] == "PASS"
+
+    def test_json_nested_too_deep(self, capsys, tmp_path):
+        depth = 100_000
+        text = ('{"chart": {"kind": "vinogradov", "d": 3, "p": 2}, "extra": '
+                + "[" * depth + "]" * depth + "}")
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert str(err.value) == "<root>: JSON nested too deep"
+        cfg = tmp_path / "deep.json"
+        cfg.write_text(text)
+        assert main(["check-master", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: <root>: JSON nested too deep\n"
+
+
+# ---------------------------------------------------------------------
+# a defect in the engine is an internal error, never a verdict
+# ---------------------------------------------------------------------
+
+class TestInternalError:
+    @pytest.fixture
+    def broken_handler(self, monkeypatch):
+        def handler(config, args):
+            raise KeyError("psi9")
+        monkeypatch.setitem(cli._HANDLERS, "check-master", handler)
+
+    def test_text_report(self, capsys, broken_handler):
+        assert main(["check-master", GOLDEN_PASS]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "internal error: KeyError: 'psi9'\n"
+
+    def test_json_report(self, capsys, broken_handler):
+        assert main(["check-master", GOLDEN_PASS, "--json"]) == 3
+        out = capsys.readouterr()
+        assert json.loads(out.out) == {"command": "check-master", "status": "INTERNAL",
+                                       "error": "KeyError: 'psi9'"}
+        assert out.err == "internal error: KeyError: 'psi9'\n"

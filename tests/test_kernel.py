@@ -2,10 +2,11 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedq import _kernel_py
+from gradedq import Poly, PolyError, _kernel_py, parse_poly
 
 # up to 33 generators: the m5 chart at d=8
 MAX_GENERATORS = 33
@@ -122,3 +123,69 @@ class TestKernelAgainstReference:
                 key = tuple(e)
                 expected[key] = expected.get(key, 0) + c * exp[mu]
         assert _kernel_py.poly_partial(a, mu) == expected
+
+
+# coefficients as the engine stores them: int when integral, else Fraction;
+# integral Fractions also reach the kernel as products such as 2 * (1/2)
+coefficients = st.one_of(
+    st.integers(-9, 9),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))).filter(bool)
+
+
+def polys(d):
+    return st.dictionaries(st.tuples(*[st.integers(0, 3)] * d), coefficients,
+                           max_size=6)
+
+
+def as_fractions(a):
+    return {exp: Fraction(c) for exp, c in a.items()}
+
+
+def stored_exactly(a):
+    return all(type(c) in (int, Fraction) and c != 0 for c in a.values())
+
+
+class TestMixedCoefficients:
+    """int and Fraction coefficients give the same results as all-Fraction ones."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda d: st.tuples(polys(d), polys(d))))
+    def test_add_and_mul(self, case):
+        a, b = case
+        for op in (_kernel_py.poly_add, _kernel_py.poly_mul):
+            out = op(a, b)
+            assert out == op(as_fractions(a), as_fractions(b))
+            assert stored_exactly(out)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3).flatmap(polys),
+           st.sampled_from([1, -1, 0, Fraction(1), Fraction(-1)]) | coefficients)
+    def test_scale(self, a, c):
+        out = _kernel_py.poly_scale(a, c)
+        assert out == _kernel_py.poly_scale(as_fractions(a), Fraction(c))
+        assert out == {exp: c * v for exp, v in a.items() if c}
+        assert stored_exactly(out)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda d: st.tuples(polys(d),
+                                                         st.integers(0, d - 1))))
+    def test_partial(self, case):
+        a, mu = case
+        out = _kernel_py.poly_partial(a, mu)
+        assert out == _kernel_py.poly_partial(as_fractions(a), mu)
+        assert stored_exactly(out)
+
+    def test_integral_coefficients_are_stored_as_int(self):
+        e = (1, 0, 2)
+        assert type(Poly(3, {e: Fraction(4, 2)}).terms[e]) is int
+        assert type(Poly(3, {e: True}).terms[e]) is int
+        assert [type(c) for c in Poly.var(3, 2).terms.values()] == [int]
+        assert {exp: type(c) for exp, c in parse_poly("3*x1 - 2", 3).terms.items()} \
+            == {(1, 0, 0): int, (0, 0, 0): int}
+        assert type(parse_poly("3/2*x1", 3).terms[(1, 0, 0)]) is Fraction
+
+    def test_float_is_rejected(self):
+        with pytest.raises(PolyError):
+            Poly(3, {(1, 0, 0): 0.5})
+        with pytest.raises(PolyError):
+            Poly(3, {(1, 0, 0): 1.0})

@@ -166,12 +166,26 @@ class TestGaugeExp:
             gauge_exp(R, f, budget=6)
 
     def test_series_denominators_are_exact(self):
+        def exact(element):
+            # int or Fraction only: no float, and no bool posing as an int
+            return all(type(c) in (int, Fraction)
+                       for poly in element.terms.values() for c in poly.terms.values())
+
         chart = make_chart("vinogradov", 1, 2)
         # R = x1^2 p1 truncates on p1 after the quadratic term? it does not;
         # use a psi-chi generator with nilpotent adjoint instead
         R = gen(chart, "x1") * gen(chart, "psi1") * gen(chart, "chi1")
         f = gen(chart, "p1")
         out = gauge_exp(R, f)
-        # closed form: exp(ad) applied to p1 stays a finite exact-rational sum
-        assert all(all(isinstance(c, Fraction) for c in poly.terms.values())
-                   for poly in out.terms.values())
+        assert exact(out)
+        assert out == f + gen(chart, "psi1") * gen(chart, "chi1")
+
+        # R = x2 p1 generates x1 -> x1 - x2; on x1^3 the series runs to k = 3
+        # and divides by 2! and 3! on the way
+        chart = make_chart("vinogradov", 2, 2)
+        R = gen(chart, "x2") * gen(chart, "p1")
+        x1_minus_x2 = gen(chart, "x1") - gen(chart, "x2")
+        out = gauge_exp(R, gen(chart, "x1") * gen(chart, "x1") * gen(chart, "x1"))
+        assert exact(out)
+        assert out == x1_minus_x2 * x1_minus_x2 * x1_minus_x2
+        assert str(out) == "x1^3 - 3*x1^2*x2 + 3*x1*x2^2 - x2^3"
