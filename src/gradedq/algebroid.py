@@ -132,11 +132,7 @@ def anchor(theta: Hamiltonian, A: GradedElement, f: Poly) -> Poly:
         raise SectionError(f"function on R^{f.d}, chart on R^{chart.d}")
     fe = GradedElement.from_poly(chart, f)
     out = poisson(poisson(theta.element, A), fe).scale(derived_sign(chart))
-    if out.is_zero():
-        return Poly.zero(chart.d)
-    if list(out.terms) != [()]:
-        raise SectionError("anchor output is not a degree-0 function")
-    return out.terms[()]
+    return _scalar_of(chart, out)
 
 
 def pairing(A: GradedElement, B: GradedElement) -> GradedElement:
@@ -195,30 +191,47 @@ def _scalar_of(chart: ChartSpec, e: GradedElement) -> Poly:
     return e.terms[()]
 
 
+def _leibniz_defect(theta: Hamiltonian, A, B, C, LAB, LAC) -> GradedElement:
+    """L_A(L_B C) - L_{L_A B} C - L_B(L_A C), given L_A B and L_A C."""
+    return dorfman(theta, A, dorfman(theta, B, C)) \
+        - (dorfman(theta, LAB, C) + dorfman(theta, B, LAC))
+
+
+def _suite(name: str, checks: tuple[str, ...], fails: dict, trials: int,
+           seed: int) -> SuiteReport:
+    """One report per check; `fails` maps a check to its first failing
+    (trial, defect)."""
+    suite = SuiteReport(name, seed=seed, trials=trials)
+    for check in checks:
+        report = CheckReport(check, passed=check not in fails,
+                             trials=trials, seed=seed)
+        if check in fails:
+            t, diff = fails[check]
+            report.witnesses = [f"trial {t}"] + witnesses_of(diff)
+        suite.checks.append(report)
+    return suite
+
+
 def verify_leibniz(theta: Hamiltonian, trials: int = 100, seed: int = 0,
                    max_degree: int = 2) -> SuiteReport:
     """L_A(L_B C) = L_{L_A B} C + L_B(L_A C) on seeded random triples."""
     chart = theta.chart
     rng = as_rng(seed)
-    suite = SuiteReport("leibniz", seed=seed, trials=trials)
-    failures = []
+    fails: dict[str, tuple] = {}
     for t in range(trials):
         A = encode_section(chart, random_section(rng, chart, max_degree))
         B = encode_section(chart, random_section(rng, chart, max_degree))
         C = encode_section(chart, random_section(rng, chart, max_degree))
-        lhs = dorfman(theta, A, dorfman(theta, B, C))
-        rhs = dorfman(theta, dorfman(theta, A, B), C) \
-            + dorfman(theta, B, dorfman(theta, A, C))
-        diff = lhs - rhs
+        diff = _leibniz_defect(theta, A, B, C, dorfman(theta, A, B),
+                               dorfman(theta, A, C))
         if not diff.is_zero():
-            failures.append((t, diff))
-    report = CheckReport("leibniz identity", passed=not failures,
-                         trials=trials, seed=seed)
-    if failures:
-        t, diff = failures[0]
-        report.witnesses = [f"trial {t}"] + witnesses_of(diff)
-    suite.checks.append(report)
-    return suite
+            fails.setdefault("leibniz identity", (t, diff))
+    return _suite("leibniz", ("leibniz identity",), fails, trials, seed)
+
+
+_COURANT_CHECKS = ("axiom 1 (anchored Leibniz)", "axiom 2 (anchor morphism)",
+                   "axiom 3 (metric invariance)", "axiom 4 (Leibniz identity)",
+                   "axiom 5 (rho* of d eta(A,A))", "chain complex (rho o rho* = 0)")
 
 
 def verify_courant(theta: Hamiltonian, trials: int = 100, seed: int = 0,
@@ -229,12 +242,7 @@ def verify_courant(theta: Hamiltonian, trials: int = 100, seed: int = 0,
     if chart.p != 2 or chart.kind != "vinogradov":
         raise ChartError("the Courant suite runs on p=2 vinogradov charts")
     rng = as_rng(seed)
-    suite = SuiteReport("courant", seed=seed, trials=trials)
-    fails: dict[str, list] = {}
-
-    def record(axiom: str, trial: int, diff):
-        fails.setdefault(axiom, []).append((trial, diff))
-
+    fails: dict[str, tuple] = {}
     half = Fraction(1, 2)
 
     for t in range(trials):
@@ -245,60 +253,41 @@ def verify_courant(theta: Hamiltonian, trials: int = 100, seed: int = 0,
         B = encode_section(chart, sB)
         C = encode_section(chart, sC)
         f = random_poly(rng, chart.d, max_degree)
+        LAB = dorfman(theta, A, B)
+        LAC = dorfman(theta, A, C)
+        defects = []
 
         # 1. anchored Leibniz: L_A(f B) = f L_A B + (rho(A).f) B
-        lhs = dorfman(theta, A, B.scale(f))
-        rhs = dorfman(theta, A, B).scale(f) \
-            + B.scale(anchor(theta, A, f))
-        if not (lhs - rhs).is_zero():
-            record("axiom 1 (anchored Leibniz)", t, lhs - rhs)
+        defects.append(dorfman(theta, A, B.scale(f))
+                       - (LAB.scale(f) + B.scale(anchor(theta, A, f))))
 
         # 2. anchor morphism: rho(L_A B) = [rho(A), rho(B)]
-        vL = decode_section(chart, dorfman(theta, A, B)).v
+        vL = decode_section(chart, LAB).v
         vR = vec_lie_bracket(sA.v, sB.v, chart.d)
-        if any(a != b for a, b in zip(vL, vR)):
-            record("axiom 2 (anchor morphism)", t,
-                   encode_section(chart, Section(
-                       tuple(a - b for a, b in zip(vL, vR)),
-                       DiffForm.zero(chart.d, 1))))
+        defects.append(encode_section(chart, Section(
+            tuple(a - b for a, b in zip(vL, vR)), DiffForm.zero(chart.d, 1))))
 
         # 3. metric invariance: rho(A).eta(B,C) = eta(L_A B, C) + eta(B, L_A C)
         lhs0 = _lie_on_poly(sA.v, _scalar_of(chart, pairing(B, C)))
-        rhs0 = _scalar_of(chart, pairing(dorfman(theta, A, B), C)) \
-            + _scalar_of(chart, pairing(B, dorfman(theta, A, C)))
-        if lhs0 != rhs0:
-            record("axiom 3 (metric invariance)", t,
-                   GradedElement.from_poly(chart, lhs0 - rhs0))
+        rhs0 = _scalar_of(chart, pairing(LAB, C)) \
+            + _scalar_of(chart, pairing(B, LAC))
+        defects.append(GradedElement.from_poly(chart, lhs0 - rhs0))
 
         # 4. Leibniz identity
-        lhs = dorfman(theta, A, dorfman(theta, B, C))
-        rhs = dorfman(theta, dorfman(theta, A, B), C) \
-            + dorfman(theta, B, dorfman(theta, A, C))
-        if not (lhs - rhs).is_zero():
-            record("axiom 4 (Leibniz identity)", t, lhs - rhs)
+        defects.append(_leibniz_defect(theta, A, B, C, LAB, LAC))
 
         # 5. L_A A = 1/2 rho*(d eta(A, A))
         eta_AA = _scalar_of(chart, pairing(A, A))
         rhs = rho_star(chart, ext_d(DiffForm.from_poly(chart.d, eta_AA))).scale(half)
-        lhs = dorfman(theta, A, A)
-        if not (lhs - rhs).is_zero():
-            record("axiom 5 (rho* of d eta(A,A))", t, lhs - rhs)
+        defects.append(dorfman(theta, A, A) - rhs)
 
         # chain complex: rho o rho* = 0
         lam1 = DiffForm(chart.d, 1)
         lam1.add_term((rng.randint(1, chart.d),), random_poly(rng, chart.d, max_degree))
-        val = anchor(theta, rho_star(chart, lam1), f)
-        if not val.is_zero():
-            record("chain complex (rho o rho* = 0)", t,
-                   GradedElement.from_poly(chart, val))
+        defects.append(GradedElement.from_poly(
+            chart, anchor(theta, rho_star(chart, lam1), f)))
 
-    for axiom in ["axiom 1 (anchored Leibniz)", "axiom 2 (anchor morphism)",
-                  "axiom 3 (metric invariance)", "axiom 4 (Leibniz identity)",
-                  "axiom 5 (rho* of d eta(A,A))", "chain complex (rho o rho* = 0)"]:
-        report = CheckReport(axiom, passed=axiom not in fails,
-                             trials=trials, seed=seed)
-        if axiom in fails:
-            t, diff = fails[axiom][0]
-            report.witnesses = [f"trial {t}"] + witnesses_of(diff)
-        suite.checks.append(report)
-    return suite
+        for check, diff in zip(_COURANT_CHECKS, defects):
+            if not diff.is_zero():
+                fails.setdefault(check, (t, diff))
+    return _suite("courant", _COURANT_CHECKS, fails, trials, seed)

@@ -114,6 +114,10 @@ def _parse_matrix(rows, where: str) -> tuple:
             raise ConfigError(f"{where}[{i}]", "expected a row array")
         vals = []
         for j, cell in enumerate(row):
+            # Fraction("1e20000000") would expand the power of ten
+            if isinstance(cell, str) and ("e" in cell or "E" in cell):
+                raise ConfigError(f"{where}[{i}][{j}]", "expected an integer, "
+                                  f"a/b or a decimal without exponent, got {cell!r}")
             try:
                 vals.append(Fraction(str(cell)))
             except (ValueError, ZeroDivisionError) as exc:
@@ -133,6 +137,8 @@ def parse_config(text: str) -> Config:
             from None
     except RecursionError:
         raise ConfigError("<root>", "JSON nested too deep") from None
+    except ValueError:  # an integer with more digits than int() converts
+        raise ConfigError("<root>", "JSON integer too long") from None
     if not isinstance(doc, dict):
         raise ConfigError("<root>", "config must be a JSON object")
 

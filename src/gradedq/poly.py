@@ -172,6 +172,20 @@ class PolyParseError(PolyError):
 _MAX_NESTING = 100
 
 
+def _digits(text: str, i: int):
+    """The integer spelled by the ASCII digits from position i on (None if
+    there are none) and the position after them."""
+    j = i
+    while j < len(text) and "0" <= text[j] <= "9":
+        j += 1
+    if j == i:
+        return None, j
+    try:
+        return int(text[i:j]), j
+    except ValueError:  # more digits than int() converts
+        raise PolyParseError(f"integer too long at position {i}") from None
+
+
 def _tokenize(text: str):
     tokens = []
     i, n = 0, len(text)
@@ -183,31 +197,22 @@ def _tokenize(text: str):
             tokens.append((ch, i))
             i += 1
         elif ch == "x":
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            if j == i + 1:
+            index, j = _digits(text, i + 1)
+            if index is None:
                 raise PolyParseError(f"bad variable at position {i}")
-            tokens.append((("var", int(text[i + 1:j])), i))
+            tokens.append((("var", index), i))
             i = j
-        elif ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
+        elif "0" <= ch <= "9":
+            num, j = _digits(text, i)
             if j < n and text[j] == "/":
-                k = j + 1
-                while k < n and text[k].isdigit():
-                    k += 1
-                if k == j + 1:
+                den, j = _digits(text, j + 1)
+                if den is None:
                     raise PolyParseError(f"bad rational at position {i}")
-                den = int(text[j + 1:k])
                 if not den:
                     raise PolyParseError(f"zero denominator at position {i}")
-                tokens.append((("num", _as_rational(Fraction(int(text[i:j]), den))), i))
-                i = k
-            else:
-                tokens.append((("num", int(text[i:j])), i))
-                i = j
+                num = _as_rational(Fraction(num, den))
+            tokens.append((("num", num), i))
+            i = j
         else:
             raise PolyParseError(f"unexpected character {ch!r} at position {i}")
     return tokens

@@ -1,5 +1,6 @@
 """Sections, derived Dorfman brackets, anchors, ranks, axiom suites."""
 
+import operator
 import random
 import warnings
 from fractions import Fraction
@@ -11,6 +12,7 @@ from gradedq import (ChartError, DiffForm, GradedElement, Poly, Section,
                      dorfman, encode_section, ext_d, interior, make_chart,
                      module_basis, module_rank, pairing, rho_star, theta_m5,
                      theta_vinogradov, verify_courant, verify_leibniz)
+from gradedq import symplectic
 from gradedq.randomgen import random_poly, random_section
 
 P2 = make_chart("vinogradov", 3, 2)
@@ -231,3 +233,23 @@ class TestCourantSuite:
     def test_rejected_off_p2(self):
         with pytest.raises(ChartError):
             verify_courant(untwisted(P3), trials=1, seed=0)
+
+
+@pytest.mark.parametrize("suite, compare, per_trial", [
+    (verify_courant, operator.le, 24),   # L_A B and L_A C once per trial
+    (verify_leibniz, operator.eq, 12),
+], ids=["courant", "leibniz"])
+def test_poisson_brackets_per_trial(monkeypatch, suite, compare, per_trial):
+    calls = 0
+    poisson = symplectic.poisson
+
+    def counting(f, g):
+        nonlocal calls
+        calls += 1
+        return poisson(f, g)
+
+    monkeypatch.setattr(symplectic, "poisson", counting)
+    beta = DiffForm.basis(3, (1, 2, 3), Poly.var(3, 2))
+    trials = 3
+    assert suite(theta_vinogradov(P2, beta), trials=trials, seed=7).passed
+    assert compare(calls, per_trial * trials)

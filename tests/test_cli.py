@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -295,6 +296,16 @@ class TestInputErrors:
         (("harness", "max_coeff_degree"), -1, "harness.max_coeff_degree"),
         pytest.param(("theta", "beta", 0, "coeff"), "(" * 3000 + "1" + ")" * 3000,
                      "theta.beta[0].coeff", id="nested-3000-deep"),
+        # str.isdigit() accepts superscripts, int() does not
+        pytest.param(("sections", "A", "v", 0), "x\u00b2", "sections.A.v[0]",
+                     id="superscript-digit"),
+        pytest.param(("sections", "A", "v", 0), "1" * 5000, "sections.A.v[0]",
+                     id="coeff-5000-digits"),
+        # Fraction() would expand 10**20000000 (about 30 s)
+        pytest.param(("matrices", "g", 0, 0), "1e20000000", "matrices.g[0][0]",
+                     id="matrix-exponent"),
+        pytest.param(("matrices", "g", 1, 2), "2E3", "matrices.g[1][2]",
+                     id="matrix-exponent-upper"),
     ])
     def test_bad_config_field(self, capsys, tmp_path, path, value, field):
         cfg = tmp_path / "cfg.json"
@@ -304,6 +315,22 @@ class TestInputErrors:
         doc = json.loads(capsys.readouterr().out)
         assert code == 2 and doc["status"] == "ERROR"
         assert doc["error"].startswith(field + ":")
+
+    def test_matrix_cells_without_exponent_are_legal(self):
+        cfg = config_with(("matrices", "g"), [["2", "-3/4", "0.5"], [1, 0.25, " 7 "]])
+        assert parse_config(json.dumps(cfg)).matrices["g"] == (
+            (2, Fraction(-3, 4), Fraction(1, 2)), (1, Fraction(1, 4), 7))
+
+    def test_json_integer_too_long(self, capsys, tmp_path):
+        text = json.dumps(config_with(("harness", "seed"), 0)).replace(
+            '"seed": 0', '"seed": ' + "1" * 5000)
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert str(err.value) == "<root>: JSON integer too long"
+        cfg = tmp_path / "long.json"
+        cfg.write_text(text)
+        assert main(["check-master", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: <root>: JSON integer too long\n"
 
     def test_zero_max_coeff_degree_is_legal(self, capsys):
         code = main(["axioms", GOLDEN_PASS, "--suite", "leibniz", "--trials", "1",
