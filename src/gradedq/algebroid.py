@@ -114,13 +114,19 @@ def _check_section_degree(chart: ChartSpec, A: GradedElement, name: str):
                            f"{chart.p - 1}, got {A.euler_degree()}")
 
 
+def _derived(chart: ChartSpec, QA: GradedElement, B: GradedElement) -> GradedElement:
+    """((Theta, A), B) with the chart's derived sign, given QA = (Theta, A)."""
+    from .symplectic import poisson
+    return poisson(QA, B).scale(derived_sign(chart))
+
+
 def dorfman(theta: Hamiltonian, A: GradedElement, B: GradedElement) -> GradedElement:
     """Derived Dorfman bracket L_A B on degree-(p-1) elements."""
     from .symplectic import poisson
     chart = theta.chart
     _check_section_degree(chart, A, "A")
     _check_section_degree(chart, B, "B")
-    return poisson(poisson(theta.element, A), B).scale(derived_sign(chart))
+    return _derived(chart, poisson(theta.element, A), B)
 
 
 def anchor(theta: Hamiltonian, A: GradedElement, f: Poly) -> Poly:
@@ -131,8 +137,7 @@ def anchor(theta: Hamiltonian, A: GradedElement, f: Poly) -> Poly:
     if f.d != chart.d:
         raise SectionError(f"function on R^{f.d}, chart on R^{chart.d}")
     fe = GradedElement.from_poly(chart, f)
-    out = poisson(poisson(theta.element, A), fe).scale(derived_sign(chart))
-    return _scalar_of(chart, out)
+    return _scalar_of(chart, _derived(chart, poisson(theta.element, A), fe))
 
 
 def pairing(A: GradedElement, B: GradedElement) -> GradedElement:
@@ -191,9 +196,10 @@ def _scalar_of(chart: ChartSpec, e: GradedElement) -> Poly:
     return e.terms[()]
 
 
-def _leibniz_defect(theta: Hamiltonian, A, B, C, LAB, LAC) -> GradedElement:
-    """L_A(L_B C) - L_{L_A B} C - L_B(L_A C), given L_A B and L_A C."""
-    return dorfman(theta, A, dorfman(theta, B, C)) \
+def _leibniz_defect(theta: Hamiltonian, QA, B, C, LAB, LAC) -> GradedElement:
+    """L_A(L_B C) - L_{L_A B} C - L_B(L_A C), given QA = (Theta, A), L_A B
+    and L_A C."""
+    return _derived(theta.chart, QA, dorfman(theta, B, C)) \
         - (dorfman(theta, LAB, C) + dorfman(theta, B, LAC))
 
 
@@ -215,6 +221,7 @@ def _suite(name: str, checks: tuple[str, ...], fails: dict, trials: int,
 def verify_leibniz(theta: Hamiltonian, trials: int = 100, seed: int = 0,
                    max_degree: int = 2) -> SuiteReport:
     """L_A(L_B C) = L_{L_A B} C + L_B(L_A C) on seeded random triples."""
+    from .symplectic import poisson
     chart = theta.chart
     rng = as_rng(seed)
     fails: dict[str, tuple] = {}
@@ -222,8 +229,9 @@ def verify_leibniz(theta: Hamiltonian, trials: int = 100, seed: int = 0,
         A = encode_section(chart, random_section(rng, chart, max_degree))
         B = encode_section(chart, random_section(rng, chart, max_degree))
         C = encode_section(chart, random_section(rng, chart, max_degree))
-        diff = _leibniz_defect(theta, A, B, C, dorfman(theta, A, B),
-                               dorfman(theta, A, C))
+        QA = poisson(theta.element, A)
+        diff = _leibniz_defect(theta, QA, B, C, _derived(chart, QA, B),
+                               _derived(chart, QA, C))
         if not diff.is_zero():
             fails.setdefault("leibniz identity", (t, diff))
     return _suite("leibniz", ("leibniz identity",), fails, trials, seed)
@@ -238,6 +246,7 @@ def verify_courant(theta: Hamiltonian, trials: int = 100, seed: int = 0,
                    max_degree: int = 2) -> SuiteReport:
     """All five Courant axioms plus rho o rho* = 0, on a p=2 chart."""
     from fractions import Fraction
+    from .symplectic import poisson
     chart = theta.chart
     if chart.p != 2 or chart.kind != "vinogradov":
         raise ChartError("the Courant suite runs on p=2 vinogradov charts")
@@ -253,13 +262,16 @@ def verify_courant(theta: Hamiltonian, trials: int = 100, seed: int = 0,
         B = encode_section(chart, sB)
         C = encode_section(chart, sC)
         f = random_poly(rng, chart.d, max_degree)
-        LAB = dorfman(theta, A, B)
-        LAC = dorfman(theta, A, C)
+        QA = poisson(theta.element, A)
+        LAB = _derived(chart, QA, B)
+        LAC = _derived(chart, QA, C)
         defects = []
 
         # 1. anchored Leibniz: L_A(f B) = f L_A B + (rho(A).f) B
-        defects.append(dorfman(theta, A, B.scale(f))
-                       - (LAB.scale(f) + B.scale(anchor(theta, A, f))))
+        rho_A_f = _scalar_of(chart, _derived(chart, QA,
+                                             GradedElement.from_poly(chart, f)))
+        defects.append(_derived(chart, QA, B.scale(f))
+                       - (LAB.scale(f) + B.scale(rho_A_f)))
 
         # 2. anchor morphism: rho(L_A B) = [rho(A), rho(B)]
         vL = decode_section(chart, LAB).v
@@ -274,12 +286,12 @@ def verify_courant(theta: Hamiltonian, trials: int = 100, seed: int = 0,
         defects.append(GradedElement.from_poly(chart, lhs0 - rhs0))
 
         # 4. Leibniz identity
-        defects.append(_leibniz_defect(theta, A, B, C, LAB, LAC))
+        defects.append(_leibniz_defect(theta, QA, B, C, LAB, LAC))
 
         # 5. L_A A = 1/2 rho*(d eta(A, A))
         eta_AA = _scalar_of(chart, pairing(A, A))
         rhs = rho_star(chart, ext_d(DiffForm.from_poly(chart.d, eta_AA))).scale(half)
-        defects.append(dorfman(theta, A, A) - rhs)
+        defects.append(_derived(chart, QA, A) - rhs)
 
         # chain complex: rho o rho* = 0
         lam1 = DiffForm(chart.d, 1)

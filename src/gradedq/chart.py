@@ -76,6 +76,7 @@ class ChartSpec:
             self._by_family[(g.family, g.index)] = i
 
         # Pairing table over tagged generator ids: ('x', mu) or ('s', sid).
+        # Every entry is +1 or -1.
         chi_psi = 1 if p % 2 == 0 else -1
         pairs: dict[tuple, int] = {}
         for mu in range(1, d + 1):
@@ -90,6 +91,13 @@ class ChartSpec:
             sz = self.sid("zeta", 0)
             pairs[(("s", sz), ("s", sz))] = 1
         self.pairs = pairs
+        # The Poisson bracket's plan, left tag -> [(right tag, const)], and
+        # the tags on the right of the table.
+        plan: dict[tuple, list] = {}
+        for (a, b), const in pairs.items():
+            plan.setdefault(a, []).append((b, const))
+        self.plan = plan
+        self.right_tags = frozenset(b for _, b in pairs)
 
     def sid(self, family: str, index: int) -> int:
         return self._by_family[(family, index)]

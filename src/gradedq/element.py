@@ -9,9 +9,10 @@ pure and return new values.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 
 from .chart import ChartError, ChartSpec
-from ._kernel_py import element_mul, mono_partial
+from ._kernel_py import element_mul
 from .poly import Poly
 
 INHOMOGENEOUS = "inhomogeneous"
@@ -138,20 +139,6 @@ class GradedElement:
             self.chart,
             {m: p for m, p in self.terms.items() if self.chart.mono_degree(m) == n})
 
-    # graded derivatives ----------------------------------------------
-    def x_partial(self, mu: int) -> "GradedElement":
-        return GradedElement(self.chart,
-                             {m: p.partial(mu) for m, p in self.terms.items()})
-
-    def super_partial(self, sid: int, from_right: bool) -> "GradedElement":
-        out: dict[tuple, Poly] = {}
-        parity = self.chart.parity
-        for mono, poly in self.terms.items():
-            coeff, reduced = mono_partial(mono, sid, parity, from_right)
-            if coeff:
-                out[reduced] = poly * coeff
-        return GradedElement(self.chart, out)
-
     # structure -------------------------------------------------------
     def monomials(self):
         return sorted(self.terms, key=self._mono_key)
@@ -214,21 +201,22 @@ def monomial_basis(chart: ChartSpec, n: int) -> list[tuple]:
     degrees = chart.degrees
     parity = chart.parity
     K = len(degrees)
+    # least[sid]: the smallest degree from sid on; past rem nothing fits
+    least = list(accumulate(reversed(degrees), min))[::-1]
 
     def rec(sid: int, rem: int, acc: list):
         if rem == 0:
             out.append(tuple(acc))
             return
-        if sid >= K:
+        if sid >= K or least[sid] > rem:
             return
         rec(sid + 1, rem, acc)
         deg = degrees[sid]
         top = 1 if parity[sid] else rem // deg
         for e in range(1, top + 1):
-            if deg * e <= rem:
-                acc.append((sid, e))
-                rec(sid + 1, rem - deg * e, acc)
-                acc.pop()
+            acc.append((sid, e))
+            rec(sid + 1, rem - deg * e, acc)
+            acc.pop()
 
     rec(0, n, [])
     return sorted(out)

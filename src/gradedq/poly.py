@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from ._kernel_py import poly_add, poly_mul, poly_neg, poly_partial, poly_scale
 
@@ -100,13 +101,11 @@ class Poly:
     def __pow__(self, n: int):
         if n < 0:
             raise PolyError("negative powers not supported")
+        # repeated multiplication: on a sparse base it costs fewer term
+        # products than squaring, whose last square is the largest
         out = Poly.const(self.d, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
+        for _ in range(n):
+            out = out * self
         return out
 
     def partial(self, mu: int) -> "Poly":
@@ -170,6 +169,9 @@ class PolyParseError(PolyError):
 # parentheses may nest this deep; the recursive-descent parser would
 # otherwise run out of stack on hostile input
 _MAX_NESTING = 100
+# bounds on the work one power may request, checked before expanding
+_MAX_EXPONENT = 1000
+_MAX_POWER_TERMS = 10_000
 
 
 def _digits(text: str, i: int):
@@ -261,8 +263,16 @@ def parse_poly(text: str, d: int) -> Poly:
             t = peek()
             if not (isinstance(t, tuple) and t[0] == "num" and isinstance(t[1], int)):
                 raise PolyParseError("exponent must be a non-negative integer")
+            n, at = t[1], tokens[pos][1]
             take()
-            n = t[1]
+            if n > _MAX_EXPONENT:
+                raise PolyParseError(f"exponent {n} exceeds {_MAX_EXPONENT} "
+                                     f"at position {at}")
+            # (k terms)^n has at most C(n + k - 1, n) terms
+            k = len(base.terms)
+            if k > 1 and comb(n + k - 1, n) > _MAX_POWER_TERMS:
+                raise PolyParseError(f"power expands to more than {_MAX_POWER_TERMS} "
+                                     f"terms at position {at}")
             base = base ** n
         return base
 

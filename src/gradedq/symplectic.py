@@ -8,6 +8,10 @@ against the chart's Darboux pairing table pi, with a right graded
 derivative on the left argument and a left graded derivative on the
 right argument.  Graded symmetry, Leibniz and Jacobi follow from the
 table's symmetry and are pinned by the test suite.
+
+`poisson` scans each argument once: one pass over g's terms yields every
+left derivative, one pass over f's terms the right derivatives that pair
+with them, and the products fold into one accumulator.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .chart import ChartError, ChartSpec
+from ._kernel_py import mono_partial
 from .element import GradedElement
 
 DEFAULT_ADJOINT_BUDGET = 16
@@ -24,11 +29,25 @@ class GaugeError(ValueError):
     pass
 
 
-def _partial(f: GradedElement, tag, from_right: bool) -> GradedElement:
-    kind, idx = tag
-    if kind == "x":
-        return f.x_partial(idx)
-    return f.super_partial(idx, from_right)
+def _derivatives(f: GradedElement, tags, from_right: bool) -> dict:
+    """{tag: derivative of f} in one pass over f's terms, for each tag in
+    `tags` that f depends on: the graded derivative in every super
+    generator a monomial contains, the x-partial in every variable a
+    coefficient uses.  A derivative in one generator is injective on the
+    terms it keeps, so no two terms land on the same key."""
+    parity = f.chart.parity
+    out: dict[tuple, dict] = {}
+    for mono, poly in f.terms.items():
+        for sid, _ in mono:
+            tag = ("s", sid)
+            if tag in tags:
+                coeff, reduced = mono_partial(mono, sid, parity, from_right)
+                out.setdefault(tag, {})[reduced] = poly * coeff
+        for mu in {mu for exp in poly.terms for mu, k in enumerate(exp, 1) if k}:
+            tag = ("x", mu)
+            if tag in tags:
+                out.setdefault(tag, {})[mono] = poly.partial(mu)
+    return {tag: GradedElement(f.chart, terms) for tag, terms in out.items()}
 
 
 def poisson(f: GradedElement, g: GradedElement) -> GradedElement:
@@ -36,16 +55,25 @@ def poisson(f: GradedElement, g: GradedElement) -> GradedElement:
     if f.chart != g.chart:
         raise ChartError(f"chart mismatch: {f.chart} vs {g.chart}")
     chart = f.chart
-    out = GradedElement.zero(chart)
-    for (a, b), const in chart.pairs.items():
-        fa = _partial(f, a, from_right=True)
-        if fa.is_zero():
-            continue
-        gb = _partial(g, b, from_right=False)
-        if gb.is_zero():
-            continue
-        out = out + (fa * gb).scale(const)
-    return out
+    plan = chart.plan
+    dg = _derivatives(g, chart.right_tags, from_right=False)
+    if not dg:
+        return GradedElement.zero(chart)
+    # derive f only in the left tags that pair with a derivative of g
+    wanted = {a for a, row in plan.items() if any(b in dg for b, _ in row)}
+    df = _derivatives(f, wanted, from_right=True)
+    out: dict = {}
+    for a, fa in df.items():
+        for b, const in plan[a]:
+            gb = dg.get(b)
+            if gb is None:
+                continue
+            for mono, poly in (fa * gb).terms.items():
+                if const < 0:
+                    poly = -poly
+                cur = out.get(mono)
+                out[mono] = poly if cur is None else cur + poly
+    return GradedElement(chart, out)  # drops the terms that cancelled
 
 
 def gauge_exp(R: GradedElement, f: GradedElement,

@@ -145,6 +145,22 @@ class TestPoly:
             with pytest.raises(PolyParseError, match="nested deeper than 100"):
                 parse_poly("(" * depth + "x1" + ")" * depth, 1)
 
+    def test_parse_power_bounds(self):
+        assert parse_poly("x1^1000", 1) == Poly.var(1, 1, 1000)
+        with pytest.raises(PolyParseError, match="exponent 1001 exceeds 1000 at position 3"):
+            parse_poly("x1^1001", 1)
+        # (k terms)^n may have C(n + k - 1, n) terms: C(141, 2) = 9870 passes,
+        # C(142, 2) = 10011 does not, and (1+x1+x2)^400 is refused unexpanded
+        sum_of = lambda k: "(" + "+".join(f"x1^{i}" for i in range(k)) + ")"
+        assert len(parse_poly(sum_of(140) + "^2", 1).terms) == 279
+        with pytest.raises(PolyParseError, match="more than 10000 terms"):
+            parse_poly(sum_of(141) + "^2", 1)
+        with pytest.raises(PolyParseError,
+                           match="more than 10000 terms at position 10"):
+            parse_poly("(1+x1+x2)^400", 3)
+        assert parse_poly("0^0", 1) == Poly.const(1, 1)
+        assert parse_poly("(x1 - x1)^1000", 1) == Poly.zero(1)
+
 
 # ---------------------------------------------------------------------
 # graded elements
@@ -244,3 +260,23 @@ class TestMonomialBasis:
     def test_zero_degree(self):
         chart = make_chart("vinogradov", 3, 2)
         assert monomial_basis(chart, 0) == [()]
+
+    @pytest.mark.parametrize("chart", [
+        make_chart("vinogradov", 3, 2), make_chart("vinogradov", 4, 3),
+        make_chart("vinogradov", 2, 5), make_chart("m5", 6), make_chart("m5", 8)],
+        ids=repr)
+    def test_matches_products_of_generators(self, chart):
+        # layer k: one generator times a monomial of layer k - deg; an odd
+        # generator the monomial already holds gives zero
+        layers = [{()}]
+        for k in range(1, chart.p + 2):
+            layer = set()
+            for sid, deg in enumerate(chart.degrees):
+                for mono in layers[k - deg] if deg <= k else ():
+                    exps = dict(mono)
+                    if not (chart.parity[sid] and sid in exps):
+                        exps[sid] = exps.get(sid, 0) + 1
+                        layer.add(tuple(sorted(exps.items())))
+            layers.append(layer)
+        for n, layer in enumerate(layers):
+            assert monomial_basis(chart, n) == sorted(layer)

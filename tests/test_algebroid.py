@@ -236,8 +236,8 @@ class TestCourantSuite:
 
 
 @pytest.mark.parametrize("suite, compare, per_trial", [
-    (verify_courant, operator.le, 24),   # L_A B and L_A C once per trial
-    (verify_leibniz, operator.eq, 12),
+    (verify_courant, operator.le, 19),   # (Theta, A), L_A B and L_A C once per trial
+    (verify_leibniz, operator.eq, 10),
 ], ids=["courant", "leibniz"])
 def test_poisson_brackets_per_trial(monkeypatch, suite, compare, per_trial):
     calls = 0

@@ -306,6 +306,11 @@ class TestInputErrors:
                      id="matrix-exponent"),
         pytest.param(("matrices", "g", 1, 2), "2E3", "matrices.g[1][2]",
                      id="matrix-exponent-upper"),
+        # powers are bounded before they are expanded
+        pytest.param(("sections", "A", "v", 0), "x1^1001", "sections.A.v[0]",
+                     id="exponent-over-1000"),
+        pytest.param(("theta", "beta", 0, "coeff"), "(1+x1+x2)^400",
+                     "theta.beta[0].coeff", id="power-over-10000-terms"),
     ])
     def test_bad_config_field(self, capsys, tmp_path, path, value, field):
         cfg = tmp_path / "cfg.json"

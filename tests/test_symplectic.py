@@ -4,9 +4,12 @@ import random
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedq import (GaugeError, GradedElement, Poly, gauge_exp, make_chart,
-                     poisson)
+                     monomial_basis, poisson)
+from gradedq._kernel_py import mono_partial, poly_partial
 from gradedq.randomgen import random_homogeneous
 
 CHARTS = [make_chart("vinogradov", 3, 2), make_chart("vinogradov", 4, 3),
@@ -110,6 +113,70 @@ class TestPoissonLaws:
             rhs = poisson(poisson(f, g), h) + poisson(g, poisson(f, h)).scale(
                 sign((nf - chart.p) * (ng - chart.p)))
             assert lhs == rhs
+
+
+# ---------------------------------------------------------------------
+# the bracket against the per-pairing-entry formula
+# ---------------------------------------------------------------------
+
+def reference_partial(f, tag, from_right):
+    """The derivative of f in one tagged generator, term by term."""
+    chart = f.chart
+    kind, idx = tag
+    terms = {}
+    for mono, poly in f.terms.items():
+        if kind == "x":
+            terms[mono] = Poly(chart.d, poly_partial(poly.terms, idx - 1))
+        else:
+            coeff, reduced = mono_partial(mono, idx, chart.parity, from_right)
+            if coeff:
+                terms[reduced] = poly * coeff
+    return GradedElement(chart, terms)
+
+
+def reference_poisson(f, g):
+    """sum over the pairing table of (d_r f / dz^a) * pi^ab * (d_l g / dz^b)."""
+    out = GradedElement.zero(f.chart)
+    for (a, b), const in f.chart.pairs.items():
+        out = out + (reference_partial(f, a, True)
+                     * reference_partial(g, b, False)).scale(const)
+    return out
+
+
+REFERENCE_CHARTS = [make_chart("vinogradov", 3, 2), make_chart("vinogradov", 4, 3),
+                    make_chart("vinogradov", 2, 5), make_chart("m5", 6)]
+
+
+@st.composite
+def elements(draw, chart):
+    """Zero, a constant, one generator, or a random sum of monomials of one
+    degree (homogeneous) or of up to three degrees (inhomogeneous), with
+    rational coefficients in x."""
+    kind = draw(st.sampled_from(["zero", "constant", "generator",
+                                 "homogeneous", "inhomogeneous"]))
+    rng = draw(st.randoms(use_true_random=False))
+    if kind == "zero":
+        return GradedElement.zero(chart)
+    if kind == "constant":
+        return GradedElement.scalar(chart, rng.randint(-3, 3))
+    if kind == "generator":
+        names = [g.name for g in chart.xs + chart.supers]
+        return GradedElement.generator(chart, rng.choice(names))
+    degrees = [n for n in range(chart.p + 2) if monomial_basis(chart, n)]
+    out = GradedElement.zero(chart)
+    for n in rng.sample(degrees, 1 if kind == "homogeneous" else rng.randint(2, 3)):
+        part = random_homogeneous(rng, chart, n, terms=3)
+        out = out + part.scale(Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 2)))
+    return out
+
+
+@pytest.mark.parametrize("chart", REFERENCE_CHARTS, ids=repr)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_poisson_matches_reference(chart, data):
+    f = data.draw(elements(chart), label="f")
+    g = data.draw(elements(chart), label="g")
+    assert poisson(f, g) == reference_poisson(f, g)
 
 
 def test_bracket_with_polynomial_coefficients():
