@@ -1,9 +1,11 @@
 """Hot kernels: exact rational polynomials and graded monomials.
 
-A polynomial is a dict mapping exponent tuples (length d) to nonzero
-coefficients, each an `int` (when integral) or a `Fraction`.  Inputs
-enter integral values as `int`; arithmetic may still leave an integral
-`Fraction`, which compares and hashes equal to its `int`.  A graded
+A polynomial is a dict mapping packed exponents to nonzero
+coefficients, each an `int` (when integral) or a `Fraction`.  A packed
+exponent is one `int` holding FIELD bits per variable, x1 lowest; the
+top bit of each field is a guard bit that no stored exponent sets, so
+the product of two monomials is the sum of their keys and a carry out
+of a field shows as a guard bit.  A graded
 monomial is a tuple of (generator id, exponent) pairs sorted by
 generator id; odd generators carry exponent 1.
 
@@ -14,6 +16,9 @@ never collide and need no merging.
 """
 
 from bisect import bisect_right
+
+FIELD = 16
+FIELD_MASK = (1 << FIELD) - 1
 
 
 def poly_add(a, b):
@@ -55,7 +60,7 @@ def poly_mul(a, b):
     out = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            exp = tuple(i + j for i, j in zip(ea, eb))
+            exp = ea + eb
             c = ca * cb
             s = out.get(exp)
             if s is None:
@@ -70,8 +75,15 @@ def poly_mul(a, b):
 
 
 def poly_partial(a, mu):
-    return {exp[:mu] + (exp[mu] - 1,) + exp[mu + 1:]: c * exp[mu]
-            for exp, c in a.items() if exp[mu]}
+    """d/dx of the variable in field mu (0-based)."""
+    shift = FIELD * mu
+    one = 1 << shift
+    out = {}
+    for exp, c in a.items():
+        k = (exp >> shift) & FIELD_MASK
+        if k:
+            out[exp - one] = c * k
+    return out
 
 
 def mono_mul(m1, m2, parity):

@@ -13,7 +13,7 @@ from itertools import accumulate
 
 from .chart import ChartError, ChartSpec
 from ._kernel_py import element_mul
-from .poly import Poly
+from .poly import Poly, _check_guard
 
 INHOMOGENEOUS = "inhomogeneous"
 
@@ -107,11 +107,13 @@ class GradedElement:
             return self.scale(other)
         self._check(other)
         raw = element_mul(
-            {m: p.terms for m, p in self.terms.items()},
-            {m: p.terms for m, p in other.terms.items()},
+            {m: p.coeffs for m, p in self.terms.items()},
+            {m: p.coeffs for m, p in other.terms.items()},
             self.chart.parity)
-        return GradedElement(self.chart,
-                             {m: Poly._raw(self.chart.d, t) for m, t in raw.items()})
+        d = self.chart.d
+        for coeffs in raw.values():
+            _check_guard(d, coeffs)
+        return GradedElement(self.chart, {m: Poly._raw(d, t) for m, t in raw.items()})
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, Poly)):

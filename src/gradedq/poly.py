@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import comb
+from operator import or_
 
-from ._kernel_py import poly_add, poly_mul, poly_neg, poly_partial, poly_scale
+from ._kernel_py import (FIELD, FIELD_MASK, poly_add, poly_mul, poly_neg,
+                         poly_partial, poly_scale)
 
 
 class PolyError(ValueError):
@@ -23,20 +26,72 @@ def _as_rational(c) -> int | Fraction:
     return c.numerator if c.denominator == 1 else c
 
 
-class Poly:
-    """Sparse polynomial: exponent tuples of length d -> nonzero coefficient,
-    an `int` (when integral on entry) or a `Fraction`."""
+# exponents are packed into one int, FIELD bits per variable; the top bit
+# of each field is the guard bit, so an exponent stays below _EXP_LIMIT
+_EXP_LIMIT = 1 << (FIELD - 1)
+_GUARDS: dict[int, int] = {}
 
-    __slots__ = ("d", "terms")
+
+class ExponentOverflowError(OverflowError):
+    """A product's exponent reached the guard bit of its packed field.
+
+    Not a `PolyError`: parsed input is bounded far below the field width,
+    so reaching it is a defect, reported as an internal error."""
+
+
+def _guard(d: int) -> int:
+    """The mask of the guard bits of d packed fields."""
+    mask = _GUARDS.get(d)
+    if mask is None:
+        mask = _GUARDS[d] = sum(1 << (FIELD * mu + FIELD - 1) for mu in range(d))
+    return mask
+
+
+def _pack(d: int, exp) -> int:
+    exp = tuple(exp)
+    if len(exp) != d:
+        raise PolyError(f"exponent {exp} has {len(exp)} entries, expected {d}")
+    key = 0
+    for mu, k in enumerate(exp):
+        if not (isinstance(k, int) and 0 <= k < _EXP_LIMIT):
+            raise PolyError(f"exponent {k!r} of x{mu + 1} is not an integer "
+                            f"in 0..{_EXP_LIMIT - 1}")
+        key |= k << (FIELD * mu)
+    return key
+
+
+def _unpack(d: int, key: int) -> tuple:
+    return tuple((key >> (FIELD * mu)) & FIELD_MASK for mu in range(d))
+
+
+def _check_guard(d: int, keys) -> None:
+    """Raise if a packed key set a guard bit, i.e. an exponent overflowed."""
+    if reduce(or_, keys, 0) & _guard(d):
+        raise ExponentOverflowError(
+            f"an exponent reached {_EXP_LIMIT}, the packed field limit")
+
+
+class Poly:
+    """Sparse polynomial in x1..xd: packed exponent -> nonzero coefficient,
+    an `int` (when integral on entry) or a `Fraction`.  `terms` is the
+    read-only view keyed by exponent tuples."""
+
+    __slots__ = ("d", "coeffs")
 
     def __init__(self, d: int, terms=None):
         self.d = d
-        self.terms = {}
+        self.coeffs = {}
         if terms is not None:
             for e, c in dict(terms).items():
                 c = _as_rational(c)
                 if c:
-                    self.terms[tuple(e)] = c
+                    self.coeffs[_pack(d, e)] = c
+
+    @property
+    def terms(self) -> dict:
+        """{exponent tuple: coefficient}, built on each access."""
+        d = self.d
+        return {_unpack(d, k): c for k, c in self.coeffs.items()}
 
     # constructors ----------------------------------------------------
     @classmethod
@@ -48,7 +103,7 @@ class Poly:
         c = _as_rational(c)
         p = cls(d)
         if c:
-            p.terms = {(0,) * d: c}
+            p.coeffs = {0: c}
         return p
 
     @classmethod
@@ -61,10 +116,15 @@ class Poly:
         return cls(d, {tuple(e): 1})
 
     @classmethod
-    def _raw(cls, d: int, terms: dict) -> "Poly":
+    def _raw(cls, d: int, coeffs: dict) -> "Poly":
         p = cls(d)
-        p.terms = terms
+        p.coeffs = coeffs
         return p
+
+    def variables(self) -> list[int]:
+        """The variables (1-based) that occur, in increasing order."""
+        used = reduce(or_, self.coeffs, 0)
+        return [mu + 1 for mu in range(self.d) if (used >> (FIELD * mu)) & FIELD_MASK]
 
     # arithmetic ------------------------------------------------------
     def _check(self, other: "Poly"):
@@ -75,12 +135,12 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             other = Poly.const(self.d, other)
         self._check(other)
-        return Poly._raw(self.d, poly_add(self.terms, other.terms))
+        return Poly._raw(self.d, poly_add(self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly._raw(self.d, poly_neg(self.terms))
+        return Poly._raw(self.d, poly_neg(self.coeffs))
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -92,9 +152,11 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Poly._raw(self.d, poly_scale(self.terms, other))
+            return Poly._raw(self.d, poly_scale(self.coeffs, other))
         self._check(other)
-        return Poly._raw(self.d, poly_mul(self.terms, other.terms))
+        coeffs = poly_mul(self.coeffs, other.coeffs)
+        _check_guard(self.d, coeffs)
+        return Poly._raw(self.d, coeffs)
 
     __rmul__ = __mul__
 
@@ -112,30 +174,31 @@ class Poly:
         """Exact partial derivative with respect to x^mu (1-based)."""
         if not 1 <= mu <= self.d:
             raise PolyError(f"variable index {mu} out of range 1..{self.d}")
-        return Poly._raw(self.d, poly_partial(self.terms, mu - 1))
+        return Poly._raw(self.d, poly_partial(self.coeffs, mu - 1))
 
     # queries ---------------------------------------------------------
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.coeffs
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Poly.const(self.d, other)
-        return isinstance(other, Poly) and self.d == other.d and self.terms == other.terms
+        return isinstance(other, Poly) and self.d == other.d and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.d, frozenset(self.terms.items())))
+        return hash((self.d, frozenset(self.coeffs.items())))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.coeffs)
 
     # rendering -------------------------------------------------------
     def __str__(self):
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         bits = []
-        for exp in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
-            c = self.terms[exp]
+        for exp in sorted(terms, key=lambda e: (sum(e), e), reverse=True):
+            c = terms[exp]
             mono = "*".join(
                 f"x{mu + 1}" + (f"^{k}" if k > 1 else "")
                 for mu, k in enumerate(exp) if k)
@@ -269,7 +332,7 @@ def parse_poly(text: str, d: int) -> Poly:
                 raise PolyParseError(f"exponent {n} exceeds {_MAX_EXPONENT} "
                                      f"at position {at}")
             # (k terms)^n has at most C(n + k - 1, n) terms
-            k = len(base.terms)
+            k = len(base.coeffs)
             if k > 1 and comb(n + k - 1, n) > _MAX_POWER_TERMS:
                 raise PolyParseError(f"power expands to more than {_MAX_POWER_TERMS} "
                                      f"terms at position {at}")

@@ -43,7 +43,7 @@ def _derivatives(f: GradedElement, tags, from_right: bool) -> dict:
             if tag in tags:
                 coeff, reduced = mono_partial(mono, sid, parity, from_right)
                 out.setdefault(tag, {})[reduced] = poly * coeff
-        for mu in {mu for exp in poly.terms for mu, k in enumerate(exp, 1) if k}:
+        for mu in poly.variables():
             tag = ("x", mu)
             if tag in tags:
                 out.setdefault(tag, {})[mono] = poly.partial(mu)

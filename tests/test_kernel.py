@@ -112,9 +112,9 @@ class TestKernelAgainstReference:
         st.dictionaries(st.tuples(*[st.integers(0, 4)] * d),
                         st.builds(Fraction, st.integers(-9, 9).filter(bool),
                                   st.integers(1, 5)), max_size=8),
-        st.integers(0, d - 1))))
+        st.integers(0, d - 1), st.just(d)).map(lambda t: (t[2], t[0], t[1]))))
     def test_poly_partial_term_by_term(self, case):
-        a, mu = case
+        d, a, mu = case
         expected = {}
         for exp, c in a.items():
             if exp[mu]:
@@ -122,7 +122,7 @@ class TestKernelAgainstReference:
                 e[mu] -= 1
                 key = tuple(e)
                 expected[key] = expected.get(key, 0) + c * exp[mu]
-        assert _kernel_py.poly_partial(a, mu) == expected
+        assert Poly(d, a).partial(mu + 1).terms == expected
 
 
 # coefficients as the engine stores them: int when integral, else Fraction;
@@ -167,12 +167,12 @@ class TestMixedCoefficients:
         assert stored_exactly(out)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 3).flatmap(lambda d: st.tuples(polys(d),
-                                                         st.integers(0, d - 1))))
+    @given(st.integers(1, 3).flatmap(lambda d: st.tuples(st.just(d), polys(d),
+                                                         st.integers(1, d))))
     def test_partial(self, case):
-        a, mu = case
-        out = _kernel_py.poly_partial(a, mu)
-        assert out == _kernel_py.poly_partial(as_fractions(a), mu)
+        d, a, mu = case
+        out = Poly(d, a).partial(mu).terms
+        assert out == Poly(d, as_fractions(a)).partial(mu).terms
         assert stored_exactly(out)
 
     def test_integral_coefficients_are_stored_as_int(self):
