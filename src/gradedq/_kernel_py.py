@@ -1,16 +1,18 @@
-"""Hot kernels: exact rational polynomials and graded monomials.
+"""Hot kernels: integer polynomial numerators and graded monomials.
 
-A polynomial is a dict mapping packed exponents to nonzero
-coefficients, each an `int` (when integral) or a `Fraction`.  A packed
+A polynomial here is the numerator part of a `Poly`: a dict mapping
+packed exponents to nonzero `int` numerators, over a denominator that
+the `Poly` keeps.  The kernel does integer arithmetic only.  A packed
 exponent is one `int` holding FIELD bits per variable, x1 lowest; the
 top bit of each field is a guard bit that no stored exponent sets, so
-the product of two monomials is the sum of their keys and a carry out
-of a field shows as a guard bit.  A graded
-monomial is a tuple of (generator id, exponent) pairs sorted by
-generator id; odd generators carry exponent 1.
+the product of two monomials is the sum of their keys, a carry out of a
+field shows as a guard bit (checked by the caller), and the x-partial
+reads a field with shift and mask.  A graded monomial is a tuple of
+(generator id, exponent) pairs sorted by generator id; odd generators
+carry exponent 1.
 
 Invariants the code relies on: monomials are canonically sorted with
-no repeated generator, no stored coefficient is zero, and a derivative
+no repeated generator, no stored numerator is zero, and a derivative
 in one generator is injective on the terms it keeps, so those terms
 never collide and need no merging.
 """
@@ -145,7 +147,9 @@ def mono_partial(m, gid, parity, from_right):
 
 
 def element_mul(f, g, parity):
-    """Product of term maps {mono: polydict}; result is normalized."""
+    """Product of term maps {mono: numerator dict}, all of f over one
+    denominator and all of g over another; the result, over their
+    product, drops the terms that cancelled."""
     out = {}
     for m1, p1 in f.items():
         for m2, p2 in g.items():

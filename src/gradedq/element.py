@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
+from math import lcm
 
 from .chart import ChartError, ChartSpec
 from ._kernel_py import element_mul
-from .poly import Poly, _check_guard
+from .poly import Poly, _product
 
 INHOMOGENEOUS = "inhomogeneous"
 
@@ -106,14 +107,12 @@ class GradedElement:
         if isinstance(other, (int, Fraction, Poly)):
             return self.scale(other)
         self._check(other)
-        raw = element_mul(
-            {m: p.coeffs for m, p in self.terms.items()},
-            {m: p.coeffs for m, p in other.terms.items()},
-            self.chart.parity)
-        d = self.chart.d
-        for coeffs in raw.values():
-            _check_guard(d, coeffs)
-        return GradedElement(self.chart, {m: Poly._raw(d, t) for m, t in raw.items()})
+        da, fa = _numerators(self.terms)
+        db, fb = _numerators(other.terms)
+        raw = element_mul(fa, fb, self.chart.parity)
+        d, den = self.chart.d, da * db
+        return GradedElement(self.chart,
+                             {m: _product(d, den, nums) for m, nums in raw.items()})
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, Poly)):
@@ -195,6 +194,15 @@ class GradedElement:
 
     def __repr__(self):
         return f"GradedElement({self})"
+
+
+def _numerators(terms: dict) -> tuple[int, dict]:
+    """A common denominator of the Poly values and {mono: numerators over it}."""
+    dens = {p.den for p in terms.values()}
+    if dens == {1}:
+        return 1, {m: p.nums for m, p in terms.items()}
+    den = lcm(*dens)
+    return den, {m: p._over(den) for m, p in terms.items()}
 
 
 def monomial_basis(chart: ChartSpec, n: int) -> list[tuple]:

@@ -1,10 +1,14 @@
-"""Exact multivariate polynomials over the rationals in x1..xd."""
+"""Exact multivariate polynomials over the rationals in x1..xd.
+
+A `Poly` keeps one denominator and integer numerators keyed by packed
+exponents (see `_kernel_py`), so the kernel does integer arithmetic only.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import comb
+from math import comb, gcd, lcm
 from operator import or_
 
 from ._kernel_py import (FIELD, FIELD_MASK, poly_add, poly_mul, poly_neg,
@@ -64,47 +68,56 @@ def _unpack(d: int, key: int) -> tuple:
     return tuple((key >> (FIELD * mu)) & FIELD_MASK for mu in range(d))
 
 
-def _check_guard(d: int, keys) -> None:
-    """Raise if a packed key set a guard bit, i.e. an exponent overflowed."""
-    if reduce(or_, keys, 0) & _guard(d):
-        raise ExponentOverflowError(
-            f"an exponent reached {_EXP_LIMIT}, the packed field limit")
 
 
 class Poly:
-    """Sparse polynomial in x1..xd: packed exponent -> nonzero coefficient,
-    an `int` (when integral on entry) or a `Fraction`.  `terms` is the
-    read-only view keyed by exponent tuples."""
+    """Sparse polynomial in x1..xd with rational coefficients, stored
+    fraction-free as (d, den, nums): the coefficient of a monomial is
+    nums[packed exponent] / den.
 
-    __slots__ = ("d", "coeffs")
+    The form is canonical: den > 0, every stored numerator is a nonzero
+    `int`, gcd(den, *nums) == 1, and the zero polynomial has den == 1.
+    So `==` and `hash` compare plain ints and dicts.  `terms` is the
+    read-only view {exponent tuple: `int` when integral, else `Fraction`}
+    for rendering and other boundaries; arithmetic never builds it."""
+
+    __slots__ = ("d", "den", "nums")
 
     def __init__(self, d: int, terms=None):
         self.d = d
-        self.coeffs = {}
+        coeffs = {}
         if terms is not None:
             for e, c in dict(terms).items():
                 c = _as_rational(c)
                 if c:
-                    self.coeffs[_pack(d, e)] = c
+                    coeffs[_pack(d, e)] = c
+        # over the lcm of reduced denominators the numerators share no
+        # factor with it, so the form is canonical as built
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        self.den = den
+        self.nums = {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}
 
     @property
     def terms(self) -> dict:
         """{exponent tuple: coefficient}, built on each access."""
-        d = self.d
-        return {_unpack(d, k): c for k, c in self.coeffs.items()}
+        d, den = self.d, self.den
+        if den == 1:
+            return {_unpack(d, k): n for k, n in self.nums.items()}
+        out = {}
+        for k, n in self.nums.items():
+            c = Fraction(n, den)
+            out[_unpack(d, k)] = c.numerator if c.denominator == 1 else c
+        return out
 
     # constructors ----------------------------------------------------
     @classmethod
     def zero(cls, d: int) -> "Poly":
-        return cls(d)
+        return _raw(d, 1, {})
 
     @classmethod
     def const(cls, d: int, c) -> "Poly":
         c = _as_rational(c)
-        p = cls(d)
-        if c:
-            p.coeffs = {0: c}
-        return p
+        return _raw(d, c.denominator, {0: c.numerator} if c else {})
 
     @classmethod
     def var(cls, d: int, mu: int, power: int = 1) -> "Poly":
@@ -115,16 +128,25 @@ class Poly:
         e[mu - 1] = power
         return cls(d, {tuple(e): 1})
 
-    @classmethod
-    def _raw(cls, d: int, coeffs: dict) -> "Poly":
-        p = cls(d)
-        p.coeffs = coeffs
-        return p
+    def _over(self, den: int) -> dict:
+        """The numerators over den, a multiple of self.den."""
+        if den == self.den:
+            return self.nums
+        return poly_scale(self.nums, den // self.den)
 
     def variables(self) -> list[int]:
         """The variables (1-based) that occur, in increasing order."""
-        used = reduce(or_, self.coeffs, 0)
+        used = reduce(or_, self.nums, 0)
         return [mu + 1 for mu in range(self.d) if (used >> (FIELD * mu)) & FIELD_MASK]
+
+    def _max_exponents(self) -> list[int]:
+        """The largest exponent of each variable over all terms."""
+        top = [0] * self.d
+        for k in self.nums:
+            for mu, e in enumerate(_unpack(self.d, k)):
+                if e > top[mu]:
+                    top[mu] = e
+        return top
 
     # arithmetic ------------------------------------------------------
     def _check(self, other: "Poly"):
@@ -135,12 +157,15 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             other = Poly.const(self.d, other)
         self._check(other)
-        return Poly._raw(self.d, poly_add(self.coeffs, other.coeffs))
+        if self.den == other.den:
+            return _normal(self.d, self.den, poly_add(self.nums, other.nums))
+        den = lcm(self.den, other.den)
+        return _normal(self.d, den, poly_add(self._over(den), other._over(den)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly._raw(self.d, poly_neg(self.coeffs))
+        return _raw(self.d, self.den, poly_neg(self.nums))
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -152,11 +177,15 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Poly._raw(self.d, poly_scale(self.coeffs, other))
+            # gcd(den, *nums) == 1, so only gcd(den, num) can cancel
+            num, q = other.numerator, other.denominator
+            g = gcd(self.den, num)
+            nums = poly_scale(self.nums, num // g)
+            if q == 1:
+                return _raw(self.d, self.den // g if nums else 1, nums)
+            return _normal(self.d, self.den // g * q, nums)
         self._check(other)
-        coeffs = poly_mul(self.coeffs, other.coeffs)
-        _check_guard(self.d, coeffs)
-        return Poly._raw(self.d, coeffs)
+        return _product(self.d, self.den * other.den, poly_mul(self.nums, other.nums))
 
     __rmul__ = __mul__
 
@@ -174,22 +203,23 @@ class Poly:
         """Exact partial derivative with respect to x^mu (1-based)."""
         if not 1 <= mu <= self.d:
             raise PolyError(f"variable index {mu} out of range 1..{self.d}")
-        return Poly._raw(self.d, poly_partial(self.coeffs, mu - 1))
+        return _normal(self.d, self.den, poly_partial(self.nums, mu - 1))
 
     # queries ---------------------------------------------------------
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Poly.const(self.d, other)
-        return isinstance(other, Poly) and self.d == other.d and self.coeffs == other.coeffs
+        return (isinstance(other, Poly) and self.d == other.d
+                and self.den == other.den and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self.d, frozenset(self.coeffs.items())))
+        return hash((self.d, self.den, frozenset(self.nums.items())))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     # rendering -------------------------------------------------------
     def __str__(self):
@@ -221,6 +251,44 @@ class Poly:
         return f"Poly({self})"
 
 
+_new = object.__new__
+
+
+def _raw(d: int, den: int, nums: dict) -> Poly:
+    """A Poly of numerators already in canonical form over den."""
+    p = _new(Poly)
+    p.d = d
+    p.den = den
+    p.nums = nums
+    return p
+
+
+def _normal(d: int, den: int, nums: dict) -> Poly:
+    """A Poly of numerators over den > 0, reduced to canonical form."""
+    if den != 1:
+        if not nums:
+            den = 1
+        else:
+            g = gcd(den, *nums.values())
+            if g != 1:
+                den //= g
+                nums = {k: n // g for k, n in nums.items()}
+    p = _new(Poly)
+    p.d = d
+    p.den = den
+    p.nums = nums
+    return p
+
+
+def _product(d: int, den: int, nums: dict) -> Poly:
+    """`_normal` for the numerators of a product, after checking that no
+    exponent carried into a guard bit."""
+    if reduce(or_, nums, 0) & _guard(d):
+        raise ExponentOverflowError(
+            f"an exponent reached {_EXP_LIMIT}, the packed field limit")
+    return _normal(d, den, nums)
+
+
 # ---------------------------------------------------------------------
 # polynomial expression parser: rationals, x1..xd, + - * ^ ( )
 # ---------------------------------------------------------------------
@@ -232,9 +300,10 @@ class PolyParseError(PolyError):
 # parentheses may nest this deep; the recursive-descent parser would
 # otherwise run out of stack on hostile input
 _MAX_NESTING = 100
-# bounds on the work one power may request, checked before expanding
+# bounds on the work one power or product may request and on the
+# exponents it may reach, checked before expanding
 _MAX_EXPONENT = 1000
-_MAX_POWER_TERMS = 10_000
+_MAX_TERMS = 10_000
 
 
 def _digits(text: str, i: int):
@@ -315,8 +384,14 @@ def parse_poly(text: str, d: int) -> Poly:
     def parse_product():
         acc = parse_power()
         while peek() == "*":
-            take()
-            acc = acc * parse_power()
+            _, at = take()
+            rhs = parse_power()
+            if len(acc.nums) * len(rhs.nums) > _MAX_TERMS:
+                raise PolyParseError(f"product expands to more than {_MAX_TERMS} "
+                                     f"terms at position {at}")
+            check_exponents([i + j for i, j in zip(acc._max_exponents(),
+                                                   rhs._max_exponents())], at)
+            acc = acc * rhs
         return acc
 
     def parse_power():
@@ -332,12 +407,19 @@ def parse_poly(text: str, d: int) -> Poly:
                 raise PolyParseError(f"exponent {n} exceeds {_MAX_EXPONENT} "
                                      f"at position {at}")
             # (k terms)^n has at most C(n + k - 1, n) terms
-            k = len(base.coeffs)
-            if k > 1 and comb(n + k - 1, n) > _MAX_POWER_TERMS:
-                raise PolyParseError(f"power expands to more than {_MAX_POWER_TERMS} "
+            k = len(base.nums)
+            if k > 1 and comb(n + k - 1, n) > _MAX_TERMS:
+                raise PolyParseError(f"power expands to more than {_MAX_TERMS} "
                                      f"terms at position {at}")
+            check_exponents([e * n for e in base._max_exponents()], at)
             base = base ** n
         return base
+
+    def check_exponents(exponents, at):
+        for mu, e in enumerate(exponents, 1):
+            if e > _MAX_EXPONENT:
+                raise PolyParseError(f"exponent {e} of x{mu} exceeds {_MAX_EXPONENT} "
+                                     f"at position {at}")
 
     def parse_atom():
         t = peek()
