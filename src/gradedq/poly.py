@@ -137,7 +137,14 @@ class Poly:
     def variables(self) -> list[int]:
         """The variables (1-based) that occur, in increasing order."""
         used = reduce(or_, self.nums, 0)
-        return [mu + 1 for mu in range(self.d) if (used >> (FIELD * mu)) & FIELD_MASK]
+        out = []
+        mu = 1
+        while used:
+            if used & FIELD_MASK:
+                out.append(mu)
+            used >>= FIELD
+            mu += 1
+        return out
 
     def _max_exponents(self) -> list[int]:
         """The largest exponent of each variable over all terms."""

@@ -158,6 +158,25 @@ class TestPoly:
         with pytest.raises(PolyParseError,
                            match="more than 10000 terms at position 10"):
             parse_poly("(1+x1+x2)^400", 3)
+        # a product is bounded by its term pairs before it is multiplied:
+        # 101 * 99 pairs pass, 101 * 100 do not
+        assert len(parse_poly(sum_of(101) + "*" + sum_of(99), 1).terms) == 199
+        with pytest.raises(PolyParseError,
+                           match="product expands to more than 10000 terms at position 13"):
+            parse_poly("(1+x1+x2)^100*(1+x1+x2)^100", 3)
+        with pytest.raises(PolyParseError, match="more than 10000 terms"):
+            parse_poly(sum_of(101) + "*" + sum_of(100), 1)
+        # no exponent of the result may exceed 1000, in a power or a product
+        assert parse_poly("x1^500*x1^500*x2", 2) == Poly.var(2, 1, 1000) * Poly.var(2, 2)
+        assert parse_poly("(x1^10*x2)^100", 2) == Poly.var(2, 1, 1000) * Poly.var(2, 2, 100)
+        with pytest.raises(PolyParseError,
+                           match="exponent 1000000 of x1 exceeds 1000 at position 10"):
+            parse_poly("(x1^1000)^1000", 1)
+        with pytest.raises(PolyParseError,
+                           match="exponent 1001 of x2 exceeds 1000 at position 7"):
+            parse_poly("x2^1000*x2", 2)
+        with pytest.raises(PolyParseError, match="exponent 1010 of x1 exceeds 1000"):
+            parse_poly("(x1^101 + 1)^10", 1)
         assert parse_poly("0^0", 1) == Poly.const(1, 1)
         assert parse_poly("(x1 - x1)^1000", 1) == Poly.zero(1)
 

@@ -311,6 +311,12 @@ class TestInputErrors:
                      id="exponent-over-1000"),
         pytest.param(("theta", "beta", 0, "coeff"), "(1+x1+x2)^400",
                      "theta.beta[0].coeff", id="power-over-10000-terms"),
+        pytest.param(("theta", "beta", 0, "coeff"), "(1+x1+x2)^100*(1+x1+x2)^100",
+                     "theta.beta[0].coeff", id="product-over-10000-terms"),
+        pytest.param(("sections", "A", "v", 0), "(x1^1000)^1000", "sections.A.v[0]",
+                     id="power-exponent-over-1000"),
+        pytest.param(("sections", "A", "v", 0), "x1^600*x1^600", "sections.A.v[0]",
+                     id="product-exponent-over-1000"),
     ])
     def test_bad_config_field(self, capsys, tmp_path, path, value, field):
         cfg = tmp_path / "cfg.json"
@@ -371,6 +377,15 @@ class TestInternalError:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err == "internal error: KeyError: 'psi9'\n"
+
+    def test_exponent_overflow_is_internal(self, capsys, monkeypatch):
+        from gradedq import Poly
+
+        def handler(config, args):
+            return Poly.var(3, 1, 2 ** 15 - 1) * Poly.var(3, 1)
+        monkeypatch.setitem(cli._HANDLERS, "check-master", handler)
+        assert main(["check-master", GOLDEN_PASS]) == 3
+        assert capsys.readouterr().err.startswith("internal error: ExponentOverflowError:")
 
     def test_json_report(self, capsys, broken_handler):
         assert main(["check-master", GOLDEN_PASS, "--json"]) == 3

@@ -1,15 +1,117 @@
-"""The coefficient kernel: polynomial and graded-monomial primitives."""
+"""The coefficient kernel: polynomial and graded-monomial primitives.
+
+`Poly` keeps integer numerators over one denominator, keyed by packed
+exponents.  The `ref_*` functions below are the earlier kernel, on
+exponent tuples and `int`/`Fraction` coefficients, kept here only as the
+reference the packed, fraction-free arithmetic must agree with.
+"""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradedq import Poly, PolyError, _kernel_py, parse_poly
+from gradedq.poly import ExponentOverflowError, _pack, _unpack
 
 # up to 33 generators: the m5 chart at d=8
 MAX_GENERATORS = 33
+
+
+# ---------------------------------------------------------------------
+# the reference: exponent tuples -> int or Fraction
+# ---------------------------------------------------------------------
+
+def ref_add(a, b):
+    if not a:
+        return dict(b)
+    if not b:
+        return dict(a)
+    out = dict(a)
+    for exp, c in b.items():
+        s = out.get(exp)
+        if s is None:
+            out[exp] = c
+        else:
+            s = s + c
+            if s:
+                out[exp] = s
+            else:
+                del out[exp]
+    return out
+
+
+def ref_scale(a, c):
+    if c == 1:
+        return dict(a)
+    if not c:
+        return {}
+    return {exp: c * v for exp, v in a.items()}
+
+
+def ref_mul(a, b):
+    if not a or not b:
+        return {}
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            exp = tuple(i + j for i, j in zip(ea, eb))
+            c = ca * cb
+            s = out.get(exp)
+            if s is None:
+                out[exp] = c
+            else:
+                s = s + c
+                if s:
+                    out[exp] = s
+                else:
+                    del out[exp]
+    return out
+
+
+def ref_partial(a, mu):
+    return {exp[:mu] + (exp[mu] - 1,) + exp[mu + 1:]: c * exp[mu]
+            for exp, c in a.items() if exp[mu]}
+
+
+def ref_str(a):
+    """The rendering of the earlier `Poly.__str__`."""
+    if not a:
+        return "0"
+    bits = []
+    for exp in sorted(a, key=lambda e: (sum(e), e), reverse=True):
+        c = a[exp]
+        mono = "*".join(f"x{mu + 1}" + (f"^{k}" if k > 1 else "")
+                        for mu, k in enumerate(exp) if k)
+        if mono:
+            t = mono if c == 1 else f"-{mono}" if c == -1 else f"{c}*{mono}"
+        else:
+            t = str(c)
+        bits.append(t)
+    out = bits[0]
+    for t in bits[1:]:
+        out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
+    return out
+
+
+def canonical(p):
+    """The stored form is canonical: integer numerators, none zero, over a
+    positive denominator sharing no factor with them; no guard bit set."""
+    guard = sum(1 << (16 * mu + 15) for mu in range(p.d))
+    assert type(p.den) is int and p.den > 0
+    assert all(type(k) is int and k >= 0 and not k & guard and k >> (16 * p.d) == 0
+               for k in p.nums)
+    assert all(type(n) is int and n for n in p.nums.values())
+    assert gcd(p.den, *p.nums.values()) == 1
+    return True
+
+
+def exact_view(terms):
+    """`int` when integral, else `Fraction`; never an integral Fraction."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
+               for c in terms.values()) and all(terms.values())
 
 
 @st.composite
@@ -65,9 +167,14 @@ def reference_partial(mono, gid, parity, from_right):
 
 class TestPythonKernel:
     def test_poly_add_cancels(self):
-        a = {(1, 0): Fraction(2)}
-        b = {(1, 0): Fraction(-2), (0, 1): Fraction(1)}
-        assert _kernel_py.poly_add(a, b) == {(0, 1): Fraction(1)}
+        x1, x2 = _pack(2, (1, 0)), _pack(2, (0, 1))
+        assert _kernel_py.poly_add({x1: 2}, {x1: -2, x2: 1}) == {x2: 1}
+
+    def test_poly_mul_adds_packed_keys(self):
+        a = {_pack(3, (1, 0, 2)): 3, 0: -1}
+        b = {_pack(3, (0, 4, 1)): 2}
+        assert _kernel_py.poly_mul(a, b) == {_pack(3, (1, 4, 3)): 6,
+                                              _pack(3, (0, 4, 1)): -2}
 
     def test_mono_mul_odd_square_is_zero(self):
         parity = (1, 1)
@@ -91,6 +198,10 @@ class TestPythonKernel:
         parity = (0,)
         assert _kernel_py.mono_partial(((0, 3),), 0, parity, False) == (3, ((0, 2),))
 
+    def test_kernel_is_integer_only(self):
+        import inspect
+        assert "fractions" not in inspect.getsource(_kernel_py)
+
 
 class TestKernelAgainstReference:
     @settings(max_examples=300, deadline=None)
@@ -109,10 +220,10 @@ class TestKernelAgainstReference:
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+        st.just(d),
         st.dictionaries(st.tuples(*[st.integers(0, 4)] * d),
-                        st.builds(Fraction, st.integers(-9, 9).filter(bool),
-                                  st.integers(1, 5)), max_size=8),
-        st.integers(0, d - 1), st.just(d)).map(lambda t: (t[2], t[0], t[1]))))
+                        st.integers(-9, 9).filter(bool), max_size=8),
+        st.integers(0, d - 1))))
     def test_poly_partial_term_by_term(self, case):
         d, a, mu = case
         expected = {}
@@ -120,21 +231,36 @@ class TestKernelAgainstReference:
             if exp[mu]:
                 e = list(exp)
                 e[mu] -= 1
-                key = tuple(e)
+                key = _pack(d, e)
                 expected[key] = expected.get(key, 0) + c * exp[mu]
-        assert Poly(d, a).partial(mu + 1).terms == expected
+        packed = {_pack(d, exp): c for exp, c in a.items()}
+        assert _kernel_py.poly_partial(packed, mu) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda d: st.tuples(
+        st.just(d), int_polys(d), int_polys(d))))
+    def test_integer_add_and_mul(self, case):
+        d, a, b = case
+        pa = {_pack(d, e): c for e, c in a.items()}
+        pb = {_pack(d, e): c for e, c in b.items()}
+        for op, ref in ((_kernel_py.poly_add, ref_add), (_kernel_py.poly_mul, ref_mul)):
+            assert op(pa, pb) == {_pack(d, e): c for e, c in ref(a, b).items()}
 
 
-# coefficients as the engine stores them: int when integral, else Fraction;
-# integral Fractions also reach the kernel as products such as 2 * (1/2)
+def int_polys(d):
+    return st.dictionaries(st.tuples(*[st.integers(0, 3)] * d),
+                           st.integers(-9, 9).filter(bool), max_size=5)
+
+
+# coefficients as inputs arrive: int, Fraction (integral ones included)
 coefficients = st.one_of(
     st.integers(-9, 9),
     st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))).filter(bool)
 
 
-def polys(d):
+def polys(d, max_terms=6):
     return st.dictionaries(st.tuples(*[st.integers(0, 3)] * d), coefficients,
-                           max_size=6)
+                           max_size=max_terms)
 
 
 def as_fractions(a):
@@ -145,35 +271,106 @@ def stored_exactly(a):
     return all(type(c) in (int, Fraction) and c != 0 for c in a.values())
 
 
-class TestMixedCoefficients:
-    """int and Fraction coefficients give the same results as all-Fraction ones."""
+# up to 8 variables, the m5 chart's d
+two_polys = st.integers(1, 8).flatmap(
+    lambda d: st.tuples(st.just(d), polys(d, 5), polys(d, 5)))
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 3).flatmap(lambda d: st.tuples(polys(d), polys(d))))
-    def test_add_and_mul(self, case):
-        a, b = case
-        for op in (_kernel_py.poly_add, _kernel_py.poly_mul):
-            out = op(a, b)
-            assert out == op(as_fractions(a), as_fractions(b))
-            assert stored_exactly(out)
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 3).flatmap(polys),
-           st.sampled_from([1, -1, 0, Fraction(1), Fraction(-1)]) | coefficients)
+class TestAgainstOldKernel:
+    """Poly arithmetic on mixed rational inputs equals the reference,
+    keeps its stored form canonical and renders the same text."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(two_polys)
+    def test_ring_operations(self, case):
+        d, a, b = case
+        pa, pb = Poly(d, a), Poly(d, b)
+        for got, want in ((pa + pb, ref_add(a, b)),
+                          (pa - pb, ref_add(a, ref_scale(b, -1))),
+                          (-pa, ref_scale(a, -1)),
+                          (pa * pb, ref_mul(a, b))):
+            assert canonical(got)
+            assert got.terms == want
+            assert exact_view(got.terms)
+            assert str(got) == ref_str(want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 8).flatmap(polys),
+           st.sampled_from([1, -1, 0, 2, Fraction(1), Fraction(-1), Fraction(4, 2)])
+           | coefficients)
     def test_scale(self, a, c):
-        out = _kernel_py.poly_scale(a, c)
-        assert out == _kernel_py.poly_scale(as_fractions(a), Fraction(c))
-        assert out == {exp: c * v for exp, v in a.items() if c}
-        assert stored_exactly(out)
+        d = len(next(iter(a))) if a else 1
+        got = Poly(d, a) * c
+        assert canonical(got)
+        assert got.terms == ref_scale(a, c)
+        assert exact_view(got.terms)
+        assert str(got) == ref_str(ref_scale(a, c))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda d: st.tuples(
+        st.just(d), polys(d), st.integers(1, d))))
+    def test_partial(self, case):
+        d, a, mu = case
+        got = Poly(d, a).partial(mu)
+        assert canonical(got)
+        assert got.terms == ref_partial(a, mu - 1)
+        assert exact_view(got.terms)
+
+    @settings(max_examples=100, deadline=None)
+    @given(two_polys, st.integers(1, 6))
+    def test_equality_and_hash(self, case, k):
+        d, a, b = case
+        pa = Poly(d, a)
+        # the same polynomial reached another way: (a * k + b) - b, then / k
+        same = ((pa * k + Poly(d, b)) - Poly(d, b)) * Fraction(1, k)
+        assert canonical(same)
+        assert same == pa and hash(same) == hash(pa)
+        assert (Poly(d, b) == pa) == (ref_add(b, ref_scale(a, -1)) == {})
+        assert Poly(d, as_fractions(a)) == pa
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 8).flatmap(polys))
+    def test_pack_round_trip(self, a):
+        d = len(next(iter(a))) if a else 1
+        p = Poly(d, a)
+        assert canonical(p)
+        assert p.terms == {e: c for e, c in a.items()}
+        assert Poly(d, p.terms) == p
+        for exp in a:
+            assert _unpack(d, _pack(d, exp)) == exp
+
+
+class TestMixedCoefficients:
+    """int and Fraction coefficients give the same results as all-Fraction
+    ones, and the view holds `int` exactly when a value is integral."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda d: st.tuples(st.just(d), polys(d), polys(d))))
+    def test_add_and_mul(self, case):
+        d, a, b = case
+        for op in (Poly.__add__, Poly.__mul__):
+            out = op(Poly(d, a), Poly(d, b))
+            assert out == op(Poly(d, as_fractions(a)), Poly(d, as_fractions(b)))
+            assert stored_exactly(out.terms) and exact_view(out.terms)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda d: st.tuples(st.just(d), polys(d))),
+           st.sampled_from([1, -1, 0, Fraction(1), Fraction(-1)]) | coefficients)
+    def test_scale(self, case, c):
+        d, a = case
+        out = Poly(d, a) * c
+        assert out == Poly(d, as_fractions(a)) * Fraction(c)
+        assert out.terms == {exp: c * v for exp, v in a.items() if c}
+        assert stored_exactly(out.terms) and exact_view(out.terms)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 3).flatmap(lambda d: st.tuples(st.just(d), polys(d),
                                                          st.integers(1, d))))
     def test_partial(self, case):
         d, a, mu = case
-        out = Poly(d, a).partial(mu).terms
-        assert out == Poly(d, as_fractions(a)).partial(mu).terms
-        assert stored_exactly(out)
+        out = Poly(d, a).partial(mu)
+        assert out == Poly(d, as_fractions(a)).partial(mu)
+        assert stored_exactly(out.terms) and exact_view(out.terms)
 
     def test_integral_coefficients_are_stored_as_int(self):
         e = (1, 0, 2)
@@ -183,9 +380,45 @@ class TestMixedCoefficients:
         assert {exp: type(c) for exp, c in parse_poly("3*x1 - 2", 3).terms.items()} \
             == {(1, 0, 0): int, (0, 0, 0): int}
         assert type(parse_poly("3/2*x1", 3).terms[(1, 0, 0)]) is Fraction
+        # an integral result of rational arithmetic is an int too
+        assert type((parse_poly("3/2*x1", 3) * 2).terms[(1, 0, 0)]) is int
 
     def test_float_is_rejected(self):
         with pytest.raises(PolyError):
             Poly(3, {(1, 0, 0): 0.5})
         with pytest.raises(PolyError):
             Poly(3, {(1, 0, 0): 1.0})
+
+
+class TestPackedExponents:
+    LIMIT = 2 ** 15
+
+    @pytest.mark.parametrize("d, mu", [(1, 1), (3, 2), (8, 8)])
+    def test_carry_into_guard_bit_raises(self, d, mu):
+        high = Poly.var(d, mu, self.LIMIT - 1)
+        with pytest.raises(ExponentOverflowError) as err:
+            high * Poly.var(d, mu)
+        assert not isinstance(err.value, PolyError)
+        if d > 1:  # a carry in one field, not a neighbour's exponent
+            other = mu % d + 1
+            exp = [0] * d
+            exp[mu - 1], exp[other - 1] = self.LIMIT - 1, 1
+            assert (high * Poly.var(d, other)).terms == {tuple(exp): 1}
+
+    def test_carry_in_graded_product_raises(self):
+        from gradedq import GradedElement, make_chart
+        chart = make_chart("vinogradov", 2, 2)
+        high = GradedElement.from_poly(chart, Poly.var(2, 1, self.LIMIT - 1))
+        with pytest.raises(ExponentOverflowError):
+            high * GradedElement.generator(chart, "x1")
+
+    def test_exponent_at_field_limit_is_an_input_error(self):
+        with pytest.raises(PolyError):
+            Poly.var(3, 1, self.LIMIT)
+        with pytest.raises(PolyError):
+            Poly(2, {(0, self.LIMIT): 1})
+        with pytest.raises(PolyError):
+            Poly(2, {(1, 0, 0): 1})   # wrong length
+        with pytest.raises(PolyError):
+            Poly(2, {(-1, 0): 1})
+        assert Poly.var(3, 3, self.LIMIT - 1).terms == {(0, 0, self.LIMIT - 1): 1}

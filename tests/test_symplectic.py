@@ -234,6 +234,16 @@ class TestGaugeExp:
         with pytest.raises(GaugeError):
             gauge_exp(R, f, budget=6)
 
+    def test_series_results_are_int_when_integral(self):
+        # the series divides by 2! and 3!, but (x1 - x2)^3 has integral
+        # coefficients: the view must hold them as int, not as Fraction
+        chart = make_chart("vinogradov", 2, 2)
+        R = gen(chart, "x2") * gen(chart, "p1")
+        out = gauge_exp(R, gen(chart, "x1") * gen(chart, "x1") * gen(chart, "x1"))
+        values = [c for poly in out.terms.values() for c in poly.terms.values()]
+        assert sorted(values) == [-3, -1, 1, 3]
+        assert all(type(c) is int for c in values)
+
     def test_series_denominators_are_exact(self):
         def exact(element):
             # int or Fraction only: no float, and no bool posing as an int
