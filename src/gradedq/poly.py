@@ -68,8 +68,6 @@ def _unpack(d: int, key: int) -> tuple:
     return tuple((key >> (FIELD * mu)) & FIELD_MASK for mu in range(d))
 
 
-
-
 class Poly:
     """Sparse polynomial in x1..xd with rational coefficients, stored
     fraction-free as (d, den, nums): the coefficient of a monomial is
@@ -189,7 +187,7 @@ class Poly:
             g = gcd(self.den, num)
             nums = poly_scale(self.nums, num // g)
             if q == 1:
-                return _raw(self.d, self.den // g if nums else 1, nums)
+                return _raw(self.d, self.den // g, nums)
             return _normal(self.d, self.den // g * q, nums)
         self._check(other)
         return _product(self.d, self.den * other.den, poly_mul(self.nums, other.nums))
@@ -258,12 +256,9 @@ class Poly:
         return f"Poly({self})"
 
 
-_new = object.__new__
-
-
 def _raw(d: int, den: int, nums: dict) -> Poly:
     """A Poly of numerators already in canonical form over den."""
-    p = _new(Poly)
+    p = object.__new__(Poly)
     p.d = d
     p.den = den
     p.nums = nums
@@ -280,11 +275,7 @@ def _normal(d: int, den: int, nums: dict) -> Poly:
             if g != 1:
                 den //= g
                 nums = {k: n // g for k, n in nums.items()}
-    p = _new(Poly)
-    p.d = d
-    p.den = den
-    p.nums = nums
-    return p
+    return _raw(d, den, nums)
 
 
 def _product(d: int, den: int, nums: dict) -> Poly:
