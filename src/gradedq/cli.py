@@ -26,7 +26,7 @@ from .config import Config, ConfigError, parse_config
 from .element import GradedElement
 from .forms import DiffForm, FormError, ext_d, poincare_primitive, wedge
 from .npq import HamiltonianError, master_equation, q_square_check
-from .poly import PolyError
+from .poly import MAX_EXPONENT, PolyError
 from .reports import CheckReport, SuiteReport, witnesses_of
 
 PASS, FAIL, INPUT_ERROR, INTERNAL_ERROR = 0, 1, 2, 3
@@ -54,6 +54,9 @@ def _resolve_max_degree(args, config: Config) -> int:
         if args.max_coeff_degree < 0:
             raise ConfigError("--max-coeff-degree",
                               f"must be at least 0, got {args.max_coeff_degree}")
+        if args.max_coeff_degree > MAX_EXPONENT:
+            raise ConfigError("--max-coeff-degree", f"must be at most {MAX_EXPONENT}, "
+                              f"got {args.max_coeff_degree}")
         return args.max_coeff_degree
     return config.max_coeff_degree
 

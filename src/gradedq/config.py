@@ -16,7 +16,7 @@ from fractions import Fraction
 from .chart import ChartError, ChartSpec, make_chart
 from .forms import DiffForm, Section
 from .npq import Hamiltonian, theta_m5, theta_vinogradov
-from .poly import PolyError, parse_poly
+from .poly import MAX_EXPONENT, PolyError, parse_poly
 
 
 class ConfigError(ValueError):
@@ -191,6 +191,9 @@ def parse_config(text: str) -> Config:
     if max_deg < 0:
         raise ConfigError("harness.max_coeff_degree",
                           f"must be at least 0, got {max_deg}")
+    if max_deg > MAX_EXPONENT:
+        raise ConfigError("harness.max_coeff_degree",
+                          f"must be at most {MAX_EXPONENT}, got {max_deg}")
 
     return Config(chart=chart, theta=theta, sections=sections, matrices=matrices,
                   trials=trials, seed=seed, max_coeff_degree=max_deg, raw=doc)

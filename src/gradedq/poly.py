@@ -299,8 +299,10 @@ class PolyParseError(PolyError):
 # otherwise run out of stack on hostile input
 _MAX_NESTING = 100
 # bounds on the work one power or product may request and on the
-# exponents it may reach, checked before expanding
-_MAX_EXPONENT = 1000
+# exponents it may reach, checked before expanding; MAX_EXPONENT also
+# bounds the degree of random coefficients, so that products of a few
+# factors stay far below the packed field limit
+MAX_EXPONENT = 1000
 _MAX_TERMS = 10_000
 
 
@@ -401,8 +403,8 @@ def parse_poly(text: str, d: int) -> Poly:
                 raise PolyParseError("exponent must be a non-negative integer")
             n, at = t[1], tokens[pos][1]
             take()
-            if n > _MAX_EXPONENT:
-                raise PolyParseError(f"exponent {n} exceeds {_MAX_EXPONENT} "
+            if n > MAX_EXPONENT:
+                raise PolyParseError(f"exponent {n} exceeds {MAX_EXPONENT} "
                                      f"at position {at}")
             # (k terms)^n has at most C(n + k - 1, n) terms
             k = len(base.nums)
@@ -415,8 +417,8 @@ def parse_poly(text: str, d: int) -> Poly:
 
     def check_exponents(exponents, at):
         for mu, e in enumerate(exponents, 1):
-            if e > _MAX_EXPONENT:
-                raise PolyParseError(f"exponent {e} of x{mu} exceeds {_MAX_EXPONENT} "
+            if e > MAX_EXPONENT:
+                raise PolyParseError(f"exponent {e} of x{mu} exceeds {MAX_EXPONENT} "
                                      f"at position {at}")
 
     def parse_atom():

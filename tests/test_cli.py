@@ -276,6 +276,11 @@ class TestInputErrors:
         ("axioms", ("--suite", "leibniz", "--trials", "1", "--max-coeff-degree", "-1"),
          "--max-coeff-degree"),
         ("q-square", ("--max-coeff-degree", "-2"), "--max-coeff-degree"),
+        # random coefficients of higher degree could overflow the packed
+        # exponent field in a product: an input error, not an internal one
+        ("axioms", ("--suite", "leibniz", "--trials", "1", "--max-coeff-degree", "60000"),
+         "--max-coeff-degree"),
+        ("q-square", ("--max-coeff-degree", "1001"), "--max-coeff-degree"),
     ])
     def test_empty_or_negative_counts(self, capsys, command, flags, field):
         code = main([command, GOLDEN_PASS, *flags, "--json"])
@@ -317,6 +322,8 @@ class TestInputErrors:
                      id="power-exponent-over-1000"),
         pytest.param(("sections", "A", "v", 0), "x1^600*x1^600", "sections.A.v[0]",
                      id="product-exponent-over-1000"),
+        pytest.param(("harness", "max_coeff_degree"), 1001, "harness.max_coeff_degree",
+                     id="max-coeff-degree-over-1000"),
     ])
     def test_bad_config_field(self, capsys, tmp_path, path, value, field):
         cfg = tmp_path / "cfg.json"
