@@ -33,7 +33,6 @@ def _as_rational(c) -> int | Fraction:
 # exponents are packed into one int, FIELD bits per variable; the top bit
 # of each field is the guard bit, so an exponent stays below _EXP_LIMIT
 _EXP_LIMIT = 1 << (FIELD - 1)
-_GUARDS: dict[int, int] = {}
 
 
 class ExponentOverflowError(OverflowError):
@@ -41,14 +40,6 @@ class ExponentOverflowError(OverflowError):
 
     Not a `PolyError`: parsed input is bounded far below the field width,
     so reaching it is a defect, reported as an internal error."""
-
-
-def _guard(d: int) -> int:
-    """The mask of the guard bits of d packed fields."""
-    mask = _GUARDS.get(d)
-    if mask is None:
-        mask = _GUARDS[d] = sum(1 << (FIELD * mu + FIELD - 1) for mu in range(d))
-    return mask
 
 
 def _pack(d: int, exp) -> int:
@@ -145,13 +136,8 @@ class Poly:
         return out
 
     def _max_exponents(self) -> list[int]:
-        """The largest exponent of each variable over all terms."""
-        top = [0] * self.d
-        for k in self.nums:
-            for mu, e in enumerate(_unpack(self.d, k)):
-                if e > top[mu]:
-                    top[mu] = e
-        return top
+        """The largest exponent of each variable; [] for zero."""
+        return [max(col) for col in zip(*(_unpack(self.d, k) for k in self.nums))]
 
     # arithmetic ------------------------------------------------------
     def _check(self, other: "Poly"):
@@ -281,7 +267,9 @@ def _normal(d: int, den: int, nums: dict) -> Poly:
 def _product(d: int, den: int, nums: dict) -> Poly:
     """`_normal` for the numerators of a product, after checking that no
     exponent carried into a guard bit."""
-    if reduce(or_, nums, 0) & _guard(d):
+    # a 1 at the bottom of each of the d fields, moved up to the guard bit
+    guard = ((1 << FIELD * d) - 1) // FIELD_MASK << (FIELD - 1)
+    if reduce(or_, nums, 0) & guard:
         raise ExponentOverflowError(
             f"an exponent reached {_EXP_LIMIT}, the packed field limit")
     return _normal(d, den, nums)
