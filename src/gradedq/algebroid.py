@@ -117,7 +117,8 @@ def _check_section_degree(chart: ChartSpec, A: GradedElement, name: str):
 def _derived(chart: ChartSpec, QA: GradedElement, B: GradedElement) -> GradedElement:
     """((Theta, A), B) with the chart's derived sign, given QA = (Theta, A)."""
     from .symplectic import poisson
-    return poisson(QA, B).scale(derived_sign(chart))
+    out = poisson(QA, B)
+    return out if derived_sign(chart) > 0 else -out
 
 
 def dorfman(theta: Hamiltonian, A: GradedElement, B: GradedElement) -> GradedElement:
@@ -198,9 +199,15 @@ def _scalar_of(chart: ChartSpec, e: GradedElement) -> Poly:
 
 def _leibniz_defect(theta: Hamiltonian, QA, B, C, LAB, LAC) -> GradedElement:
     """L_A(L_B C) - L_{L_A B} C - L_B(L_A C), given QA = (Theta, A), L_A B
-    and L_A C."""
-    return _derived(theta.chart, QA, dorfman(theta, B, C)) \
-        - (dorfman(theta, LAB, C) + dorfman(theta, B, LAC))
+    and L_A C; (Theta, B) is bracketed once for L_B C and L_B(L_A C)."""
+    from .symplectic import poisson
+    chart = theta.chart
+    # the checks dorfman(theta, B, L_A C) makes
+    _check_section_degree(chart, B, "A")
+    _check_section_degree(chart, LAC, "B")
+    QB = poisson(theta.element, B)
+    return _derived(chart, QA, _derived(chart, QB, C)) \
+        - (dorfman(theta, LAB, C) + _derived(chart, QB, LAC))
 
 
 def _suite(name: str, checks: tuple[str, ...], fails: dict, trials: int,

@@ -13,6 +13,10 @@ Sign conventions (documented choices, validated by the test suite):
 * (psi^mu, chi_mu) = +1 always; graded symmetry of a degree-(-p)
   bracket then forces (chi_mu, psi^mu) = (-1)^p.
 * (zeta, zeta) = +1 on the m5 chart.
+
+`pairs` maps (left tag, right tag) to the constant; `partner` is the same
+table keyed by the left tag alone, since each generator pairs with
+exactly one other (x^mu with p_mu, psi^mu with chi_mu, zeta with itself).
 """
 
 from __future__ import annotations
@@ -76,7 +80,7 @@ class ChartSpec:
             self._by_family[(g.family, g.index)] = i
 
         # Pairing table over tagged generator ids: ('x', mu) or ('s', sid).
-        # Every entry is +1 or -1.
+        # Every entry is +1 or -1, and every tag has exactly one partner.
         chi_psi = 1 if p % 2 == 0 else -1
         pairs: dict[tuple, int] = {}
         for mu in range(1, d + 1):
@@ -91,13 +95,10 @@ class ChartSpec:
             sz = self.sid("zeta", 0)
             pairs[(("s", sz), ("s", sz))] = 1
         self.pairs = pairs
-        # The Poisson bracket's plan, left tag -> [(right tag, const)], and
-        # the tags on the right of the table.
-        plan: dict[tuple, list] = {}
-        for (a, b), const in pairs.items():
-            plan.setdefault(a, []).append((b, const))
-        self.plan = plan
-        self.right_tags = frozenset(b for _, b in pairs)
+        # The same table as the Poisson bracket reads it: tag -> (partner, const).
+        self.partner = {a: (b, const) for (a, b), const in pairs.items()}
+        # Generators that count towards gauge_exp's momentum weight.
+        self.momentum = tuple(g.family in ("p", "chi", "zeta") for g in supers)
 
     def sid(self, family: str, index: int) -> int:
         return self._by_family[(family, index)]

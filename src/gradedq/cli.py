@@ -16,13 +16,14 @@ import json
 import os
 import sys
 import warnings
+from contextlib import contextmanager
 from fractions import Fraction
 
 from . import genmetric as gm
 from .algebroid import (SectionError, decode_section, dorfman, encode_section,
                         module_basis, verify_courant, verify_leibniz)
 from .chart import ChartError
-from .config import Config, ConfigError, parse_config
+from .config import MAX_TRIALS, Config, ConfigError, bounded, parse_config
 from .element import GradedElement
 from .forms import DiffForm, FormError, ext_d, poincare_primitive, wedge
 from .npq import HamiltonianError, master_equation, q_square_check
@@ -31,8 +32,9 @@ from .reports import CheckReport, SuiteReport, witnesses_of
 
 PASS, FAIL, INPUT_ERROR, INTERNAL_ERROR = 0, 1, 2, 3
 
+# OSError: the config file cannot be opened or read
 _INPUT_ERRORS = (ConfigError, ChartError, FormError, SectionError,
-                 HamiltonianError, PolyError, gm.MatrixError)
+                 HamiltonianError, PolyError, gm.MatrixError, OSError)
 
 
 def _resolve_seed(args, config: Config) -> int:
@@ -51,13 +53,7 @@ def _resolve_seed(args, config: Config) -> int:
 
 def _resolve_max_degree(args, config: Config) -> int:
     if getattr(args, "max_coeff_degree", None) is not None:
-        if args.max_coeff_degree < 0:
-            raise ConfigError("--max-coeff-degree",
-                              f"must be at least 0, got {args.max_coeff_degree}")
-        if args.max_coeff_degree > MAX_EXPONENT:
-            raise ConfigError("--max-coeff-degree", f"must be at most {MAX_EXPONENT}, "
-                              f"got {args.max_coeff_degree}")
-        return args.max_coeff_degree
+        return bounded("--max-coeff-degree", args.max_coeff_degree, 0, MAX_EXPONENT)
     return config.max_coeff_degree
 
 
@@ -85,6 +81,23 @@ def _named_matrix(config: Config, name: str):
     return config.matrices[name]
 
 
+@contextmanager
+def _blame(name: str):
+    """Report a MatrixError as an error in the config's matrices.<name>."""
+    try:
+        yield
+    except gm.MatrixError as exc:
+        raise ConfigError(f"matrices.{name}", str(exc)) from None
+
+
+def _background(config: Config) -> gm.Background:
+    g, b = _named_matrix(config, "g"), _named_matrix(config, "b")
+    with _blame("g"):  # g is at fault if it fails even with b = 0
+        gm.Background(g, gm.mat_zero(len(g)))
+    with _blame("b"):
+        return gm.Background(g, b)
+
+
 def _named_section(config: Config, name: str) -> GradedElement:
     if name not in config.sections:
         known = ", ".join(sorted(config.sections)) or "none defined"
@@ -107,9 +120,8 @@ def cmd_check_master(config: Config, args) -> tuple[dict, str, int]:
 
 
 def cmd_q_square(config: Config, args) -> tuple[dict, str, int]:
-    if args.samples < 0:
-        raise ConfigError("--samples", f"must be at least 0, got {args.samples}")
-    suite = q_square_check(config.theta, samples=args.samples,
+    samples = bounded("--samples", args.samples, 0, MAX_TRIALS)
+    suite = q_square_check(config.theta, samples=samples,
                            seed=_resolve_seed(args, config),
                            max_degree=_resolve_max_degree(args, config))
     return _suite_result("q-square", suite)
@@ -136,9 +148,8 @@ def cmd_bracket(config: Config, args) -> tuple[dict, str, int]:
 
 def cmd_axioms(config: Config, args) -> tuple[dict, str, int]:
     seed = _resolve_seed(args, config)
-    trials = args.trials if args.trials is not None else config.trials
-    if trials < 1:
-        raise ConfigError("--trials", f"must be at least 1, got {trials}")
+    trials = config.trials if args.trials is None else \
+        bounded("--trials", args.trials, 1, MAX_TRIALS)
     max_degree = _resolve_max_degree(args, config)
     if args.suite == "courant":
         suite = verify_courant(config.theta, trials=trials, seed=seed,
@@ -212,16 +223,15 @@ def cmd_genmetric(config: Config, args) -> tuple[dict, str, int]:
     payload: dict = {"command": "genmetric", "action": action}
     lines: list[str] = []
     if action == "build":
-        bg = gm.Background(_named_matrix(config, "g"), _named_matrix(config, "b"))
-        H = gm.build_gen_metric(bg)
+        H = gm.build_gen_metric(_background(config))
         lines.append("H =")
         lines.extend(_render_matrix(H.H))
         payload["H"] = _matrix_json(H.H)
     elif action == "act":
-        bg = gm.Background(_named_matrix(config, "g"), _named_matrix(config, "b"))
-        H = gm.build_gen_metric(bg)
+        H = gm.build_gen_metric(_background(config))
         O = _named_matrix(config, "O")
-        Hp = gm.act(O, H)
+        with _blame("O"):
+            Hp = gm.act(O, H)
         lines.append("H' = O^t H O =")
         lines.extend(_render_matrix(Hp.H))
         payload["H"] = _matrix_json(Hp.H)
@@ -237,8 +247,9 @@ def cmd_genmetric(config: Config, args) -> tuple[dict, str, int]:
             payload["g"] = _matrix_json(bgp.g)
             payload["b"] = _matrix_json(bgp.b)
     else:  # extract
-        H = gm.GenMetric(_named_matrix(config, "H"))
-        bg = gm.extract(H)
+        H = _named_matrix(config, "H")
+        with _blame("H"):
+            bg = gm.extract(gm.GenMetric(H))
         lines.append("g =")
         lines.extend(_render_matrix(bg.g))
         lines.append("b =")
@@ -322,6 +333,15 @@ def _emit(args, payload: dict, text: str):
         print(text)
 
 
+def _read_config(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError("<root>", f"config is not UTF-8 text: {exc.reason} "
+                              f"at byte {exc.start}") from None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -330,8 +350,7 @@ def main(argv=None) -> int:
         # argparse exits with 2 on bad usage, matching the input-error code
         return INPUT_ERROR if exc.code else PASS
     try:
-        with open(args.config, encoding="utf-8") as fh:
-            config = parse_config(fh.read())
+        config = parse_config(_read_config(args.config))
         payload, text, code = _HANDLERS[args.command](config, args)
     except _INPUT_ERRORS as exc:
         message = str(exc)
@@ -340,9 +359,6 @@ def main(argv=None) -> int:
                               "error": message}, sort_keys=True, indent=2))
         else:
             print(f"error: {message}", file=sys.stderr)
-        return INPUT_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
     except Exception as exc:  # a defect in gradedq, not in the input
         message = f"{type(exc).__name__}: {exc}".replace("\n", " ")

@@ -19,12 +19,25 @@ from .npq import Hamiltonian, theta_m5, theta_vinogradov
 from .poly import MAX_EXPONENT, PolyError, parse_poly
 
 
+# cap on trials (--trials, harness.trials) and on --samples
+MAX_TRIALS = 10_000
+
+
 class ConfigError(ValueError):
     """Invalid configuration; message carries the field location."""
 
     def __init__(self, location: str, message: str):
         self.location = location
         super().__init__(f"{location}: {message}")
+
+
+def bounded(location: str, value: int, low: int, high: int) -> int:
+    """`value` if low <= value <= high, else a ConfigError naming `location`."""
+    if value < low:
+        raise ConfigError(location, f"must be at least {low}, got {value}")
+    if value > high:
+        raise ConfigError(location, f"must be at most {high}, got {value}")
+    return value
 
 
 @dataclass
@@ -182,18 +195,14 @@ def parse_config(text: str) -> Config:
         matrices[name] = _parse_matrix(rows, f"matrices.{name}")
 
     harness = _expect(doc, "harness", "<root>", dict, required=False, default={}) or {}
-    trials = _expect(harness, "trials", "harness", int, required=False, default=100)
-    if trials < 1:
-        raise ConfigError("harness.trials", f"must be at least 1, got {trials}")
+    trials = bounded("harness.trials", _expect(harness, "trials", "harness", int,
+                                               required=False, default=100),
+                     1, MAX_TRIALS)
     seed = _expect(harness, "seed", "harness", int, required=False, default=None)
-    max_deg = _expect(harness, "max_coeff_degree", "harness", int,
-                      required=False, default=2)
-    if max_deg < 0:
-        raise ConfigError("harness.max_coeff_degree",
-                          f"must be at least 0, got {max_deg}")
-    if max_deg > MAX_EXPONENT:
-        raise ConfigError("harness.max_coeff_degree",
-                          f"must be at most {MAX_EXPONENT}, got {max_deg}")
+    max_deg = bounded("harness.max_coeff_degree",
+                      _expect(harness, "max_coeff_degree", "harness", int,
+                              required=False, default=2),
+                      0, MAX_EXPONENT)
 
     return Config(chart=chart, theta=theta, sections=sections, matrices=matrices,
                   trials=trials, seed=seed, max_coeff_degree=max_deg, raw=doc)

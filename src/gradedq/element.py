@@ -1,8 +1,9 @@
 """Graded supercommutative function algebra on a chart.
 
 Elements are finite sums of canonical graded monomials with exact
-polynomial coefficients.  Canonicalization (Koszul signs, annihilation
-of odd squares, merging) happens at construction; all operations are
+polynomial coefficients.  The constructor takes a dict keyed by canonical
+monomials and drops zero coefficients; products and sums canonicalize
+(Koszul signs, annihilation of odd squares, merging).  All operations are
 pure and return new values.
 """
 
@@ -26,11 +27,7 @@ class GradedElement:
 
     def __init__(self, chart: ChartSpec, terms=None):
         self.chart = chart
-        self.terms: dict[tuple, Poly] = {}
-        if terms:
-            for mono, poly in dict(terms).items():
-                if poly:
-                    self.terms[tuple(mono)] = poly
+        self.terms = {m: p for m, p in terms.items() if p} if terms else {}
 
     # constructors ----------------------------------------------------
     @classmethod
@@ -60,25 +57,6 @@ class GradedElement:
         if coeff is None:
             coeff = Poly.const(chart.d, 1)
         return cls(chart, {tuple(mono): coeff})
-
-    # normalization of raw generator words ---------------------------
-    @classmethod
-    def normalize(cls, chart: ChartSpec, raw) -> "GradedElement":
-        """Canonicalize a list of (generator name sequence, coefficient).
-
-        Coefficients may be Poly, int, Fraction or str (parsed rationals).
-        Odd transpositions accumulate Koszul signs; repeated odd
-        generators annihilate the word; like terms merge.
-        """
-        out = cls.zero(chart)
-        for word, coeff in raw:
-            if not isinstance(coeff, Poly):
-                coeff = Poly.const(chart.d, coeff)
-            term = cls.from_poly(chart, coeff)
-            for name in word:
-                term = term * cls.generator(chart, name)
-            out = out + term
-        return out
 
     # arithmetic ------------------------------------------------------
     def _check(self, other: "GradedElement"):
@@ -134,11 +112,6 @@ class GradedElement:
         if len(degs) == 1:
             return degs.pop()
         return INHOMOGENEOUS
-
-    def component(self, n: int) -> "GradedElement":
-        return GradedElement(
-            self.chart,
-            {m: p for m, p in self.terms.items() if self.chart.mono_degree(m) == n})
 
     # structure -------------------------------------------------------
     def monomials(self):

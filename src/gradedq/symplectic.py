@@ -10,15 +10,17 @@ right argument.  Graded symmetry, Leibniz and Jacobi follow from the
 table's symmetry and are pinned by the test suite.
 
 `poisson` scans each argument once: one pass over g's terms yields every
-left derivative, one pass over f's terms the right derivatives that pair
-with them, and the products fold into one accumulator.
+left derivative, one pass over f's terms the right derivatives in the
+partners (`ChartSpec.partner`) of those generators, and each derivative
+of f meets the one derivative of g it pairs with; the products fold into
+one accumulator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .chart import ChartError, ChartSpec
+from .chart import ChartError
 from ._kernel_py import mono_partial
 from .element import GradedElement
 
@@ -55,24 +57,20 @@ def poisson(f: GradedElement, g: GradedElement) -> GradedElement:
     if f.chart != g.chart:
         raise ChartError(f"chart mismatch: {f.chart} vs {g.chart}")
     chart = f.chart
-    plan = chart.plan
-    dg = _derivatives(g, chart.right_tags, from_right=False)
+    partner = chart.partner
+    dg = _derivatives(g, partner, from_right=False)
     if not dg:
         return GradedElement.zero(chart)
-    # derive f only in the left tags that pair with a derivative of g
-    wanted = {a for a, row in plan.items() if any(b in dg for b, _ in row)}
-    df = _derivatives(f, wanted, from_right=True)
+    # derive f only in the partners of g's derivatives
+    df = _derivatives(f, {partner[b][0] for b in dg}, from_right=True)
     out: dict = {}
     for a, fa in df.items():
-        for b, const in plan[a]:
-            gb = dg.get(b)
-            if gb is None:
-                continue
-            for mono, poly in (fa * gb).terms.items():
-                if const < 0:
-                    poly = -poly
-                cur = out.get(mono)
-                out[mono] = poly if cur is None else cur + poly
+        b, const = partner[a]
+        for mono, poly in (fa * dg[b]).terms.items():
+            if const < 0:
+                poly = -poly
+            cur = out.get(mono)
+            out[mono] = poly if cur is None else cur + poly
     return GradedElement(chart, out)  # drops the terms that cancelled
 
 
@@ -109,17 +107,7 @@ def gauge_exp(R: GradedElement, f: GradedElement,
         out = out + term
 
 
-def _momentum_families(chart: ChartSpec):
-    fams = {"p", "chi"}
-    if chart.kind == "m5":
-        fams.add("zeta")
-    return fams
-
-
 def _momentum_weight(f: GradedElement) -> int:
-    fams = _momentum_families(f.chart)
-    best = 0
-    for mono in f.terms:
-        w = sum(e for sid, e in mono if f.chart.generator(sid).family in fams)
-        best = max(best, w)
-    return best
+    momentum = f.chart.momentum
+    return max((sum(e for sid, e in mono if momentum[sid]) for mono in f.terms),
+               default=0)

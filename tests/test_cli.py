@@ -281,6 +281,11 @@ class TestInputErrors:
         ("axioms", ("--suite", "leibniz", "--trials", "1", "--max-coeff-degree", "60000"),
          "--max-coeff-degree"),
         ("q-square", ("--max-coeff-degree", "1001"), "--max-coeff-degree"),
+        # counts over the cap are rejected before any trial runs
+        pytest.param("axioms", ("--suite", "courant", "--trials", "10001"), "--trials",
+                     id="trials-over-10000"),
+        pytest.param("q-square", ("--samples", "10001"), "--samples",
+                     id="samples-over-10000"),
     ])
     def test_empty_or_negative_counts(self, capsys, command, flags, field):
         code = main([command, GOLDEN_PASS, *flags, "--json"])
@@ -324,6 +329,8 @@ class TestInputErrors:
                      id="product-exponent-over-1000"),
         pytest.param(("harness", "max_coeff_degree"), 1001, "harness.max_coeff_degree",
                      id="max-coeff-degree-over-1000"),
+        pytest.param(("harness", "trials"), 10001, "harness.trials",
+                     id="trials-over-10000"),
     ])
     def test_bad_config_field(self, capsys, tmp_path, path, value, field):
         cfg = tmp_path / "cfg.json"
@@ -333,6 +340,44 @@ class TestInputErrors:
         doc = json.loads(capsys.readouterr().out)
         assert code == 2 and doc["status"] == "ERROR"
         assert doc["error"].startswith(field + ":")
+
+    @pytest.mark.parametrize("action, matrices, error", [
+        ("build", {"g": [[1, 2], [3, 4]], "b": [[0, 0], [0, 0]]},
+         "matrices.g: g must be symmetric"),
+        ("build", {"g": [[1, 0], [0, 1]], "b": [[0, 1], [1, 0]]},
+         "matrices.b: b must be antisymmetric"),
+        ("build", {"g": [[1, 0], [0, 1]], "b": [[0]]},
+         "matrices.b: g and b must be square of the same size"),
+        ("act", {"g": [[1, 0], [0, 1]], "b": [[0, 0], [0, 0]], "O": [[0, 1], [1, 0]]},
+         "matrices.O: matrix dimensions do not match"),
+        ("extract", {"H": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+         "matrices.H: matrix dimensions do not match"),
+        ("extract", {"H": [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
+         "matrices.H: generalised metric must satisfy H eta H = eta"),
+    ], ids=["build-g", "build-b", "build-b-size", "act", "extract-size", "extract-eta"])
+    def test_genmetric_names_the_matrix(self, capsys, tmp_path, action, matrices, error):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config_with(("matrices",), matrices)))
+        assert main(["genmetric", action, str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert main(["genmetric", action, str(cfg), "--json"]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == error
+
+    @pytest.mark.parametrize("content, error", [
+        (b"\xff\xfe", "<root>: config is not UTF-8 text: invalid start byte at byte 0"),
+        (None, "No such file or directory"),
+    ], ids=["not-utf8", "missing"])
+    def test_unreadable_config(self, capsys, tmp_path, content, error):
+        cfg = tmp_path / "cfg.json"
+        if content is not None:
+            cfg.write_bytes(content)
+        assert main(["check-master", str(cfg)]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: ") and error in out.err
+        assert main(["check-master", str(cfg), "--json"]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["command"] == "check-master" and doc["status"] == "ERROR"
+        assert error in doc["error"]
 
     def test_matrix_cells_without_exponent_are_legal(self):
         cfg = config_with(("matrices", "g"), [["2", "-3/4", "0.5"], [1, 0.25, " 7 "]])
@@ -349,6 +394,22 @@ class TestInputErrors:
         cfg.write_text(text)
         assert main(["check-master", str(cfg)]) == 2
         assert capsys.readouterr().err == "error: <root>: JSON integer too long\n"
+
+    def test_counts_at_the_cap_are_legal(self, monkeypatch):
+        # the suites are stubbed: only the bounds run, not 10,000 trials
+        seen = {}
+
+        def suite(theta, **kw):
+            seen.update(kw)
+            return cli.SuiteReport("stub", seed=0, trials=0)
+        monkeypatch.setattr(cli, "verify_courant", suite)
+        monkeypatch.setattr(cli, "q_square_check", suite)
+        assert main(["axioms", GOLDEN_PASS, "--suite", "courant", "--trials", "10000"]) == 0
+        assert seen["trials"] == 10000
+        assert main(["q-square", GOLDEN_PASS, "--samples", "10000"]) == 0
+        assert seen["samples"] == 10000
+        cfg = config_with(("harness", "trials"), 10000)
+        assert parse_config(json.dumps(cfg)).trials == 10000
 
     def test_zero_max_coeff_degree_is_legal(self, capsys):
         code = main(["axioms", GOLDEN_PASS, "--suite", "leibniz", "--trials", "1",
