@@ -11,14 +11,16 @@ verbatim; both are pinned by the oracle cross-check tests.
 
 from __future__ import annotations
 
+import random
 import warnings
+from fractions import Fraction
 
 from .chart import ChartError, ChartSpec
 from .element import GradedElement, monomial_basis
 from .forms import DiffForm, FormError, Section, ext_d, vec_lie_bracket
-from .npq import Hamiltonian, embed_form
+from .npq import Hamiltonian, embed_form, q_apply
 from .poly import Poly
-from .randomgen import as_rng, random_poly, random_section
+from .randomgen import random_poly, random_section
 from .reports import CheckReport, SuiteReport, witnesses_of
 
 # 5-form slot embedding constant for m5 sections; -1 reproduces the
@@ -123,22 +125,20 @@ def _derived(chart: ChartSpec, QA: GradedElement, B: GradedElement) -> GradedEle
 
 def dorfman(theta: Hamiltonian, A: GradedElement, B: GradedElement) -> GradedElement:
     """Derived Dorfman bracket L_A B on degree-(p-1) elements."""
-    from .symplectic import poisson
     chart = theta.chart
     _check_section_degree(chart, A, "A")
     _check_section_degree(chart, B, "B")
-    return _derived(chart, poisson(theta.element, A), B)
+    return _derived(chart, q_apply(theta, A), B)
 
 
 def anchor(theta: Hamiltonian, A: GradedElement, f: Poly) -> Poly:
     """rho(A).f = v^mu d_mu f; twists never contribute at degree 0."""
-    from .symplectic import poisson
     chart = theta.chart
     _check_section_degree(chart, A, "A")
     if f.d != chart.d:
         raise SectionError(f"function on R^{f.d}, chart on R^{chart.d}")
     fe = GradedElement.from_poly(chart, f)
-    return _scalar_of(chart, _derived(chart, poisson(theta.element, A), fe))
+    return _scalar_of(chart, _derived(chart, q_apply(theta, A), fe))
 
 
 def pairing(A: GradedElement, B: GradedElement) -> GradedElement:
@@ -200,12 +200,11 @@ def _scalar_of(chart: ChartSpec, e: GradedElement) -> Poly:
 def _leibniz_defect(theta: Hamiltonian, QA, B, C, LAB, LAC) -> GradedElement:
     """L_A(L_B C) - L_{L_A B} C - L_B(L_A C), given QA = (Theta, A), L_A B
     and L_A C; (Theta, B) is bracketed once for L_B C and L_B(L_A C)."""
-    from .symplectic import poisson
     chart = theta.chart
     # the checks dorfman(theta, B, L_A C) makes
     _check_section_degree(chart, B, "A")
     _check_section_degree(chart, LAC, "B")
-    QB = poisson(theta.element, B)
+    QB = q_apply(theta, B)
     return _derived(chart, QA, _derived(chart, QB, C)) \
         - (dorfman(theta, LAB, C) + _derived(chart, QB, LAC))
 
@@ -228,15 +227,14 @@ def _suite(name: str, checks: tuple[str, ...], fails: dict, trials: int,
 def verify_leibniz(theta: Hamiltonian, trials: int = 100, seed: int = 0,
                    max_degree: int = 2) -> SuiteReport:
     """L_A(L_B C) = L_{L_A B} C + L_B(L_A C) on seeded random triples."""
-    from .symplectic import poisson
     chart = theta.chart
-    rng = as_rng(seed)
+    rng = random.Random(seed)
     fails: dict[str, tuple] = {}
     for t in range(trials):
         A = encode_section(chart, random_section(rng, chart, max_degree))
         B = encode_section(chart, random_section(rng, chart, max_degree))
         C = encode_section(chart, random_section(rng, chart, max_degree))
-        QA = poisson(theta.element, A)
+        QA = q_apply(theta, A)
         diff = _leibniz_defect(theta, QA, B, C, _derived(chart, QA, B),
                                _derived(chart, QA, C))
         if not diff.is_zero():
@@ -252,12 +250,10 @@ _COURANT_CHECKS = ("axiom 1 (anchored Leibniz)", "axiom 2 (anchor morphism)",
 def verify_courant(theta: Hamiltonian, trials: int = 100, seed: int = 0,
                    max_degree: int = 2) -> SuiteReport:
     """All five Courant axioms plus rho o rho* = 0, on a p=2 chart."""
-    from fractions import Fraction
-    from .symplectic import poisson
     chart = theta.chart
     if chart.p != 2 or chart.kind != "vinogradov":
         raise ChartError("the Courant suite runs on p=2 vinogradov charts")
-    rng = as_rng(seed)
+    rng = random.Random(seed)
     fails: dict[str, tuple] = {}
     half = Fraction(1, 2)
 
@@ -269,7 +265,7 @@ def verify_courant(theta: Hamiltonian, trials: int = 100, seed: int = 0,
         B = encode_section(chart, sB)
         C = encode_section(chart, sC)
         f = random_poly(rng, chart.d, max_degree)
-        QA = poisson(theta.element, A)
+        QA = q_apply(theta, A)
         LAB = _derived(chart, QA, B)
         LAC = _derived(chart, QA, C)
         defects = []

@@ -4,9 +4,9 @@ Every command reads one JSON config (chart, theta, sections, matrices,
 harness) and writes a deterministic report, human text by default or a
 machine-readable document with --json.  Exit codes: 0 all checks pass,
 1 a verified violation, 2 input error, 3 internal error (a defect in
-gradedq, never a verdict).  The seed is resolved as
---seed, then the config's harness.seed, then the GB_SEED environment
-variable, then 0.
+gradedq, never a verdict).  The seeded suites, q-square and axioms,
+resolve their seed as --seed, then the config's harness.seed, then the
+GB_SEED environment variable, then 0.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ _INPUT_ERRORS = (ConfigError, ChartError, FormError, SectionError,
 
 
 def _resolve_seed(args, config: Config) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     if config.seed is not None:
         return config.seed
@@ -52,7 +52,7 @@ def _resolve_seed(args, config: Config) -> int:
 
 
 def _resolve_max_degree(args, config: Config) -> int:
-    if getattr(args, "max_coeff_degree", None) is not None:
+    if args.max_coeff_degree is not None:
         return bounded("--max-coeff-degree", args.max_coeff_degree, 0, MAX_EXPONENT)
     return config.max_coeff_degree
 
@@ -271,18 +271,20 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("config", help="path to the JSON config file")
     common.add_argument("--json", action="store_true",
                         help="emit a machine-readable JSON report")
-    common.add_argument("--max-coeff-degree", type=int, default=None,
-                        metavar="D", dest="max_coeff_degree",
-                        help="cap on random polynomial coefficient degree")
-    common.add_argument("--seed", type=int, default=None,
-                        help="harness seed (fallback: config, then GB_SEED)")
+    # only the seeded suites draw random data
+    harness = argparse.ArgumentParser(add_help=False)
+    harness.add_argument("--max-coeff-degree", type=int, default=None,
+                         metavar="D", dest="max_coeff_degree",
+                         help="cap on random polynomial coefficient degree")
+    harness.add_argument("--seed", type=int, default=None,
+                         help="harness seed (fallback: config, then GB_SEED)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("check-master", parents=[common],
                    help="verify (Theta, Theta) = 0")
 
-    q2 = sub.add_parser("q-square", parents=[common],
+    q2 = sub.add_parser("q-square", parents=[common, harness],
                         help="probe Q^2 = 0 on generators and random elements")
     q2.add_argument("--samples", type=int, default=8)
 
@@ -291,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     br.add_argument("--A", required=True, metavar="NAME")
     br.add_argument("--B", required=True, metavar="NAME")
 
-    ax = sub.add_parser("axioms", parents=[common],
+    ax = sub.add_parser("axioms", parents=[common, harness],
                         help="run an axiom verification suite")
     ax.add_argument("--suite", required=True, choices=["courant", "leibniz"])
     ax.add_argument("--trials", type=int, default=None)
@@ -308,9 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     gme.add_argument("config", help="path to the JSON config file")
     gme.add_argument("--json", action="store_true",
                      help="emit a machine-readable JSON report")
-    gme.add_argument("--max-coeff-degree", type=int, default=None,
-                     metavar="D", dest="max_coeff_degree")
-    gme.add_argument("--seed", type=int, default=None)
 
     return parser
 

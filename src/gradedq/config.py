@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .algebroid import lambda_rank
 from .chart import ChartError, ChartSpec, make_chart
 from .forms import DiffForm, Section
 from .npq import Hamiltonian, theta_m5, theta_vinogradov
@@ -96,7 +97,6 @@ def _parse_form(entries, d: int, rank: int, where: str) -> DiffForm:
 
 
 def _parse_section(obj, chart: ChartSpec, where: str) -> Section:
-    from .algebroid import lambda_rank
     if not isinstance(obj, dict):
         raise ConfigError(where, "sections are objects with 'v', 'lambda', 'sigma'")
     d = chart.d

@@ -39,10 +39,6 @@ class GradedElement:
         return cls(chart, {(): poly})
 
     @classmethod
-    def scalar(cls, chart: ChartSpec, c) -> "GradedElement":
-        return cls.from_poly(chart, Poly.const(chart.d, c))
-
-    @classmethod
     def generator(cls, chart: ChartSpec, name: str) -> "GradedElement":
         """The generator as an element; accepts x, psi, zeta, chi, p names."""
         if name.startswith("x"):

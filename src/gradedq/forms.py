@@ -244,30 +244,6 @@ class Section:
     def d(self) -> int:
         return self.lam.d
 
-    def __add__(self, other: "Section") -> "Section":
-        sigma = None
-        if (self.sigma is None) != (other.sigma is None):
-            raise FormError("section shape mismatch")
-        if self.sigma is not None:
-            sigma = self.sigma + other.sigma
-        return Section(tuple(a + b for a, b in zip(self.v, other.v)),
-                       self.lam + other.lam, sigma)
-
-    def __neg__(self) -> "Section":
-        return Section(tuple(-a for a in self.v), -self.lam,
-                       None if self.sigma is None else -self.sigma)
-
-    def __sub__(self, other: "Section") -> "Section":
-        return self + (-other)
-
-    def scale(self, f) -> "Section":
-        return Section(tuple(a * f for a in self.v), self.lam * f,
-                       None if self.sigma is None else self.sigma * f)
-
-    def __eq__(self, other):
-        return (isinstance(other, Section) and self.v == other.v
-                and self.lam == other.lam and self.sigma == other.sigma)
-
     def __str__(self):
         vs = "(" + ", ".join(str(c) for c in self.v) + ")"
         out = f"v={vs}, lambda={self.lam}"

@@ -133,10 +133,6 @@ class Background:
             raise MatrixError("b must be antisymmetric")
         mat_inv(g)  # raises if singular
 
-    @property
-    def d(self) -> int:
-        return len(self.g)
-
 
 @dataclass(frozen=True)
 class GenMetric:

@@ -3,9 +3,10 @@
 Twist data is embedded factorial-free: each sorted form component maps
 to the identical sorted psi-monomial with coefficient 1, so the graded
 differential and the exterior-calculus oracle agree coefficient by
-coefficient.  The m5 builder constants are both 1; with this chart's
-pairing table that normalization reproduces the form-level identity
-dF7 + (1/2) F4 ^ F4 = 0 (the calibration is pinned by a test).
+coefficient.  The m5 hamiltonian embeds F7 and zeta*F4 with coefficient
+1; with this chart's pairing table that normalization reproduces the
+form-level identity dF7 + (1/2) F4 ^ F4 = 0 (the calibration is pinned
+by a test).
 """
 
 from __future__ import annotations
@@ -20,10 +21,6 @@ from .poly import Poly
 from .randomgen import random_homogeneous
 from .reports import CheckReport, SuiteReport, witnesses_of
 from .symplectic import poisson
-
-# m5 hamiltonian builder constants (calibrated against the Bianchi identity)
-C4 = 1
-C7 = 1
 
 
 class HamiltonianError(ValueError):
@@ -112,9 +109,8 @@ def theta_m5(chart: ChartSpec, F4: DiffForm | None = None,
     if F7.rank != 7:
         raise HamiltonianError(f"F7 must have rank 7, got {F7.rank}")
     zeta = GradedElement.generator(chart, "zeta")
-    element = (kinetic_term(chart)
-               + embed_form(chart, F7).scale(C7)
-               + (zeta * embed_form(chart, F4)).scale(C4))
+    element = (kinetic_term(chart) + embed_form(chart, F7)
+               + zeta * embed_form(chart, F4))
     return Hamiltonian(chart, element, ("m5", F4, F7))
 
 

@@ -1,7 +1,7 @@
 """Seeded random data for the verification harness.
 
-All randomness is injected from the caller (a random.Random instance or
-a seed); the library operations themselves are deterministic.  Defaults
+All randomness is injected from the caller as a random.Random instance;
+the library operations themselves are deterministic.  Defaults
 follow the harness policy: polynomial coefficients of total x-degree at
 most 2 with integer numerators in [-3, 3].
 """
@@ -17,12 +17,6 @@ from .poly import Poly
 
 MAX_COEFF_DEGREE = 2
 COEFF_RANGE = 3
-
-
-def as_rng(seed_or_rng) -> random.Random:
-    if isinstance(seed_or_rng, random.Random):
-        return seed_or_rng
-    return random.Random(seed_or_rng)
 
 
 def random_poly(rng: random.Random, d: int, max_degree: int = MAX_COEFF_DEGREE,

@@ -74,14 +74,15 @@ def poisson(f: GradedElement, g: GradedElement) -> GradedElement:
     return GradedElement(chart, out)  # drops the terms that cancelled
 
 
-def gauge_exp(R: GradedElement, f: GradedElement,
-              budget: int = DEFAULT_ADJOINT_BUDGET) -> GradedElement:
+def gauge_exp(R: GradedElement, f: GradedElement) -> GradedElement:
     """exp of the adjoint of a degree-p generator: sum_k ad^k(f)/k!.
 
     ad(f) = (f, R).  When R is independent of the p, chi (and zeta)
     generators each application strictly lowers the total momentum-type
-    exponent, so the series truncates; otherwise iteration is capped at
-    `budget` and a non-terminating series is an input error.
+    exponent, so the series truncates; the cap is then raised to one past
+    f's momentum weight.  Otherwise iteration is capped at
+    DEFAULT_ADJOINT_BUDGET steps and a non-terminating series is an
+    input error.
     """
     chart = R.chart
     deg = R.euler_degree()
@@ -90,6 +91,7 @@ def gauge_exp(R: GradedElement, f: GradedElement,
     if deg != chart.p:
         raise GaugeError(f"gauge generator must be homogeneous of degree p={chart.p}, "
                          f"got degree {deg}")
+    budget = DEFAULT_ADJOINT_BUDGET
     if _momentum_weight(R) == 0:
         budget = max(budget, _momentum_weight(f) + 1)
     out = f

@@ -52,7 +52,7 @@ def criterion(num: int, label: str, budget: float):
 def test_c01_pairing_table_conformance():
     with criterion(1, "Darboux pairing table", 1.0):
         for chart in CHARTS:
-            one = GradedElement.scalar(chart, 1)
+            one = GradedElement.from_poly(chart, Poly.const(chart.d, 1))
             zero = GradedElement.zero(chart)
             for mu in range(1, chart.d + 1):
                 for nu in range(1, chart.d + 1):

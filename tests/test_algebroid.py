@@ -11,7 +11,7 @@ from gradedq import (ChartError, DiffForm, GradedElement, Poly, Section,
                      dorfman, encode_section, ext_d, interior, make_chart,
                      module_basis, module_rank, pairing, rho_star, theta_m5,
                      theta_vinogradov, verify_courant, verify_leibniz)
-from gradedq import symplectic
+from gradedq import npq, symplectic
 from gradedq.randomgen import random_poly, random_section
 
 P2 = make_chart("vinogradov", 3, 2)
@@ -248,7 +248,9 @@ def test_poisson_brackets_per_trial(monkeypatch, suite, per_trial):
         calls += 1
         return poisson(f, g)
 
+    # (Theta, X) goes through npq.q_apply, other brackets through symplectic
     monkeypatch.setattr(symplectic, "poisson", counting)
+    monkeypatch.setattr(npq, "poisson", counting)
     beta = DiffForm.basis(3, (1, 2, 3), Poly.var(3, 2))
     trials = 3
     assert suite(theta_vinogradov(P2, beta), trials=trials, seed=7).passed

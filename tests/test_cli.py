@@ -170,16 +170,13 @@ class TestCommands:
         # config m5.json pins seed 1; config wins over the environment
         assert env["seed"] == 1
 
-    def test_gb_seed_env(self):
+    def test_gb_seed_env(self, tmp_path):
         cfg = json.dumps({"chart": {"kind": "vinogradov", "d": 3, "p": 2}})
-        path = DATA / "tmp_noseed.json"
+        path = tmp_path / "noseed.json"
         path.write_text(cfg)
-        try:
-            doc = json.loads(run_cli("q-square", str(path), "--json",
-                                     env_extra={"GB_SEED": "123"}).stdout)
-            assert doc["seed"] == 123
-        finally:
-            path.unlink()
+        doc = json.loads(run_cli("q-square", str(path), "--json",
+                                 env_extra={"GB_SEED": "123"}).stdout)
+        assert doc["seed"] == 123
 
     def test_bracket_form_notation(self):
         out = run_cli("bracket", GOLDEN_PASS, "--A", "A", "--B", "B")
@@ -427,6 +424,24 @@ class TestInputErrors:
         cfg.write_text(text)
         assert main(["check-master", str(cfg)]) == 2
         assert capsys.readouterr().err == "error: <root>: JSON nested too deep\n"
+
+    # only q-square and axioms draw random data, so only they take the
+    # harness flags; every other command rejects them as usage errors
+    @pytest.mark.parametrize("flag, value", [
+        pytest.param("--seed", "3", id="seed"),
+        pytest.param("--max-coeff-degree", "99999", id="max-coeff-degree"),
+    ])
+    @pytest.mark.parametrize("head, tail", [
+        pytest.param(["check-master"], [], id="check-master"),
+        pytest.param(["bracket"], ["--A", "A", "--B", "B"], id="bracket"),
+        pytest.param(["rank"], [], id="rank"),
+        pytest.param(["classify"], [], id="classify"),
+        pytest.param(["genmetric", "build"], [], id="genmetric-build"),
+    ])
+    def test_harness_flags_only_on_seeded_suites(self, capsys, head, tail, flag, value):
+        assert main([*head, GOLDEN_PASS, *tail, flag, value, "--json"]) == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and flag in err
 
 
 # ---------------------------------------------------------------------
