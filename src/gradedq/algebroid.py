@@ -22,6 +22,7 @@ from .npq import Hamiltonian, embed_form, q_apply
 from .poly import Poly
 from .randomgen import random_poly, random_section
 from .reports import CheckReport, SuiteReport, witnesses_of
+from .symplectic import right_derivatives
 
 # 5-form slot embedding constant for m5 sections; -1 reproduces the
 # -lambda' ^ d lambda term of the exceptional Dorfman bracket given the
@@ -116,10 +117,12 @@ def _check_section_degree(chart: ChartSpec, A: GradedElement, name: str):
                            f"{chart.p - 1}, got {A.euler_degree()}")
 
 
-def _derived(chart: ChartSpec, QA: GradedElement, B: GradedElement) -> GradedElement:
-    """((Theta, A), B) with the chart's derived sign, given QA = (Theta, A)."""
+def _derived(chart: ChartSpec, QA: GradedElement, B: GradedElement,
+             dQA: dict | None = None) -> GradedElement:
+    """((Theta, A), B) with the chart's derived sign, given QA = (Theta, A)
+    and, for a QA bracketed many times, its right derivatives dQA."""
     from .symplectic import poisson
-    out = poisson(QA, B)
+    out = poisson(QA, B, dQA)
     return out if derived_sign(chart) > 0 else -out
 
 
@@ -197,15 +200,16 @@ def _scalar_of(chart: ChartSpec, e: GradedElement) -> Poly:
     return e.terms[()]
 
 
-def _leibniz_defect(theta: Hamiltonian, QA, B, C, LAB, LAC) -> GradedElement:
-    """L_A(L_B C) - L_{L_A B} C - L_B(L_A C), given QA = (Theta, A), L_A B
-    and L_A C; (Theta, B) is bracketed once for L_B C and L_B(L_A C)."""
+def _leibniz_defect(theta: Hamiltonian, QA, dQA, B, C, LAB, LAC) -> GradedElement:
+    """L_A(L_B C) - L_{L_A B} C - L_B(L_A C), given QA = (Theta, A) with its
+    right derivatives dQA, L_A B and L_A C; (Theta, B) is bracketed once
+    for L_B C and L_B(L_A C)."""
     chart = theta.chart
     # the checks dorfman(theta, B, L_A C) makes
     _check_section_degree(chart, B, "A")
     _check_section_degree(chart, LAC, "B")
     QB = q_apply(theta, B)
-    return _derived(chart, QA, _derived(chart, QB, C)) \
+    return _derived(chart, QA, _derived(chart, QB, C), dQA) \
         - (dorfman(theta, LAB, C) + _derived(chart, QB, LAC))
 
 
@@ -235,8 +239,9 @@ def verify_leibniz(theta: Hamiltonian, trials: int = 100, seed: int = 0,
         B = encode_section(chart, random_section(rng, chart, max_degree))
         C = encode_section(chart, random_section(rng, chart, max_degree))
         QA = q_apply(theta, A)
-        diff = _leibniz_defect(theta, QA, B, C, _derived(chart, QA, B),
-                               _derived(chart, QA, C))
+        dQA = right_derivatives(QA)
+        diff = _leibniz_defect(theta, QA, dQA, B, C, _derived(chart, QA, B, dQA),
+                               _derived(chart, QA, C, dQA))
         if not diff.is_zero():
             fails.setdefault("leibniz identity", (t, diff))
     return _suite("leibniz", ("leibniz identity",), fails, trials, seed)
@@ -266,14 +271,15 @@ def verify_courant(theta: Hamiltonian, trials: int = 100, seed: int = 0,
         C = encode_section(chart, sC)
         f = random_poly(rng, chart.d, max_degree)
         QA = q_apply(theta, A)
-        LAB = _derived(chart, QA, B)
-        LAC = _derived(chart, QA, C)
+        dQA = right_derivatives(QA)
+        LAB = _derived(chart, QA, B, dQA)
+        LAC = _derived(chart, QA, C, dQA)
         defects = []
 
         # 1. anchored Leibniz: L_A(f B) = f L_A B + (rho(A).f) B
         rho_A_f = _scalar_of(chart, _derived(chart, QA,
-                                             GradedElement.from_poly(chart, f)))
-        defects.append(_derived(chart, QA, B.scale(f))
+                                             GradedElement.from_poly(chart, f), dQA))
+        defects.append(_derived(chart, QA, B.scale(f), dQA)
                        - (LAB.scale(f) + B.scale(rho_A_f)))
 
         # 2. anchor morphism: rho(L_A B) = [rho(A), rho(B)]
@@ -289,12 +295,12 @@ def verify_courant(theta: Hamiltonian, trials: int = 100, seed: int = 0,
         defects.append(GradedElement.from_poly(chart, lhs0 - rhs0))
 
         # 4. Leibniz identity
-        defects.append(_leibniz_defect(theta, QA, B, C, LAB, LAC))
+        defects.append(_leibniz_defect(theta, QA, dQA, B, C, LAB, LAC))
 
         # 5. L_A A = 1/2 rho*(d eta(A, A))
         eta_AA = _scalar_of(chart, pairing(A, A))
         rhs = rho_star(chart, ext_d(DiffForm.from_poly(chart.d, eta_AA))).scale(half)
-        defects.append(_derived(chart, QA, A) - rhs)
+        defects.append(_derived(chart, QA, A, dQA) - rhs)
 
         # chain complex: rho o rho* = 0
         lam1 = DiffForm(chart.d, 1)

@@ -99,6 +99,8 @@ class ChartSpec:
         self.partner = {a: (b, const) for (a, b), const in pairs.items()}
         # Generators that count towards gauge_exp's momentum weight.
         self.momentum = tuple(g.family in ("p", "chi", "zeta") for g in supers)
+        # element.monomial_basis's store: degree n -> its monomials, built once
+        self._bases: dict[int, tuple] = {}
 
     def sid(self, family: str, index: int) -> int:
         return self._by_family[(family, index)]

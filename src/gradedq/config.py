@@ -22,6 +22,9 @@ from .poly import MAX_EXPONENT, PolyError, parse_poly
 
 # cap on trials (--trials, harness.trials) and on --samples
 MAX_TRIALS = 10_000
+# cap on chart.d: one Courant trial on v(d, 2), the slowest suite trial,
+# grows about as d^2 and takes about 0.5 s at d = 128 (2 s at d = 256)
+MAX_D = 128
 
 
 class ConfigError(ValueError):
@@ -157,7 +160,7 @@ def parse_config(text: str) -> Config:
 
     chart_obj = _expect(doc, "chart", "<root>", dict)
     kind = _expect(chart_obj, "kind", "chart", str)
-    d = _expect(chart_obj, "d", "chart", int)
+    d = bounded("chart.d", _expect(chart_obj, "d", "chart", int), 1, MAX_D)
     p = _expect(chart_obj, "p", "chart", int, required=(kind == "vinogradov"))
     try:
         chart = make_chart(kind, d, p)

@@ -175,27 +175,36 @@ def _numerators(terms: dict) -> tuple[int, dict]:
 
 
 def monomial_basis(chart: ChartSpec, n: int) -> list[tuple]:
-    """All x-free canonical monomials of total degree n, in canonical order."""
-    out: list[tuple] = []
-    degrees = chart.degrees
-    parity = chart.parity
-    K = len(degrees)
+    """All x-free canonical monomials of total degree n, in canonical order.
+
+    Built once per (chart, n) and kept on the chart; each call returns a
+    fresh list, so a caller cannot change the stored basis."""
+    basis = chart._bases.get(n)
+    if basis is None:
+        basis = chart._bases[n] = _build_basis(chart.degrees, chart.parity, n)
+    return list(basis)
+
+
+def _build_basis(degrees, parity, n: int) -> tuple:
+    """Every choice of exponents, ascending by sid, whose degrees sum to n;
+    a loop over an explicit stack, so a chart with thousands of generators
+    does not hit the recursion limit."""
     # least[sid]: the smallest degree from sid on; past rem nothing fits
     least = list(accumulate(reversed(degrees), min))[::-1]
-
-    def rec(sid: int, rem: int, acc: list):
+    out: list[tuple] = []
+    stack = [(0, n, ())]
+    while stack:
+        start, rem, acc = stack.pop()
         if rem == 0:
-            out.append(tuple(acc))
-            return
-        if sid >= K or least[sid] > rem:
-            return
-        rec(sid + 1, rem, acc)
-        deg = degrees[sid]
-        top = 1 if parity[sid] else rem // deg
-        for e in range(1, top + 1):
-            acc.append((sid, e))
-            rec(sid + 1, rem - deg * e, acc)
-            acc.pop()
-
-    rec(0, n, [])
-    return sorted(out)
+            out.append(acc)
+            continue
+        for sid in range(start, len(degrees)):
+            if least[sid] > rem:
+                break
+            deg = degrees[sid]
+            top = rem // deg
+            if parity[sid]:
+                top = min(top, 1)
+            for e in range(1, top + 1):
+                stack.append((sid + 1, rem - deg * e, acc + ((sid, e),)))
+    return tuple(sorted(out))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .chart import ChartError, ChartSpec
 from .element import GradedElement
@@ -20,7 +21,7 @@ from .forms import DiffForm, FormError
 from .poly import Poly
 from .randomgen import random_homogeneous
 from .reports import CheckReport, SuiteReport, witnesses_of
-from .symplectic import poisson
+from .symplectic import poisson, right_derivatives
 
 
 class HamiltonianError(ValueError):
@@ -67,7 +68,13 @@ def kinetic_term(chart: ChartSpec) -> GradedElement:
 
 @dataclass(frozen=True)
 class Hamiltonian:
-    """Degree-(p+1) element with its twist metadata."""
+    """Degree-(p+1) element with its twist metadata.
+
+    Q = (Theta, -) is one fixed operator: `derivatives` holds Theta's right
+    graded derivatives in every pairing tag, built on first use and then
+    reused by every `q_apply` and `master_equation` on this hamiltonian,
+    so each bracket derives only its other argument.
+    """
 
     chart: ChartSpec
     element: GradedElement
@@ -79,6 +86,11 @@ class Hamiltonian:
             raise HamiltonianError(
                 f"hamiltonian must be homogeneous of degree p+1={self.chart.p + 1}, "
                 f"got {deg}")
+
+    @cached_property
+    def derivatives(self) -> dict:
+        """Theta's right derivatives, as `poisson` takes them for `df`."""
+        return right_derivatives(self.element)
 
 
 def theta_vinogradov(chart: ChartSpec, beta: DiffForm | None = None) -> Hamiltonian:
@@ -116,7 +128,7 @@ def theta_m5(chart: ChartSpec, F4: DiffForm | None = None,
 
 def master_equation(theta: Hamiltonian) -> tuple[GradedElement, bool]:
     """((Theta, Theta), is_zero); zero iff Q squares to zero."""
-    bracket = poisson(theta.element, theta.element)
+    bracket = poisson(theta.element, theta.element, theta.derivatives)
     return bracket, bracket.is_zero()
 
 
@@ -124,7 +136,7 @@ def q_apply(theta: Hamiltonian, f: GradedElement) -> GradedElement:
     """Q(f) = (Theta, f); raises degree by one on homogeneous input."""
     if f.chart != theta.chart:
         raise ChartError(f"chart mismatch: {f.chart} vs {theta.chart}")
-    return poisson(theta.element, f)
+    return poisson(theta.element, f, theta.derivatives)
 
 
 def q_square_check(theta: Hamiltonian, samples: int = 8, seed: int = 0,

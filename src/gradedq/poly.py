@@ -292,6 +292,9 @@ _MAX_NESTING = 100
 # factors stay far below the packed field limit
 MAX_EXPONENT = 1000
 _MAX_TERMS = 10_000
+# bound on the bit length of any coefficient's numerator or denominator,
+# so that nested powers such as ((9^999)^999)^999 are refused unexpanded
+_MAX_COEFF_BITS = 10_000
 
 
 def _digits(text: str, i: int):
@@ -379,6 +382,9 @@ def parse_poly(text: str, d: int) -> Poly:
                                      f"terms at position {at}")
             check_exponents([i + j for i, j in zip(acc._max_exponents(),
                                                    rhs._max_exponents())], at)
+            # a coefficient is a sum of at most min(a, b) products
+            check_bits(bits(acc) + bits(rhs)
+                       + min(len(acc.nums), len(rhs.nums)).bit_length(), at)
             acc = acc * rhs
         return acc
 
@@ -400,6 +406,8 @@ def parse_poly(text: str, d: int) -> Poly:
                 raise PolyParseError(f"power expands to more than {_MAX_TERMS} "
                                      f"terms at position {at}")
             check_exponents([e * n for e in base._max_exponents()], at)
+            # a multinomial coefficient of (k terms)^n is at most k^n
+            check_bits(n * (bits(base) + k.bit_length()), at)
             base = base ** n
         return base
 
@@ -408,6 +416,15 @@ def parse_poly(text: str, d: int) -> Poly:
             if e > MAX_EXPONENT:
                 raise PolyParseError(f"exponent {e} of x{mu} exceeds {MAX_EXPONENT} "
                                      f"at position {at}")
+
+    def bits(poly):
+        top = max((abs(c).bit_length() for c in poly.nums.values()), default=0)
+        return max(top, poly.den.bit_length())
+
+    def check_bits(estimate, at):
+        if estimate > _MAX_COEFF_BITS:
+            raise PolyParseError(f"coefficients may exceed {_MAX_COEFF_BITS} bits "
+                                 f"at position {at}")
 
     def parse_atom():
         t = peek()

@@ -13,7 +13,11 @@ table's symmetry and are pinned by the test suite.
 left derivative, one pass over f's terms the right derivatives in the
 partners (`ChartSpec.partner`) of those generators, and each derivative
 of f meets the one derivative of g it pairs with; the products fold into
-one accumulator.
+one accumulator.  A left argument bracketed many times, such as Theta in
+Q = (Theta, -), is derived once: `right_derivatives` builds its
+derivatives in every pairing tag, and `poisson` takes them as `df`
+instead of deriving f again (`npq.Hamiltonian.derivatives` holds
+Theta's).
 """
 
 from __future__ import annotations
@@ -52,8 +56,17 @@ def _derivatives(f: GradedElement, tags, from_right: bool) -> dict:
     return {tag: GradedElement(f.chart, terms) for tag, terms in out.items()}
 
 
-def poisson(f: GradedElement, g: GradedElement) -> GradedElement:
-    """Graded Poisson bracket (f, g); degree |f|+|g|-p on homogeneous input."""
+def right_derivatives(f: GradedElement) -> dict:
+    """{tag: right derivative of f} in every pairing tag f depends on: the
+    `df` that lets `poisson` bracket f on the left without deriving it."""
+    return _derivatives(f, f.chart.partner, from_right=True)
+
+
+def poisson(f: GradedElement, g: GradedElement, df: dict | None = None) -> GradedElement:
+    """Graded Poisson bracket (f, g); degree |f|+|g|-p on homogeneous input.
+
+    `df`, if given, is `right_derivatives(f)`, built once for a left
+    argument bracketed many times; otherwise f is derived here."""
     if f.chart != g.chart:
         raise ChartError(f"chart mismatch: {f.chart} vs {g.chart}")
     chart = f.chart
@@ -61,12 +74,16 @@ def poisson(f: GradedElement, g: GradedElement) -> GradedElement:
     dg = _derivatives(g, partner, from_right=False)
     if not dg:
         return GradedElement.zero(chart)
-    # derive f only in the partners of g's derivatives
-    df = _derivatives(f, {partner[b][0] for b in dg}, from_right=True)
+    if df is None:
+        # derive f only in the partners of g's derivatives
+        df = _derivatives(f, {partner[b][0] for b in dg}, from_right=True)
     out: dict = {}
     for a, fa in df.items():
         b, const = partner[a]
-        for mono, poly in (fa * dg[b]).terms.items():
+        gb = dg.get(b)
+        if gb is None:
+            continue
+        for mono, poly in (fa * gb).terms.items():
             if const < 0:
                 poly = -poly
             cur = out.get(mono)

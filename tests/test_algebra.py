@@ -1,7 +1,9 @@
 """Charts, polynomials, and the graded supercommutative algebra."""
 
 import random
+import time
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from gradedq import (ChartError, GradedElement, Poly, PolyParseError,
                      make_chart, monomial_basis, parse_poly)
+from gradedq import element
 from gradedq.element import INHOMOGENEOUS
 
 
@@ -190,6 +193,29 @@ class TestPoly:
         assert parse_poly("0^0", 1) == Poly.const(1, 1)
         assert parse_poly("(x1 - x1)^1000", 1) == Poly.zero(1)
 
+    def test_parse_coefficient_bits_bound(self):
+        # C(300, 150) has 296 bits, and the estimate 300 * (1 + 2) passes
+        assert parse_poly("(1 + x1)^300", 1).terms[(150,)] > 2 ** 295
+        # nested powers and products of powers are refused unexpanded
+        with pytest.raises(PolyParseError,
+                           match="coefficients may exceed 10000 bits at position 9"):
+            parse_poly("((9^999)^999)^999", 1)
+        with pytest.raises(PolyParseError, match="exceed 10000 bits at position 10"):
+            parse_poly("(2^999)^6 * (2^999)^6", 1)
+        assert parse_poly("(2^999)^6 * 2^999", 1) == Poly.const(1, 2 ** 6993)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.text(max_size=30),
+                     st.text(alphabet="x0123456789/+-*^() ", max_size=30)),
+           st.integers(1, 3))
+    def test_parse_arbitrary_text(self, text, d):
+        # anything but a Poly or a PolyParseError is a parser bug
+        try:
+            out = parse_poly(text, d)
+        except PolyParseError:
+            return
+        assert isinstance(out, Poly) and out.d == d
+
 
 # ---------------------------------------------------------------------
 # graded elements
@@ -307,3 +333,59 @@ class TestMonomialBasis:
             layers.append(layer)
         for n, layer in enumerate(layers):
             assert monomial_basis(chart, n) == sorted(layer)
+
+    @pytest.mark.parametrize("chart", [
+        *(make_chart("vinogradov", d, p) for d in (1, 2, 3, 4) for p in (2, 3, 4)),
+        make_chart("m5", 6), make_chart("m5", 8)], ids=repr)
+    def test_matches_recursive_reference(self, chart):
+        for n in range(-1, chart.p + 3):
+            assert monomial_basis(chart, n) == _recursive_basis(chart, n)
+
+    def test_thousand_generators(self):
+        # one stack frame per generator would pass the recursion limit
+        chart = make_chart("vinogradov", 1000, 2)
+        start = time.perf_counter()
+        basis = monomial_basis(chart, 1)
+        assert time.perf_counter() - start < 0.5
+        assert len(basis) == 2000
+        assert basis[0] == ((0, 1),) and basis[-1] == ((1999, 1),)
+
+    def test_built_once_per_chart_and_degree(self, monkeypatch):
+        builds = []
+        build = element._build_basis
+        monkeypatch.setattr(element, "_build_basis",
+                            lambda *args: builds.append(args[-1]) or build(*args))
+        chart = make_chart("vinogradov", 3, 2)
+        first = monomial_basis(chart, 2)
+        first.clear()  # the caller's copy, not the stored basis
+        assert monomial_basis(chart, 2) == _recursive_basis(chart, 2)
+        monomial_basis(chart, 1)
+        monomial_basis(make_chart("vinogradov", 3, 2), 2)  # an equal, new chart
+        assert builds == [2, 1, 2]
+
+
+def _recursive_basis(chart, n):
+    """monomial_basis as it was written before it became a loop: one
+    recursion level per generator, kept as the reference ordering."""
+    out = []
+    degrees = chart.degrees
+    parity = chart.parity
+    K = len(degrees)
+    least = list(accumulate(reversed(degrees), min))[::-1]
+
+    def rec(sid, rem, acc):
+        if rem == 0:
+            out.append(tuple(acc))
+            return
+        if sid >= K or least[sid] > rem:
+            return
+        rec(sid + 1, rem, acc)
+        deg = degrees[sid]
+        top = 1 if parity[sid] else rem // deg
+        for e in range(1, top + 1):
+            acc.append((sid, e))
+            rec(sid + 1, rem - deg * e, acc)
+            acc.pop()
+
+    rec(0, n, [])
+    return sorted(out)

@@ -243,10 +243,10 @@ def test_poisson_brackets_per_trial(monkeypatch, suite, per_trial):
     calls = 0
     poisson = symplectic.poisson
 
-    def counting(f, g):
+    def counting(f, g, *df):  # q_apply passes Theta's derivatives as df
         nonlocal calls
         calls += 1
-        return poisson(f, g)
+        return poisson(f, g, *df)
 
     # (Theta, X) goes through npq.q_apply, other brackets through symplectic
     monkeypatch.setattr(symplectic, "poisson", counting)

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from gradedq import Config, ConfigError, cli, parse_config, render_config
+from gradedq import Config, ConfigError, cli, config, parse_config, render_config
 from gradedq.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -328,6 +328,10 @@ class TestInputErrors:
                      id="max-coeff-degree-over-1000"),
         pytest.param(("harness", "trials"), 10001, "harness.trials",
                      id="trials-over-10000"),
+        pytest.param(("chart", "d"), 129, "chart.d", id="d-over-128"),
+        pytest.param(("chart", "d"), 0, "chart.d", id="d-zero"),
+        pytest.param(("sections", "A", "v", 0), "((9^999)^999)^999", "sections.A.v[0]",
+                     id="coefficient-over-10000-bits"),
     ])
     def test_bad_config_field(self, capsys, tmp_path, path, value, field):
         cfg = tmp_path / "cfg.json"
@@ -407,6 +411,23 @@ class TestInputErrors:
         assert seen["samples"] == 10000
         cfg = config_with(("harness", "trials"), 10000)
         assert parse_config(json.dumps(cfg)).trials == 10000
+
+    def test_chart_d_cap(self, capsys, monkeypatch, tmp_path):
+        # the cap is checked before any chart, hamiltonian or suite is built
+        def no_chart(*args):
+            raise AssertionError("an oversized chart was built")
+        with monkeypatch.context() as patch:
+            patch.setattr(config, "make_chart", no_chart)
+            cfg = tmp_path / "big.json"
+            cfg.write_text(json.dumps({"chart": {"kind": "vinogradov", "d": 1000, "p": 2}}))
+            assert main(["q-square", str(cfg)]) == 2
+            assert capsys.readouterr().err == \
+                f"error: chart.d: must be at most {config.MAX_D}, got 1000\n"
+            doc = config_with(("chart",), {"kind": "m5", "d": config.MAX_D + 1})
+            with pytest.raises(ConfigError, match="^chart.d: must be at most 128, got 129$"):
+                parse_config(json.dumps(doc))
+        doc = {"chart": {"kind": "vinogradov", "d": config.MAX_D, "p": 2}}
+        assert parse_config(json.dumps(doc)).chart.d == 128
 
     def test_zero_max_coeff_degree_is_legal(self, capsys):
         code = main(["axioms", GOLDEN_PASS, "--suite", "leibniz", "--trials", "1",

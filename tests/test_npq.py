@@ -4,11 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedq import (DiffForm, GradedElement, HamiltonianError, Poly,
                      embed_form, ext_d, extract_form, gauge_exp, kinetic_term,
-                     make_chart, master_equation, q_apply, q_square_check,
-                     theta_m5, theta_vinogradov, wedge)
+                     make_chart, master_equation, npq, q_apply, q_square_check,
+                     parse_poly, symplectic, theta_m5, theta_vinogradov, wedge)
 from gradedq.randomgen import random_form, random_homogeneous
 
 
@@ -191,6 +193,66 @@ class TestQSquare:
         suite = q_square_check(theta_vinogradov(chart, beta), samples=2, seed=0)
         assert not suite.passed
         assert any(c.witnesses for c in suite.checks if not c.passed)
+
+
+def _m5_closed():
+    F4 = DiffForm.basis(8, (1, 2, 3, 4)) + DiffForm.basis(8, (5, 6, 7, 8))
+    F7 = DiffForm.basis(8, (2, 3, 4, 5, 6, 7, 8), Poly.var(8, 1) * (-1))
+    return theta_m5(make_chart("m5", 8), F4, F7)
+
+
+# A top-degree twist is always closed, so the non-closed vinogradov twists
+# live one dimension up: v(4, 2) next to v(3, 2), v(5, 3) next to v(4, 3).
+THETAS = {
+    "v(3,2) closed": theta_vinogradov(make_chart("vinogradov", 3, 2),
+                                      DiffForm.basis(3, (1, 2, 3), Poly.var(3, 2))),
+    "v(4,2) non-closed": theta_vinogradov(make_chart("vinogradov", 4, 2),
+                                          DiffForm.basis(4, (1, 2, 3), Poly.var(4, 4))),
+    "v(4,3) closed": theta_vinogradov(
+        make_chart("vinogradov", 4, 3),
+        DiffForm.basis(4, (1, 2, 3, 4), parse_poly("(1 + x1 + 2*x2 - x3)^2", 4))),
+    "v(5,3) non-closed": theta_vinogradov(make_chart("vinogradov", 5, 3),
+                                          DiffForm.basis(5, (1, 2, 3, 4), Poly.var(5, 5))),
+    "m5(8) closed": _m5_closed(),
+    "m5(8) non-closed": theta_m5(make_chart("m5", 8),
+                                 DiffForm.basis(8, (1, 2, 3, 4), Poly.var(8, 5))),
+}
+
+
+class TestThetaDerivatives:
+    """Q = (Theta, -) with Theta's derivatives built once per hamiltonian
+    agrees with the bracket that derives Theta afresh."""
+
+    @pytest.mark.parametrize("name", THETAS)
+    def test_master_equation_bracket(self, name):
+        theta = THETAS[name]
+        bracket, ok = master_equation(theta)
+        assert bracket == symplectic.poisson(theta.element, theta.element)
+        assert ok == name.endswith(" closed")
+
+    @pytest.mark.parametrize("name", THETAS)
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32), degree=st.integers(0, 4))
+    def test_q_apply_matches_uncached_bracket(self, name, seed, degree):
+        theta = THETAS[name]
+        rng = random.Random(seed)
+        f = random_homogeneous(rng, theta.chart, degree)
+        f = f + random_homogeneous(rng, theta.chart, degree) * Poly.var(theta.chart.d, 1)
+        assert q_apply(theta, f) == symplectic.poisson(theta.element, f)
+
+    def test_built_once_per_hamiltonian(self, monkeypatch):
+        builds = []
+        derive = npq.right_derivatives
+        monkeypatch.setattr(npq, "right_derivatives",
+                            lambda f: builds.append(f) or derive(f))
+        for name in ("v(4,2) non-closed", "m5(8) closed"):
+            theta = THETAS[name]
+            fresh = npq.Hamiltonian(theta.chart, theta.element, theta.twist)
+            suite = q_square_check(fresh, samples=8, seed=3)
+            bracket, ok = master_equation(fresh)
+            assert suite.passed == ok
+            assert builds[-1] is fresh.element
+        assert len(builds) == 2
 
 
 class TestGaugeCovariance:
