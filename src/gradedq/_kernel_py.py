@@ -15,6 +15,14 @@ Invariants the code relies on: monomials are canonically sorted with
 no repeated generator, no stored numerator is zero, and a derivative
 in one generator is injective on the terms it keeps, so those terms
 never collide and need no merging.
+
+Mutation: every function leaves its arguments alone and returns new
+values, except the two accumulators.  `poly_add(a, b)` adds b into a in
+place, and `element_mul(f, g, parity, out, sign)` adds sign*f*g into the
+term map `out` in place.  The only dicts they write are `a` and `out`
+and the numerator dicts `element_mul` itself put into `out` (fresh
+`poly_mul` results); the numerators of a `Poly` are shared by the
+callers and are never written.
 """
 
 from bisect import bisect_right
@@ -24,22 +32,21 @@ FIELD_MASK = (1 << FIELD) - 1
 
 
 def poly_add(a, b):
+    """Add b into a in place, dropping the terms that cancel; returns a."""
     if not a:
-        return dict(b)
-    if not b:
-        return dict(a)
-    out = dict(a)
+        a.update(b)
+        return a
     for exp, c in b.items():
-        s = out.get(exp)
+        s = a.get(exp)
         if s is None:
-            out[exp] = c
+            a[exp] = c
         else:
             s = s + c
             if s:
-                out[exp] = s
+                a[exp] = s
             else:
-                del out[exp]
-    return out
+                del a[exp]
+    return a
 
 
 def poly_neg(a):
@@ -146,21 +153,25 @@ def mono_partial(m, gid, parity, from_right):
     return (-1 if odd & 1 else 1), m[:pos] + m[pos + 1:]
 
 
-def element_mul(f, g, parity):
-    """Product of term maps {mono: numerator dict}, all of f over one
-    denominator and all of g over another; the result, over their
-    product, drops the terms that cancelled."""
-    out = {}
+def element_mul(f, g, parity, out, sign):
+    """Add sign * f * g into the term map `out` in place.
+
+    f and g are term maps {mono: numerator dict}, all of f over one
+    denominator and all of g over another; `out` is over their product
+    and may keep empty numerator dicts where terms cancelled, which the
+    caller drops."""
     for m1, p1 in f.items():
         for m2, p2 in g.items():
-            sign, mono = mono_mul(m1, m2, parity)
-            if sign == 0:
+            s, mono = mono_mul(m1, m2, parity)
+            if s == 0:
                 continue
             prod = poly_mul(p1, p2)
             if not prod:
                 continue
-            if sign < 0:
+            if s != sign:  # the Koszul sign times `sign` is -1
                 prod = poly_neg(prod)
             cur = out.get(mono)
-            out[mono] = poly_add(cur, prod) if cur is not None else prod
-    return {m: p for m, p in out.items() if p}
+            if cur is None:
+                out[mono] = prod
+            else:
+                poly_add(cur, prod)

@@ -67,7 +67,7 @@ def encode_section(chart: ChartSpec, s: Section) -> GradedElement:
             raise SectionError(f"sigma must have rank 5, got {s.sigma.rank}")
         zeta = GradedElement.generator(chart, "zeta")
         out = out + lam_embedded * zeta
-        out = out + embed_form(chart, s.sigma).scale(SIGMA_EMBED)
+        out = out + embed_form(chart, s.sigma) * SIGMA_EMBED
     else:
         if s.sigma is not None:
             raise SectionError("sigma component only exists on the m5 chart")
@@ -118,7 +118,7 @@ def _check_section_degree(chart: ChartSpec, A: GradedElement, name: str):
 
 
 def _derived(chart: ChartSpec, QA: GradedElement, B: GradedElement,
-             dQA: dict | None = None) -> GradedElement:
+             dQA: tuple | None = None) -> GradedElement:
     """((Theta, A), B) with the chart's derived sign, given QA = (Theta, A)
     and, for a QA bracketed many times, its right derivatives dQA."""
     from .symplectic import poisson
@@ -279,8 +279,8 @@ def verify_courant(theta: Hamiltonian, trials: int = 100, seed: int = 0,
         # 1. anchored Leibniz: L_A(f B) = f L_A B + (rho(A).f) B
         rho_A_f = _scalar_of(chart, _derived(chart, QA,
                                              GradedElement.from_poly(chart, f), dQA))
-        defects.append(_derived(chart, QA, B.scale(f), dQA)
-                       - (LAB.scale(f) + B.scale(rho_A_f)))
+        defects.append(_derived(chart, QA, B * f, dQA)
+                       - (LAB * f + B * rho_A_f))
 
         # 2. anchor morphism: rho(L_A B) = [rho(A), rho(B)]
         vL = decode_section(chart, LAB).v
@@ -299,7 +299,7 @@ def verify_courant(theta: Hamiltonian, trials: int = 100, seed: int = 0,
 
         # 5. L_A A = 1/2 rho*(d eta(A, A))
         eta_AA = _scalar_of(chart, pairing(A, A))
-        rhs = rho_star(chart, ext_d(DiffForm.from_poly(chart.d, eta_AA))).scale(half)
+        rhs = rho_star(chart, ext_d(DiffForm.from_poly(chart.d, eta_AA))) * half
         defects.append(_derived(chart, QA, A, dQA) - rhs)
 
         # chain complex: rho o rho* = 0

@@ -23,7 +23,8 @@ from . import genmetric as gm
 from .algebroid import (SectionError, decode_section, dorfman, encode_section,
                         module_basis, verify_courant, verify_leibniz)
 from .chart import ChartError
-from .config import MAX_TRIALS, Config, ConfigError, bounded, parse_config
+from .config import (MAX_TRIALS, Config, ConfigError, bounded, check_probe_basis,
+                     parse_config)
 from .element import GradedElement
 from .forms import DiffForm, FormError, ext_d, poincare_primitive, wedge
 from .npq import HamiltonianError, master_equation, q_square_check
@@ -121,6 +122,8 @@ def cmd_check_master(config: Config, args) -> tuple[dict, str, int]:
 
 def cmd_q_square(config: Config, args) -> tuple[dict, str, int]:
     samples = bounded("--samples", args.samples, 0, MAX_TRIALS)
+    if samples:  # only the random probes enumerate a monomial basis
+        check_probe_basis(config.chart)
     suite = q_square_check(config.theta, samples=samples,
                            seed=_resolve_seed(args, config),
                            max_degree=_resolve_max_degree(args, config))

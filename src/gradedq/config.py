@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .algebroid import lambda_rank
 from .chart import ChartError, ChartSpec, make_chart
+from .element import basis_sizes
 from .forms import DiffForm, Section
 from .npq import Hamiltonian, theta_m5, theta_vinogradov
 from .poly import MAX_EXPONENT, PolyError, parse_poly
@@ -25,6 +26,10 @@ MAX_TRIALS = 10_000
 # cap on chart.d: one Courant trial on v(d, 2), the slowest suite trial,
 # grows about as d^2 and takes about 0.5 s at d = 128 (2 s at d = 256)
 MAX_D = 128
+# cap on the x-free monomials of one degree 0..p+1, the basis q-square
+# draws each random probe from; a basis is built whole, at about 2 us and
+# 150 bytes a monomial, so one at the cap takes about 1 s and 75 MB
+MAX_BASIS = 500_000
 
 
 class ConfigError(ValueError):
@@ -42,6 +47,17 @@ def bounded(location: str, value: int, low: int, high: int) -> int:
     if value > high:
         raise ConfigError(location, f"must be at most {high}, got {value}")
     return value
+
+
+def check_probe_basis(chart: ChartSpec) -> None:
+    """A ConfigError naming chart.d if a degree's monomial basis, counted
+    before any is built, is over MAX_BASIS."""
+    sizes = basis_sizes(chart, chart.p + 1)
+    top = max(sizes)
+    if top > MAX_BASIS:
+        raise ConfigError("chart.d", f"q-square probes draw from the {top} monomials "
+                          f"of degree {sizes.index(top)}, more than {MAX_BASIS}; "
+                          f"use a smaller d or --samples 0")
 
 
 @dataclass

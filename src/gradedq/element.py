@@ -79,22 +79,16 @@ class GradedElement:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Poly)):
-            return self.scale(other)
+            return GradedElement(self.chart, {m: p * other for m, p in self.terms.items()})
         self._check(other)
         da, fa = _numerators(self.terms)
         db, fb = _numerators(other.terms)
-        raw = element_mul(fa, fb, self.chart.parity)
-        d, den = self.chart.d, da * db
-        return GradedElement(self.chart,
-                             {m: _product(d, den, nums) for m, nums in raw.items()})
+        return product_sum(self.chart, da * db, [(fa, fb, 1)])
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, Poly)):
             return self.__mul__(other)  # scalars and Polys are even
         return NotImplemented
-
-    def scale(self, c) -> "GradedElement":
-        return GradedElement(self.chart, {m: p * c for m, p in self.terms.items()})
 
     # degree bookkeeping ---------------------------------------------
     def is_zero(self) -> bool:
@@ -174,6 +168,21 @@ def _numerators(terms: dict) -> tuple[int, dict]:
     return den, {m: p._over(den) for m, p in terms.items()}
 
 
+def product_sum(chart: ChartSpec, den: int, pairs) -> GradedElement:
+    """The sum of sign * f * g over the (f, g, sign) in `pairs`: term maps
+    {mono: numerators}, every f over one denominator and every g over
+    another, den their product.  All products accumulate in one map of
+    integer numerators, so each surviving monomial becomes a canonical
+    Poly once, and a monomial whose terms cancel is dropped."""
+    parity = chart.parity
+    out: dict = {}
+    for f, g, sign in pairs:
+        element_mul(f, g, parity, out, sign)
+    d = chart.d
+    return GradedElement(chart, {m: _product(d, den, nums)
+                                 for m, nums in out.items() if nums})
+
+
 def monomial_basis(chart: ChartSpec, n: int) -> list[tuple]:
     """All x-free canonical monomials of total degree n, in canonical order.
 
@@ -183,6 +192,21 @@ def monomial_basis(chart: ChartSpec, n: int) -> list[tuple]:
     if basis is None:
         basis = chart._bases[n] = _build_basis(chart.degrees, chart.parity, n)
     return list(basis)
+
+
+def basis_sizes(chart: ChartSpec, top: int) -> list[int]:
+    """len(monomial_basis(chart, n)) for n = 0..top, counted without
+    building a basis: a DP over the generators, each odd one used at most
+    once, each even one any number of times."""
+    counts = [1] + [0] * top
+    for deg, odd in zip(chart.degrees, chart.parity):
+        if odd:
+            for n in range(top, deg - 1, -1):
+                counts[n] += counts[n - deg]
+        else:
+            for n in range(deg, top + 1):
+                counts[n] += counts[n - deg]
+    return counts
 
 
 def _build_basis(degrees, parity, n: int) -> tuple:

@@ -73,7 +73,10 @@ class Hamiltonian:
     Q = (Theta, -) is one fixed operator: `derivatives` holds Theta's right
     graded derivatives in every pairing tag, built on first use and then
     reused by every `q_apply` and `master_equation` on this hamiltonian,
-    so each bracket derives only its other argument.
+    so each bracket derives only its other argument.  They are kept in
+    numerator form, (den, {tag: {mono: integer numerators over den}}),
+    and share the numerator dicts of Theta's coefficients, which no
+    bracket writes.
     """
 
     chart: ChartSpec
@@ -88,7 +91,7 @@ class Hamiltonian:
                 f"got {deg}")
 
     @cached_property
-    def derivatives(self) -> dict:
+    def derivatives(self) -> tuple:
         """Theta's right derivatives, as `poisson` takes them for `df`."""
         return right_derivatives(self.element)
 

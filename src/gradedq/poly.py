@@ -148,10 +148,11 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             other = Poly.const(self.d, other)
         self._check(other)
-        if self.den == other.den:
-            return _normal(self.d, self.den, poly_add(self.nums, other.nums))
         den = lcm(self.den, other.den)
-        return _normal(self.d, den, poly_add(self._over(den), other._over(den)))
+        nums = self._over(den)
+        if nums is self.nums:  # poly_add writes into its first argument
+            nums = dict(nums)
+        return _normal(self.d, den, poly_add(nums, other._over(den)))
 
     __radd__ = __add__
 

@@ -12,9 +12,13 @@ table's symmetry and are pinned by the test suite.
 `poisson` scans each argument once: one pass over g's terms yields every
 left derivative, one pass over f's terms the right derivatives in the
 partners (`ChartSpec.partner`) of those generators, and each derivative
-of f meets the one derivative of g it pairs with; the products fold into
-one accumulator.  A left argument bracketed many times, such as Theta in
-Q = (Theta, -), is derived once: `right_derivatives` builds its
+of f meets the one derivative of g it pairs with.  It works in numerator
+space: a derivative is a term map {mono: integer numerators} over its
+argument's common denominator, built by scaling or x-deriving the
+numerators, with no gcd and no `Poly`; `element.product_sum` multiplies
+every pair into one integer accumulator and makes one canonical `Poly`
+per surviving monomial.  A left argument bracketed many times, such as
+Theta in Q = (Theta, -), is derived once: `right_derivatives` builds its
 derivatives in every pairing tag, and `poisson` takes them as `df`
 instead of deriving f again (`npq.Hamiltonian.derivatives` holds
 Theta's).
@@ -25,8 +29,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .chart import ChartError
-from ._kernel_py import mono_partial
-from .element import GradedElement
+from ._kernel_py import mono_partial, poly_partial, poly_scale
+from .element import GradedElement, _numerators, product_sum
 
 DEFAULT_ADJOINT_BUDGET = 16
 
@@ -35,34 +39,40 @@ class GaugeError(ValueError):
     pass
 
 
-def _derivatives(f: GradedElement, tags, from_right: bool) -> dict:
-    """{tag: derivative of f} in one pass over f's terms, for each tag in
-    `tags` that f depends on: the graded derivative in every super
-    generator a monomial contains, the x-partial in every variable a
-    coefficient uses.  A derivative in one generator is injective on the
-    terms it keeps, so no two terms land on the same key."""
+def _derivatives(f: GradedElement, tags, from_right: bool) -> tuple[int, dict]:
+    """(den, {tag: {mono: numerators over den}}): the derivatives of f in
+    one pass over f's terms, for each tag in `tags` that f depends on: the
+    graded derivative in every super generator a monomial contains, the
+    x-partial in every variable a coefficient uses.  den is f's common
+    denominator.  A derivative in one generator is injective on the terms
+    it keeps, so no two terms land on the same key.  A numerator dict
+    scaled by 1 is f's own, shared and never written."""
     parity = f.chart.parity
+    den, numerators = _numerators(f.terms)
     out: dict[tuple, dict] = {}
     for mono, poly in f.terms.items():
+        nums = numerators[mono]
         for sid, _ in mono:
             tag = ("s", sid)
             if tag in tags:
                 coeff, reduced = mono_partial(mono, sid, parity, from_right)
-                out.setdefault(tag, {})[reduced] = poly * coeff
+                out.setdefault(tag, {})[reduced] = \
+                    nums if coeff == 1 else poly_scale(nums, coeff)
         for mu in poly.variables():
             tag = ("x", mu)
             if tag in tags:
-                out.setdefault(tag, {})[mono] = poly.partial(mu)
-    return {tag: GradedElement(f.chart, terms) for tag, terms in out.items()}
+                out.setdefault(tag, {})[mono] = poly_partial(nums, mu - 1)
+    return den, out
 
 
-def right_derivatives(f: GradedElement) -> dict:
-    """{tag: right derivative of f} in every pairing tag f depends on: the
-    `df` that lets `poisson` bracket f on the left without deriving it."""
+def right_derivatives(f: GradedElement) -> tuple[int, dict]:
+    """f's right derivatives in every pairing tag f depends on, in the
+    numerator form of `_derivatives`: the `df` that lets `poisson` bracket
+    f on the left without deriving it."""
     return _derivatives(f, f.chart.partner, from_right=True)
 
 
-def poisson(f: GradedElement, g: GradedElement, df: dict | None = None) -> GradedElement:
+def poisson(f: GradedElement, g: GradedElement, df: tuple | None = None) -> GradedElement:
     """Graded Poisson bracket (f, g); degree |f|+|g|-p on homogeneous input.
 
     `df`, if given, is `right_derivatives(f)`, built once for a left
@@ -71,24 +81,20 @@ def poisson(f: GradedElement, g: GradedElement, df: dict | None = None) -> Grade
         raise ChartError(f"chart mismatch: {f.chart} vs {g.chart}")
     chart = f.chart
     partner = chart.partner
-    dg = _derivatives(g, partner, from_right=False)
+    den_g, dg = _derivatives(g, partner, from_right=False)
     if not dg:
         return GradedElement.zero(chart)
     if df is None:
         # derive f only in the partners of g's derivatives
         df = _derivatives(f, {partner[b][0] for b in dg}, from_right=True)
-    out: dict = {}
+    den_f, df = df
+    pairs = []
     for a, fa in df.items():
         b, const = partner[a]
         gb = dg.get(b)
-        if gb is None:
-            continue
-        for mono, poly in (fa * gb).terms.items():
-            if const < 0:
-                poly = -poly
-            cur = out.get(mono)
-            out[mono] = poly if cur is None else cur + poly
-    return GradedElement(chart, out)  # drops the terms that cancelled
+        if gb is not None:
+            pairs.append((fa, gb, const))
+    return product_sum(chart, den_f * den_g, pairs)
 
 
 def gauge_exp(R: GradedElement, f: GradedElement) -> GradedElement:

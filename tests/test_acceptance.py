@@ -59,7 +59,7 @@ def test_c01_pairing_table_conformance():
                     dmn = one if mu == nu else zero
                     assert poisson(gen(chart, f"psi{mu}"), gen(chart, f"chi{nu}")) == dmn
                     assert poisson(gen(chart, f"chi{nu}"), gen(chart, f"psi{mu}")) == \
-                        dmn.scale(sign(chart.p))
+                        dmn * sign(chart.p)
                     assert poisson(gen(chart, f"p{mu}"), gen(chart, f"x{nu}")) == dmn
                     assert poisson(gen(chart, f"x{nu}"), gen(chart, f"p{mu}")) == -dmn
                     assert poisson(gen(chart, f"psi{mu}"), gen(chart, f"psi{nu}")).is_zero()
@@ -82,12 +82,12 @@ def test_c02_poisson_algebra_suite():
                 g = random_homogeneous(rng, chart, ng)
                 h = random_homogeneous(rng, chart, nh)
                 sf, sg = nf - chart.p, ng - chart.p
-                assert poisson(f, g) == poisson(g, f).scale(-sign(sf * sg))
+                assert poisson(f, g) == poisson(g, f) * -sign(sf * sg)
                 assert poisson(f, g * h) == \
-                    poisson(f, g) * h + (g * poisson(f, h)).scale(sign(sf * ng))
+                    poisson(f, g) * h + g * poisson(f, h) * sign(sf * ng)
                 assert poisson(f, poisson(g, h)) == \
                     poisson(poisson(f, g), h) \
-                    + poisson(g, poisson(f, h)).scale(sign(sf * sg))
+                    + poisson(g, poisson(f, h)) * sign(sf * sg)
 
 
 def test_c03_boxed_equivalence_q_square_iff_master():

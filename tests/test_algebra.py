@@ -252,7 +252,7 @@ class TestGradedElement:
     def test_normalize_merges_and_cancels(self):
         psi1, psi2 = self.gen(self.chart, "psi1"), self.gen(self.chart, "psi2")
         assert (psi1 * psi2 + psi2 * psi1).is_zero()
-        assert psi1 * psi2 + psi1 * psi2 == (psi1 * psi2).scale(2)
+        assert psi1 * psi2 + psi1 * psi2 == psi1 * psi2 * 2
 
     def test_supercommutativity_random(self):
         rng = random.Random(11)
@@ -262,7 +262,7 @@ class TestGradedElement:
                 nf, ng = rng.randint(0, chart.p), rng.randint(0, chart.p)
                 f = random_homogeneous(rng, chart, nf)
                 g = random_homogeneous(rng, chart, ng)
-                assert f * g == (g * f).scale(sign(nf * ng))
+                assert f * g == g * f * sign(nf * ng)
 
     def test_associativity_random(self):
         rng = random.Random(12)
@@ -290,7 +290,7 @@ class TestGradedElement:
     def test_rendering(self):
         x1 = self.gen(self.chart, "x1")
         psi1, psi2 = self.gen(self.chart, "psi1"), self.gen(self.chart, "psi2")
-        e = (x1 * psi1 * psi2).scale(Fraction(-3, 2))
+        e = x1 * psi1 * psi2 * Fraction(-3, 2)
         assert str(e) == "-3/2*x1*psi1*psi2"
 
 
@@ -340,6 +340,21 @@ class TestMonomialBasis:
     def test_matches_recursive_reference(self, chart):
         for n in range(-1, chart.p + 3):
             assert monomial_basis(chart, n) == _recursive_basis(chart, n)
+
+    @pytest.mark.parametrize("chart", [
+        *(make_chart("vinogradov", d, p) for d in (1, 2, 3, 4) for p in (2, 3, 4)),
+        make_chart("vinogradov", 2, 5), make_chart("m5", 6), make_chart("m5", 8)],
+        ids=repr)
+    def test_sizes_count_the_basis(self, chart):
+        assert element.basis_sizes(chart, chart.p + 1) == \
+            [len(monomial_basis(chart, n)) for n in range(chart.p + 2)]
+
+    @pytest.mark.parametrize("kind, d, p, largest", [
+        ("m5", 8, 6, 366), ("m5", 16, 6, 15_436), ("m5", 64, 6, 621_984_688),
+        ("vinogradov", 128, 2, 2_796_288)])
+    def test_sizes_of_large_charts(self, kind, d, p, largest):
+        # counted, never built: the m5(64) basis would not fit in memory
+        assert max(element.basis_sizes(make_chart(kind, d, p), p + 1)) == largest
 
     def test_thousand_generators(self):
         # one stack frame per generator would pass the recursion limit

@@ -110,7 +110,7 @@ def test_dorfman_is_not_antisymmetric_but_has_symmetric_part():
         half = Fraction(1, 2)
         eta_AA = pairing(A, A)
         scalar = eta_AA.terms.get((), Poly.zero(P2.d))
-        rhs = rho_star(P2, ext_d(DiffForm.from_poly(P2.d, scalar))).scale(half)
+        rhs = rho_star(P2, ext_d(DiffForm.from_poly(P2.d, scalar))) * half
         assert LAA == rhs
 
 

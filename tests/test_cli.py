@@ -5,11 +5,13 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
-from gradedq import Config, ConfigError, cli, config, parse_config, render_config
+from gradedq import (Config, ConfigError, cli, config, element, make_chart,
+                     parse_config, render_config)
 from gradedq.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -216,21 +218,18 @@ class TestCommands:
         assert out.returncode == 1
         assert "witness" in out.stdout
 
-    def test_genmetric_build_extract_consistency(self):
+    def test_genmetric_build_extract_consistency(self, tmp_path):
         doc = json.loads(run_cli("genmetric", "build", GOLDEN_PASS,
                                  "--json").stdout)
         H = doc["H"]
         cfg = json.loads(pathlib.Path(GOLDEN_PASS).read_text())
         cfg["matrices"]["H"] = H
-        path = DATA / "tmp_extract.json"
+        path = tmp_path / "extract.json"
         path.write_text(json.dumps(cfg))
-        try:
-            back = json.loads(run_cli("genmetric", "extract", str(path),
-                                      "--json").stdout)
-            assert back["g"] == cfg["matrices"]["g"]
-            assert back["b"] == cfg["matrices"]["b"]
-        finally:
-            path.unlink()
+        back = json.loads(run_cli("genmetric", "extract", str(path),
+                                  "--json").stdout)
+        assert back["g"] == cfg["matrices"]["g"]
+        assert back["b"] == cfg["matrices"]["b"]
 
     def test_genmetric_act_block_swap(self):
         doc = json.loads(run_cli("genmetric", "act", GOLDEN_PASS,
@@ -428,6 +427,29 @@ class TestInputErrors:
                 parse_config(json.dumps(doc))
         doc = {"chart": {"kind": "vinogradov", "d": config.MAX_D, "p": 2}}
         assert parse_config(json.dumps(doc)).chart.d == 128
+
+    def test_q_square_probe_basis_cap(self, capsys, monkeypatch, tmp_path):
+        # the basis of each degree is counted, and refused, before any is built
+        def no_basis(*args):
+            raise AssertionError("a probe basis was built")
+        monkeypatch.setattr(element, "_build_basis", no_basis)
+        cfg = tmp_path / "m5.json"
+        cfg.write_text(json.dumps({"chart": {"kind": "m5", "d": 64},
+                                   "theta": {"type": "m5", "F4": [], "F7": []}}))
+        start = time.perf_counter()
+        assert main(["q-square", str(cfg), "--json"]) == 2
+        assert time.perf_counter() - start < 5
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["error"] == (
+            "chart.d: q-square probes draw from the 621984688 monomials of "
+            f"degree 7, more than {config.MAX_BASIS}; use a smaller d or --samples 0")
+        # the generator probes alone enumerate no basis
+        assert main(["q-square", str(cfg), "--samples", "0", "--json"]) == 0
+        capsys.readouterr()
+        # v(72, 2) is the largest v(d, 2) under the cap (497,712 monomials)
+        config.check_probe_basis(make_chart("vinogradov", 72, 2))
+        with pytest.raises(ConfigError, match="^chart.d: .* the 518738 monomials"):
+            config.check_probe_basis(make_chart("vinogradov", 73, 2))
 
     def test_zero_max_coeff_degree_is_legal(self, capsys):
         code = main(["axioms", GOLDEN_PASS, "--suite", "leibniz", "--trials", "1",

@@ -167,10 +167,36 @@ def reference_partial(mono, gid, parity, from_right):
     return (-1) ** sum(parity[g] for g in crossed), mono_of(rest)
 
 
+def packed(d, a):
+    return {_pack(d, e): c for e, c in a.items()}
+
+
+def packed_terms(d, terms):
+    return {m: packed(d, p) for m, p in terms.items()}
+
+
+def nonzero(terms):
+    return {m: p for m, p in terms.items() if p}
+
+
+def reference_element_mul(f, g, parity, sign):
+    """sign * f * g on term maps {mono: {exponent tuple: int}}, one
+    monomial pair at a time through the reference products."""
+    out = {}
+    for m1, p1 in f.items():
+        for m2, p2 in g.items():
+            s, mono = reference_mul(m1, m2, parity)
+            if s:
+                out[mono] = ref_add(out.get(mono, {}), ref_scale(ref_mul(p1, p2), s * sign))
+    return nonzero(out)
+
+
 class TestPythonKernel:
     def test_poly_add_cancels(self):
         x1, x2 = _pack(2, (1, 0)), _pack(2, (0, 1))
-        assert _kernel_py.poly_add({x1: 2}, {x1: -2, x2: 1}) == {x2: 1}
+        a, b = {x1: 2}, {x1: -2, x2: 1}
+        assert _kernel_py.poly_add(a, b) is a
+        assert a == {x2: 1} and b == {x1: -2, x2: 1}
 
     def test_poly_mul_adds_packed_keys(self):
         a = {_pack(3, (1, 0, 2)): 3, 0: -1}
@@ -216,6 +242,16 @@ def int_polys(d):
                            st.integers(-9, 9).filter(bool), max_size=5)
 
 
+@st.composite
+def term_maps(draw):
+    """A parity table, a variable count d and two term maps
+    {mono: {exponent tuple: int}} over them."""
+    parity, monos = draw(parity_and_monos(6))
+    d = draw(st.integers(1, 3))
+    polys = [draw(int_polys(d).filter(bool)) for _ in monos]
+    return parity, d, dict(zip(monos[:3], polys[:3])), dict(zip(monos[3:], polys[3:]))
+
+
 class TestKernelAgainstReference:
     @settings(max_examples=300, deadline=None)
     @given(parity_and_monos(2))
@@ -254,10 +290,38 @@ class TestKernelAgainstReference:
         st.just(d), int_polys(d), int_polys(d))))
     def test_integer_add_and_mul(self, case):
         d, a, b = case
-        pa = {_pack(d, e): c for e, c in a.items()}
-        pb = {_pack(d, e): c for e, c in b.items()}
-        for op, ref in ((_kernel_py.poly_add, ref_add), (_kernel_py.poly_mul, ref_mul)):
-            assert op(pa, pb) == {_pack(d, e): c for e, c in ref(a, b).items()}
+        pa, pb = packed(d, a), packed(d, b)
+        assert _kernel_py.poly_mul(pa, pb) == packed(d, ref_mul(a, b))
+        assert (pa, pb) == (packed(d, a), packed(d, b))
+        # poly_add adds its second argument into its first, in place
+        assert _kernel_py.poly_add(pa, pb) is pa
+        assert pa == packed(d, ref_add(a, b))
+        assert pb == packed(d, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(term_maps(), st.sampled_from([1, -1]))
+    def test_element_mul_accumulates_the_pair_sum(self, case, sign):
+        parity, d, f, g = case
+        pf = {m: packed(d, p) for m, p in f.items()}
+        pg = {m: packed(d, p) for m, p in g.items()}
+        out = {}
+        _kernel_py.element_mul(pf, pg, parity, out, sign)
+        first = reference_element_mul(f, g, parity, sign)
+        assert nonzero(out) == packed_terms(d, first)
+        # a second pair adds into the same map
+        _kernel_py.element_mul(pg, pf, parity, out, 1)
+        both = dict(first)
+        for m, p in reference_element_mul(g, f, parity, 1).items():
+            both[m] = ref_add(both.get(m, {}), p)
+        assert nonzero(out) == packed_terms(d, nonzero(both))
+        # the same pair with both signs cancels term by term
+        out = {}
+        _kernel_py.element_mul(pf, pg, parity, out, sign)
+        _kernel_py.element_mul(pf, pg, parity, out, -sign)
+        assert nonzero(out) == {}
+        # the factors' numerator dicts were read, never written
+        assert pf == {m: packed(d, p) for m, p in f.items()}
+        assert pg == {m: packed(d, p) for m, p in g.items()}
 
 
 # coefficients as inputs arrive: int, Fraction (integral ones included)

@@ -1,9 +1,10 @@
 """Poisson bracket conformance, graded algebra laws, gauge symplectomorphisms."""
 
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
-from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -39,7 +40,7 @@ class TestPairingTable:
             for nu in range(1, chart.d + 1):
                 psi, chi = gen(chart, f"psi{mu}"), gen(chart, f"chi{nu}")
                 assert poisson(psi, chi) == delta(chart, mu, nu)
-                assert poisson(chi, psi) == delta(chart, mu, nu).scale(sign(chart.p))
+                assert poisson(chi, psi) == delta(chart, mu, nu) * sign(chart.p)
 
     def test_x_p(self, chart):
         for mu in range(1, chart.d + 1):
@@ -98,20 +99,19 @@ class TestPoissonLaws:
     def test_graded_symmetry(self, chart):
         for (nf, ng, _), (f, g, _) in self.triples(chart, 2):
             shifted = (nf - chart.p) * (ng - chart.p)
-            assert poisson(f, g) == poisson(g, f).scale(-sign(shifted))
+            assert poisson(f, g) == poisson(g, f) * -sign(shifted)
 
     def test_graded_leibniz(self, chart):
         for (nf, ng, _), (f, g, h) in self.triples(chart, 3):
             lhs = poisson(f, g * h)
-            rhs = poisson(f, g) * h + (g * poisson(f, h)).scale(
-                sign((nf - chart.p) * ng))
+            rhs = poisson(f, g) * h + g * poisson(f, h) * sign((nf - chart.p) * ng)
             assert lhs == rhs
 
     def test_graded_jacobi(self, chart):
         for (nf, ng, _), (f, g, h) in self.triples(chart, 4):
             lhs = poisson(f, poisson(g, h))
-            rhs = poisson(poisson(f, g), h) + poisson(g, poisson(f, h)).scale(
-                sign((nf - chart.p) * (ng - chart.p)))
+            rhs = poisson(poisson(f, g), h) \
+                + poisson(g, poisson(f, h)) * sign((nf - chart.p) * (ng - chart.p))
             assert lhs == rhs
 
 
@@ -141,7 +141,7 @@ def reference_poisson(f, g):
     out = GradedElement.zero(f.chart)
     for (a, b), const in f.chart.pairs.items():
         out = out + (reference_partial(f, a, True)
-                     * reference_partial(g, b, False)).scale(const)
+                     * reference_partial(g, b, False)) * const
     return out
 
 
@@ -168,7 +168,7 @@ def elements(draw, chart):
     out = GradedElement.zero(chart)
     for n in rng.sample(degrees, 1 if kind == "homogeneous" else rng.randint(2, 3)):
         part = random_homogeneous(rng, chart, n, terms=3)
-        out = out + part.scale(Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 2)))
+        out = out + part * Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 2))
     return out
 
 
@@ -179,6 +179,30 @@ def test_poisson_matches_reference(chart, data):
     f = data.draw(elements(chart), label="f")
     g = data.draw(elements(chart), label="g")
     assert poisson(f, g) == reference_poisson(f, g)
+
+
+def canonical_coefficients(e):
+    """Every coefficient in `Poly` canonical form: a positive denominator
+    sharing no factor with the numerators, none of them zero."""
+    return all(p.den > 0 and gcd(p.den, *p.nums.values()) == 1
+               and all(type(n) is int and n for n in p.nums.values())
+               for p in e.terms.values())
+
+
+@pytest.mark.parametrize("chart", [make_chart("vinogradov", 3, 2),
+                                   make_chart("vinogradov", 4, 3),
+                                   make_chart("m5", 8)], ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), c=st.builds(Fraction, st.integers(-6, 6).filter(bool),
+                                   st.integers(1, 6)))
+def test_poisson_coefficients_are_canonical(chart, data, c):
+    f = data.draw(elements(chart), label="f") * c
+    g = data.draw(elements(chart), label="g")
+    # (f, f) and (f + g, f + g) cancel term by term on graded-symmetric input
+    for a, b in ((f, g), (f, f), (f + g, f + g)):
+        bracket = poisson(a, b)
+        assert canonical_coefficients(bracket)
+        assert bracket == reference_poisson(a, b)
 
 
 def test_bracket_with_polynomial_coefficients():
