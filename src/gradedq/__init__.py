@@ -8,12 +8,11 @@ generalised-metric O(d,d) toolkit.  All arithmetic is over Q.
 """
 
 from .algebroid import (SectionError, anchor, decode_section, derived_sign,
-                        dorfman, encode_section, lambda_rank, module_basis,
-                        module_rank, pairing, rho_star, verify_courant,
-                        verify_leibniz)
+                        dorfman, encode_section, lambda_rank, module_rank,
+                        pairing, rho_star, verify_courant, verify_leibniz)
 from .chart import ChartError, ChartSpec, Generator, make_chart
 from .config import Config, ConfigError, parse_config, render_config
-from .element import GradedElement, monomial_basis
+from .element import GradedElement, monomial_at, monomial_basis, monomial_count
 from .forms import (DiffForm, FormError, Section, classical_dorfman, ext_d,
                     homotopy, interior, lie_deriv, poincare_primitive,
                     sort_indices, vec_lie_bracket, wedge)
@@ -38,10 +37,10 @@ __all__ = [
     "build_gen_metric", "classical_dorfman", "decode_section", "derived_sign",
     "dorfman", "embed_form", "encode_section", "eta_matrix", "ext_d",
     "extract", "extract_form", "gauge_exp", "gl_embed", "homotopy", "interior",
-    "kinetic_term", "lambda_rank", "lie_deriv", "make_chart",
-    "master_equation", "module_basis", "module_rank", "monomial_basis",
-    "odd_check", "pairing", "parse_config", "parse_poly", "poincare_primitive",
-    "poisson", "q_apply", "q_square_check", "render_config", "rho_star",
-    "sort_indices", "theta_m5", "theta_vinogradov", "vec_lie_bracket",
-    "verify_courant", "verify_leibniz", "wedge",
+    "kinetic_term", "lambda_rank", "lie_deriv", "make_chart", "master_equation",
+    "module_rank", "monomial_at", "monomial_basis", "monomial_count", "odd_check",
+    "pairing", "parse_config", "parse_poly", "poincare_primitive", "poisson",
+    "q_apply", "q_square_check", "render_config", "rho_star", "sort_indices",
+    "theta_m5", "theta_vinogradov", "vec_lie_bracket", "verify_courant",
+    "verify_leibniz", "wedge",
 ]

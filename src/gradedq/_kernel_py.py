@@ -20,9 +20,10 @@ Mutation: every function leaves its arguments alone and returns new
 values, except the two accumulators.  `poly_add(a, b)` adds b into a in
 place, and `element_mul(f, g, parity, out, sign)` adds sign*f*g into the
 term map `out` in place.  The only dicts they write are `a` and `out`
-and the numerator dicts `element_mul` itself put into `out` (fresh
-`poly_mul` results); the numerators of a `Poly` are shared by the
-callers and are never written.
+and the numerator dicts `element_mul` itself made: fresh `poly_mul`
+results, which it negates in place when the sign is -1 and puts into
+`out`; the numerators of a `Poly` are shared by the callers and are
+never written.
 """
 
 from bisect import bisect_right
@@ -169,7 +170,8 @@ def element_mul(f, g, parity, out, sign):
             if not prod:
                 continue
             if s != sign:  # the Koszul sign times `sign` is -1
-                prod = poly_neg(prod)
+                for exp, c in prod.items():
+                    prod[exp] = -c
             cur = out.get(mono)
             if cur is None:
                 out[mono] = prod

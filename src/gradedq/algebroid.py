@@ -16,7 +16,7 @@ import warnings
 from fractions import Fraction
 
 from .chart import ChartError, ChartSpec
-from .element import GradedElement, monomial_basis
+from .element import GradedElement, monomial_count
 from .forms import DiffForm, FormError, Section, ext_d, vec_lie_bracket
 from .npq import Hamiltonian, embed_form, q_apply
 from .poly import Poly
@@ -165,8 +165,8 @@ def rho_star(chart: ChartSpec, lam: DiffForm) -> GradedElement:
 # module ranks
 # ---------------------------------------------------------------------
 
-def module_basis(chart: ChartSpec, n: int) -> list[tuple]:
-    """x-free generator monomials of total degree n (0 <= n <= p)."""
+def module_rank(chart: ChartSpec, n: int) -> int:
+    """The number of x-free generator monomials of total degree n (0 <= n <= p)."""
     if n < 0 or n > chart.p:
         raise ChartError(f"module interpretation only exists for 0 <= n <= p="
                          f"{chart.p}, got {n}")
@@ -174,11 +174,7 @@ def module_basis(chart: ChartSpec, n: int) -> list[tuple]:
         warnings.warn("degree n = p sits at the top of the Darboux degree "
                       "bound; the C(M)-module interpretation below p does "
                       "not apply", stacklevel=2)
-    return monomial_basis(chart, n)
-
-
-def module_rank(chart: ChartSpec, n: int) -> int:
-    return len(module_basis(chart, n))
+    return monomial_count(chart, n)
 
 
 # ---------------------------------------------------------------------

@@ -14,9 +14,9 @@ Sign conventions (documented choices, validated by the test suite):
   bracket then forces (chi_mu, psi^mu) = (-1)^p.
 * (zeta, zeta) = +1 on the m5 chart.
 
-`pairs` maps (left tag, right tag) to the constant; `partner` is the same
-table keyed by the left tag alone, since each generator pairs with
-exactly one other (x^mu with p_mu, psi^mu with chi_mu, zeta with itself).
+`partner` maps each tag, ('x', mu) or ('s', sid), to (partner tag, constant),
+since each generator pairs with exactly one other (x^mu with p_mu, psi^mu
+with chi_mu, zeta with itself).
 """
 
 from __future__ import annotations
@@ -49,58 +49,47 @@ class ChartSpec:
     """
 
     def __init__(self, kind: str, d: int, p: int):
-        if d < 1:
-            raise ChartError(f"base dimension d must be >= 1, got {d}")
-        if p < 2:
-            raise ChartError(f"symplectic degree p must be >= 2, got {p}")
         if kind not in ("vinogradov", "m5"):
             raise ChartError(f"unknown chart kind {kind!r}")
         if kind == "m5" and p != 6:
             raise ChartError("m5 chart has fixed symplectic degree p=6")
+        if d < 1:
+            raise ChartError(f"base dimension d must be >= 1, got {d}")
+        if p < 2:
+            raise ChartError(f"symplectic degree p must be >= 2, got {p}")
         self.kind = kind
         self.d = d
         self.p = p
 
-        supers: list[Generator] = []
-        for mu in range(1, d + 1):
-            supers.append(Generator(f"psi{mu}", "psi", mu, 1))
+        supers = [Generator(f"psi{mu}", "psi", mu, 1) for mu in range(1, d + 1)]
         if kind == "m5":
             supers.append(Generator("zeta", "zeta", 0, 3))
-        for mu in range(1, d + 1):
-            supers.append(Generator(f"chi{mu}", "chi", mu, p - 1))
-        for mu in range(1, d + 1):
-            supers.append(Generator(f"p{mu}", "p", mu, p))
+        supers += [Generator(f"chi{mu}", "chi", mu, p - 1) for mu in range(1, d + 1)]
+        supers += [Generator(f"p{mu}", "p", mu, p) for mu in range(1, d + 1)]
         self.supers = tuple(supers)
         self.xs = tuple(Generator(f"x{mu}", "x", mu, 0) for mu in range(1, d + 1))
         self.parity = tuple(g.parity for g in supers)
         self.degrees = tuple(g.degree for g in supers)
         self._sid = {g.name: i for i, g in enumerate(supers)}
-        self._by_family = {}
-        for i, g in enumerate(supers):
-            self._by_family[(g.family, g.index)] = i
+        self._by_family = {(g.family, g.index): i for i, g in enumerate(supers)}
 
-        # Pairing table over tagged generator ids: ('x', mu) or ('s', sid).
-        # Every entry is +1 or -1, and every tag has exactly one partner.
+        # The pairing table the Poisson bracket reads; every const is +1 or -1.
         chi_psi = 1 if p % 2 == 0 else -1
-        pairs: dict[tuple, int] = {}
+        partner: dict[tuple, tuple] = {}
         for mu in range(1, d + 1):
-            sp = self.sid("p", mu)
-            spsi = self.sid("psi", mu)
-            schi = self.sid("chi", mu)
-            pairs[(("s", sp), ("x", mu))] = 1
-            pairs[(("x", mu), ("s", sp))] = -1
-            pairs[(("s", spsi), ("s", schi))] = 1
-            pairs[(("s", schi), ("s", spsi))] = chi_psi
+            sp, spsi, schi = (("s", self.sid(f, mu)) for f in ("p", "psi", "chi"))
+            partner[sp] = (("x", mu), 1)
+            partner[("x", mu)] = (sp, -1)
+            partner[spsi] = (schi, 1)
+            partner[schi] = (spsi, chi_psi)
         if kind == "m5":
-            sz = self.sid("zeta", 0)
-            pairs[(("s", sz), ("s", sz))] = 1
-        self.pairs = pairs
-        # The same table as the Poisson bracket reads it: tag -> (partner, const).
-        self.partner = {a: (b, const) for (a, b), const in pairs.items()}
+            sz = ("s", self.sid("zeta", 0))
+            partner[sz] = (sz, 1)
+        self.partner = partner
         # Generators that count towards gauge_exp's momentum weight.
         self.momentum = tuple(g.family in ("p", "chi", "zeta") for g in supers)
-        # element.monomial_basis's store: degree n -> its monomials, built once
-        self._bases: dict[int, tuple] = {}
+        # element's count tables: degree n -> T[sid][r] for r <= n, built once
+        self._counts: dict[int, list] = {}
 
     def sid(self, family: str, index: int) -> int:
         return self._by_family[(family, index)]
@@ -132,12 +121,6 @@ class ChartSpec:
 
 def make_chart(kind: str, d: int, p: int | None = None) -> ChartSpec:
     """Build a chart: make_chart('vinogradov', d, p) or make_chart('m5', d)."""
-    if kind == "m5":
-        if p not in (None, 6):
-            raise ChartError("m5 chart has fixed symplectic degree p=6")
-        return ChartSpec("m5", d, 6)
-    if kind == "vinogradov":
-        if p is None:
-            raise ChartError("vinogradov chart needs a symplectic degree p")
-        return ChartSpec("vinogradov", d, p)
-    raise ChartError(f"unknown chart kind {kind!r}")
+    if p is None and kind == "vinogradov":
+        raise ChartError("vinogradov chart needs a symplectic degree p")
+    return ChartSpec(kind, d, 6 if p is None else p)

@@ -21,11 +21,11 @@ from fractions import Fraction
 
 from . import genmetric as gm
 from .algebroid import (SectionError, decode_section, dorfman, encode_section,
-                        module_basis, verify_courant, verify_leibniz)
+                        module_rank, verify_courant, verify_leibniz)
 from .chart import ChartError
-from .config import (MAX_TRIALS, Config, ConfigError, bounded, check_probe_basis,
+from .config import (MAX_BASIS, MAX_TRIALS, Config, ConfigError, bounded,
                      parse_config)
-from .element import GradedElement
+from .element import GradedElement, monomial_basis
 from .forms import DiffForm, FormError, ext_d, poincare_primitive, wedge
 from .npq import HamiltonianError, master_equation, q_square_check
 from .poly import MAX_EXPONENT, PolyError
@@ -121,10 +121,8 @@ def cmd_check_master(config: Config, args) -> tuple[dict, str, int]:
 
 
 def cmd_q_square(config: Config, args) -> tuple[dict, str, int]:
-    samples = bounded("--samples", args.samples, 0, MAX_TRIALS)
-    if samples:  # only the random probes enumerate a monomial basis
-        check_probe_basis(config.chart)
-    suite = q_square_check(config.theta, samples=samples,
+    suite = q_square_check(config.theta,
+                           samples=bounded("--samples", args.samples, 0, MAX_TRIALS),
                            seed=_resolve_seed(args, config),
                            max_degree=_resolve_max_degree(args, config))
     return _suite_result("q-square", suite)
@@ -170,12 +168,15 @@ def cmd_rank(config: Config, args) -> tuple[dict, str, int]:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for n in ns:
-            basis = module_basis(chart, n)
-            lines.append(f"n={n}: {len(basis)}")
-            row = {"n": n, "rank": len(basis)}
+            rank = module_rank(chart, n)
+            lines.append(f"n={n}: {rank}")
+            row = {"n": n, "rank": rank}
             if args.n is not None:
+                if rank > MAX_BASIS:
+                    raise ConfigError("--n", f"the degree-{n} basis has {rank} "
+                                      f"monomials, more than {MAX_BASIS} to list")
                 zero = GradedElement.zero(chart)
-                names = [zero.render_mono(m) if m else "1" for m in basis]
+                names = [zero.render_mono(m) for m in monomial_basis(chart, n)]
                 lines.extend(f"  {name}" for name in names)
                 row["basis"] = names
             rows.append(row)

@@ -4,7 +4,10 @@ The config is a single JSON document.  Forms are arrays of
 {"indices": [ascending ints], "coeff": "polynomial expression"};
 polynomial expressions use the grammar of poly.parse_poly (rationals,
 x1..xd, + - * ^, parentheses); matrices are row-major arrays of
-rational strings.  Every diagnostic names the offending field.
+rational strings.  Every diagnostic names the offending field.  The
+caps below bound the work a config can ask for: chart.d and chart.p are
+checked before any chart is built, and a bad document raises only
+ConfigError.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from fractions import Fraction
 
 from .algebroid import lambda_rank
 from .chart import ChartError, ChartSpec, make_chart
-from .element import basis_sizes
 from .forms import DiffForm, Section
 from .npq import Hamiltonian, theta_m5, theta_vinogradov
 from .poly import MAX_EXPONENT, PolyError, parse_poly
@@ -26,9 +28,11 @@ MAX_TRIALS = 10_000
 # cap on chart.d: one Courant trial on v(d, 2), the slowest suite trial,
 # grows about as d^2 and takes about 0.5 s at d = 128 (2 s at d = 256)
 MAX_D = 128
-# cap on the x-free monomials of one degree 0..p+1, the basis q-square
-# draws each random probe from; a basis is built whole, at about 2 us and
-# 150 bytes a monomial, so one at the cap takes about 1 s and 75 MB
+# cap on chart.p: q-square samples range(count), so every monomial count of
+# degree <= p + 1 on d <= MAX_D stays below sys.maxsize (2.1e17 at p = 12)
+MAX_P = 12
+# cap on the basis that rank --n lists and prints: m5(29)'s 479,544
+# monomials of degree 6 take about 2 s and 210 MB with --json
 MAX_BASIS = 500_000
 
 
@@ -47,17 +51,6 @@ def bounded(location: str, value: int, low: int, high: int) -> int:
     if value > high:
         raise ConfigError(location, f"must be at most {high}, got {value}")
     return value
-
-
-def check_probe_basis(chart: ChartSpec) -> None:
-    """A ConfigError naming chart.d if a degree's monomial basis, counted
-    before any is built, is over MAX_BASIS."""
-    sizes = basis_sizes(chart, chart.p + 1)
-    top = max(sizes)
-    if top > MAX_BASIS:
-        raise ConfigError("chart.d", f"q-square probes draw from the {top} monomials "
-                          f"of degree {sizes.index(top)}, more than {MAX_BASIS}; "
-                          f"use a smaller d or --samples 0")
 
 
 @dataclass
@@ -178,6 +171,8 @@ def parse_config(text: str) -> Config:
     kind = _expect(chart_obj, "kind", "chart", str)
     d = bounded("chart.d", _expect(chart_obj, "d", "chart", int), 1, MAX_D)
     p = _expect(chart_obj, "p", "chart", int, required=(kind == "vinogradov"))
+    if p is not None:
+        bounded("chart.p", p, 2, MAX_P)
     try:
         chart = make_chart(kind, d, p)
     except ChartError as exc:

@@ -4,13 +4,13 @@ Elements are finite sums of canonical graded monomials with exact
 polynomial coefficients.  The constructor takes a dict keyed by canonical
 monomials and drops zero coefficients; products and sums canonicalize
 (Koszul signs, annihilation of odd squares, merging).  All operations are
-pure and return new values.
+pure and return new values.  The x-free monomials of degree n are counted,
+unranked and listed from one count table per (chart, n), never stored.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
 from math import lcm
 
 from .chart import ChartError, ChartSpec
@@ -183,52 +183,71 @@ def product_sum(chart: ChartSpec, den: int, pairs) -> GradedElement:
                                  for m, nums in out.items() if nums})
 
 
+def _count_table(chart: ChartSpec, n: int) -> list[list[int]]:
+    """T[s][r]: the canonical monomials of degree r <= n in the generators
+    s, s+1, ... only, an odd one at most once; built once per (chart, n)."""
+    table = chart._counts.get(n)
+    if table is None:
+        row = [1] + [0] * n
+        table = [row]
+        for deg, odd in zip(reversed(chart.degrees), reversed(chart.parity)):
+            after, row = row, row[:]
+            for r in range(deg, n + 1):
+                row[r] += (after if odd else row)[r - deg]
+            table.append(row)
+        table.reverse()
+        chart._counts[n] = table
+    return table
+
+
+def monomial_count(chart: ChartSpec, n: int) -> int:
+    """The number of x-free canonical monomials of total degree n."""
+    return _count_table(chart, n)[0][n] if n >= 0 else 0
+
+
+def monomial_at(chart: ChartSpec, n: int, i: int) -> tuple:
+    """The i-th monomial of monomial_basis(chart, n), 0 <= i < its count,
+    found in one pass over the count table without listing the basis."""
+    table = _count_table(chart, n)
+    degrees = chart.degrees
+    mono = []
+    s, r = 0, n
+    while r:
+        # the monomials whose first generator is s come before those of s+1
+        while i >= table[s][r] - table[s + 1][r]:
+            i -= table[s][r] - table[s + 1][r]
+            s += 1
+        deg, after = degrees[s], table[s + 1]
+        e = 1
+        while i >= after[r - deg * e]:
+            i -= after[r - deg * e]
+            e += 1
+        mono.append((s, e))
+        s, r = s + 1, r - deg * e
+    return tuple(mono)
+
+
 def monomial_basis(chart: ChartSpec, n: int) -> list[tuple]:
-    """All x-free canonical monomials of total degree n, in canonical order.
-
-    Built once per (chart, n) and kept on the chart; each call returns a
-    fresh list, so a caller cannot change the stored basis."""
-    basis = chart._bases.get(n)
-    if basis is None:
-        basis = chart._bases[n] = _build_basis(chart.degrees, chart.parity, n)
-    return list(basis)
-
-
-def basis_sizes(chart: ChartSpec, top: int) -> list[int]:
-    """len(monomial_basis(chart, n)) for n = 0..top, counted without
-    building a basis: a DP over the generators, each odd one used at most
-    once, each even one any number of times."""
-    counts = [1] + [0] * top
-    for deg, odd in zip(chart.degrees, chart.parity):
-        if odd:
-            for n in range(top, deg - 1, -1):
-                counts[n] += counts[n - deg]
-        else:
-            for n in range(deg, top + 1):
-                counts[n] += counts[n - deg]
-    return counts
-
-
-def _build_basis(degrees, parity, n: int) -> tuple:
-    """Every choice of exponents, ascending by sid, whose degrees sum to n;
-    a loop over an explicit stack, so a chart with thousands of generators
-    does not hit the recursion limit."""
-    # least[sid]: the smallest degree from sid on; past rem nothing fits
-    least = list(accumulate(reversed(degrees), min))[::-1]
+    """All x-free canonical monomials of degree n, in canonical (ascending)
+    order: a walk over an explicit stack into the non-empty branches only."""
+    if n < 0:
+        return []
+    table = _count_table(chart, n)
+    degrees, parity = chart.degrees, chart.parity
     out: list[tuple] = []
     stack = [(0, n, ())]
     while stack:
-        start, rem, acc = stack.pop()
-        if rem == 0:
+        s, r, acc = stack.pop()
+        if not r:
             out.append(acc)
             continue
-        for sid in range(start, len(degrees)):
-            if least[sid] > rem:
+        branches = []
+        for sid in range(s, len(degrees)):
+            if not table[sid][r]:
                 break
-            deg = degrees[sid]
-            top = rem // deg
-            if parity[sid]:
-                top = min(top, 1)
-            for e in range(1, top + 1):
-                stack.append((sid + 1, rem - deg * e, acc + ((sid, e),)))
-    return tuple(sorted(out))
+            deg, after = degrees[sid], table[sid + 1]
+            for e in range(1, (1 if parity[sid] else r // deg) + 1):
+                if after[r - deg * e]:
+                    branches.append((sid + 1, r - deg * e, acc + ((sid, e),)))
+        stack += reversed(branches)  # popped in canonical order
+    return out

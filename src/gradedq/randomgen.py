@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 
 from .chart import ChartSpec
-from .element import GradedElement, monomial_basis
+from .element import GradedElement, monomial_at, monomial_count
 from .forms import DiffForm, Section
 from .poly import Poly
 
@@ -69,12 +69,14 @@ def random_section(rng: random.Random, chart: ChartSpec,
 def random_homogeneous(rng: random.Random, chart: ChartSpec, n: int,
                        max_degree: int = MAX_COEFF_DEGREE,
                        terms: int = 2) -> GradedElement:
-    """Random homogeneous element of degree n (zero only if no monomials exist)."""
-    basis = monomial_basis(chart, n)
-    if not basis:
+    """Random homogeneous element of degree n (zero only if no monomials exist);
+    rng.sample only indexes its population, so indices draw as the basis would."""
+    count = monomial_count(chart, n)
+    if not count:
         return GradedElement.zero(chart)
-    picks = rng.sample(basis, min(len(basis), rng.randint(1, terms)))
+    picks = rng.sample(range(count), min(count, rng.randint(1, terms)))
     out = GradedElement.zero(chart)
-    for mono in picks:
-        out = out + GradedElement.monomial(chart, mono, random_poly(rng, chart.d, max_degree))
+    for i in picks:
+        out = out + GradedElement.monomial(chart, monomial_at(chart, n, i),
+                                           random_poly(rng, chart.d, max_degree))
     return out

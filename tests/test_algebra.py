@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from gradedq import (ChartError, GradedElement, Poly, PolyParseError,
                      make_chart, monomial_basis, parse_poly)
 from gradedq import element
-from gradedq.element import INHOMOGENEOUS
+from gradedq.element import INHOMOGENEOUS, monomial_at, monomial_count
+from gradedq.randomgen import random_homogeneous, random_poly
 
 
 def sign(k: int) -> int:
@@ -66,17 +67,18 @@ class TestChart:
 
     def test_pairing_table_entries(self):
         chart = make_chart("vinogradov", 2, 3)
-        one = Fraction(1)
-        assert chart.pairs[(("s", chart.sid("p", 1)), ("x", 1))] == one
-        assert chart.pairs[(("x", 1), ("s", chart.sid("p", 1)))] == -one
-        assert chart.pairs[(("s", chart.sid("psi", 2)), ("s", chart.sid("chi", 2)))] == one
+        p1, psi2, chi2 = (("s", chart.sid(f, i)) for f, i in
+                          (("p", 1), ("psi", 2), ("chi", 2)))
+        assert chart.partner[p1] == (("x", 1), 1)
+        assert chart.partner[("x", 1)] == (p1, -1)
+        assert chart.partner[psi2] == (chi2, 1)
         # graded symmetry of the degree-(-p) bracket at odd p
-        assert chart.pairs[(("s", chart.sid("chi", 2)), ("s", chart.sid("psi", 2)))] == -one
+        assert chart.partner[chi2] == (psi2, -1)
 
     def test_m5_zeta_self_pairing(self):
         chart = make_chart("m5", 2)
-        sz = chart.sid("zeta", 0)
-        assert chart.pairs[(("s", sz), ("s", sz))] == 1
+        sz = ("s", chart.sid("zeta", 0))
+        assert chart.partner[sz] == (sz, 1)
 
     @pytest.mark.parametrize("chart", [make_chart("vinogradov", 3, p) for p in (2, 3, 5)]
                              + [make_chart("m5", 3)], ids=repr)
@@ -84,9 +86,11 @@ class TestChart:
         tags = [("x", mu) for mu in range(1, chart.d + 1)] \
             + [("s", sid) for sid in range(len(chart.supers))]
         assert sorted(chart.partner) == sorted(tags)
-        assert {(a, b): const for a, (b, const) in chart.partner.items()} == chart.pairs
-        for a, (b, _) in chart.partner.items():
+        for a, (b, const) in chart.partner.items():
             assert chart.partner[b][0] == a
+            # (a, b) = (-1)^(|a| |b| + 1) (b, a) for a degree-(-p) bracket
+            deg_a, deg_b = (0 if t[0] == "x" else chart.degrees[t[1]] for t in (a, b))
+            assert chart.partner[b][1] == const * (-1) ** (deg_a * deg_b + 1)
 
 
 # ---------------------------------------------------------------------
@@ -256,7 +260,6 @@ class TestGradedElement:
 
     def test_supercommutativity_random(self):
         rng = random.Random(11)
-        from gradedq.randomgen import random_homogeneous
         for chart in (self.chart, make_chart("vinogradov", 2, 3), self.m5):
             for _ in range(30):
                 nf, ng = rng.randint(0, chart.p), rng.randint(0, chart.p)
@@ -266,7 +269,6 @@ class TestGradedElement:
 
     def test_associativity_random(self):
         rng = random.Random(12)
-        from gradedq.randomgen import random_homogeneous
         for _ in range(30):
             f = random_homogeneous(rng, self.m5, rng.randint(0, 4))
             g = random_homogeneous(rng, self.m5, rng.randint(0, 4))
@@ -292,6 +294,10 @@ class TestGradedElement:
         psi1, psi2 = self.gen(self.chart, "psi1"), self.gen(self.chart, "psi2")
         e = x1 * psi1 * psi2 * Fraction(-3, 2)
         assert str(e) == "-3/2*x1*psi1*psi2"
+
+
+REFERENCE_CHARTS = [*(make_chart("vinogradov", d, p) for d in (1, 2, 3, 4) for p in (2, 3, 4)),
+                    make_chart("m5", 6), make_chart("m5", 8)]
 
 
 class TestMonomialBasis:
@@ -334,27 +340,40 @@ class TestMonomialBasis:
         for n, layer in enumerate(layers):
             assert monomial_basis(chart, n) == sorted(layer)
 
-    @pytest.mark.parametrize("chart", [
-        *(make_chart("vinogradov", d, p) for d in (1, 2, 3, 4) for p in (2, 3, 4)),
-        make_chart("m5", 6), make_chart("m5", 8)], ids=repr)
+    @pytest.mark.parametrize("chart", REFERENCE_CHARTS, ids=repr)
     def test_matches_recursive_reference(self, chart):
         for n in range(-1, chart.p + 3):
             assert monomial_basis(chart, n) == _recursive_basis(chart, n)
+
+    @pytest.mark.parametrize("chart", REFERENCE_CHARTS, ids=repr)
+    def test_unranks_the_recursive_reference(self, chart):
+        for n in range(chart.p + 3):
+            reference = _recursive_basis(chart, n)
+            assert [monomial_at(chart, n, i) for i in range(len(reference))] == reference
 
     @pytest.mark.parametrize("chart", [
         *(make_chart("vinogradov", d, p) for d in (1, 2, 3, 4) for p in (2, 3, 4)),
         make_chart("vinogradov", 2, 5), make_chart("m5", 6), make_chart("m5", 8)],
         ids=repr)
     def test_sizes_count_the_basis(self, chart):
-        assert element.basis_sizes(chart, chart.p + 1) == \
-            [len(monomial_basis(chart, n)) for n in range(chart.p + 2)]
+        assert [monomial_count(chart, n) for n in range(-1, chart.p + 2)] == \
+            [len(monomial_basis(chart, n)) for n in range(-1, chart.p + 2)]
 
     @pytest.mark.parametrize("kind, d, p, largest", [
         ("m5", 8, 6, 366), ("m5", 16, 6, 15_436), ("m5", 64, 6, 621_984_688),
         ("vinogradov", 128, 2, 2_796_288)])
     def test_sizes_of_large_charts(self, kind, d, p, largest):
         # counted, never built: the m5(64) basis would not fit in memory
-        assert max(element.basis_sizes(make_chart(kind, d, p), p + 1)) == largest
+        chart = make_chart(kind, d, p)
+        assert max(monomial_count(chart, n) for n in range(p + 2)) == largest
+
+    def test_unranks_a_basis_too_large_to_list(self):
+        chart = make_chart("m5", 64)
+        count = monomial_count(chart, 7)
+        assert monomial_at(chart, 7, 0) == ((0, 1), (1, 1), (2, 1), (3, 1), (4, 1),
+                                            (5, 1), (6, 1))
+        assert monomial_at(chart, 7, count - 1) == ((chart.sid("psi", 64), 1),
+                                                    (chart.sid("p", 64), 1))
 
     def test_thousand_generators(self):
         # one stack frame per generator would pass the recursion limit
@@ -365,18 +384,44 @@ class TestMonomialBasis:
         assert len(basis) == 2000
         assert basis[0] == ((0, 1),) and basis[-1] == ((1999, 1),)
 
-    def test_built_once_per_chart_and_degree(self, monkeypatch):
-        builds = []
-        build = element._build_basis
-        monkeypatch.setattr(element, "_build_basis",
-                            lambda *args: builds.append(args[-1]) or build(*args))
+    def test_built_once_per_chart_and_degree(self):
         chart = make_chart("vinogradov", 3, 2)
         first = monomial_basis(chart, 2)
-        first.clear()  # the caller's copy, not the stored basis
+        first.clear()  # a fresh list on every call
+        table = chart._counts[2]
         assert monomial_basis(chart, 2) == _recursive_basis(chart, 2)
-        monomial_basis(chart, 1)
-        monomial_basis(make_chart("vinogradov", 3, 2), 2)  # an equal, new chart
-        assert builds == [2, 1, 2]
+        assert monomial_count(chart, 2) == 18
+        assert monomial_at(chart, 2, 17) == _recursive_basis(chart, 2)[17]
+        monomial_count(chart, 1)
+        assert chart._counts[2] is table and sorted(chart._counts) == [1, 2]
+        other = make_chart("vinogradov", 3, 2)  # an equal, new chart
+        monomial_at(other, 2, 0)
+        assert other._counts[2] is not table and sorted(other._counts) == [2]
+
+    @settings(max_examples=150, deadline=None)
+    @given(chart=st.one_of(st.builds(make_chart, st.just("vinogradov"),
+                                     st.integers(1, 6), st.integers(2, 6)),
+                           st.just(make_chart("m5", 8))),
+           seed=st.integers(0, 2**32), n=st.integers(-1, 8), terms=st.integers(1, 5))
+    def test_random_homogeneous_draws_as_from_the_listed_basis(self, chart, seed,
+                                                                 n, terms):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        drawn = random_homogeneous(rng, chart, n, terms=terms)
+        assert drawn == _random_homogeneous_from_basis(ref_rng, chart, n, terms=terms)
+        assert rng.getstate() == ref_rng.getstate()
+
+
+def _random_homogeneous_from_basis(rng, chart, n, max_degree=2, terms=2):
+    """random_homogeneous as it was written before it drew by index: a
+    sample of the listed basis, kept as the reference draw."""
+    basis = _recursive_basis(chart, n)
+    if not basis:
+        return GradedElement.zero(chart)
+    picks = rng.sample(basis, min(len(basis), rng.randint(1, terms)))
+    out = GradedElement.zero(chart)
+    for mono in picks:
+        out = out + GradedElement.monomial(chart, mono, random_poly(rng, chart.d, max_degree))
+    return out
 
 
 def _recursive_basis(chart, n):

@@ -9,7 +9,7 @@ import pytest
 from gradedq import (ChartError, DiffForm, GradedElement, Poly, Section,
                      SectionError, anchor, classical_dorfman, decode_section,
                      dorfman, encode_section, ext_d, interior, make_chart,
-                     module_basis, module_rank, pairing, rho_star, theta_m5,
+                     module_rank, monomial_basis, pairing, rho_star, theta_m5,
                      theta_vinogradov, verify_courant, verify_leibniz)
 from gradedq import npq, symplectic
 from gradedq.randomgen import random_poly, random_section
@@ -168,7 +168,7 @@ class TestModuleRanks:
     def test_rank_matches_basis(self):
         for chart in (P2, P3, M5):
             for n in range(chart.p):
-                assert module_rank(chart, n) == len(module_basis(chart, n))
+                assert module_rank(chart, n) == len(monomial_basis(chart, n))
 
     def test_out_of_range(self):
         with pytest.raises(ChartError):

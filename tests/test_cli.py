@@ -9,10 +9,13 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedq import (Config, ConfigError, cli, config, element, make_chart,
                      parse_config, render_config)
 from gradedq.cli import main
+from gradedq.element import monomial_count
 
 DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN_PASS = str(DATA / "golden_pass.json")
@@ -90,6 +93,63 @@ class TestConfig:
         cfg = parse_config(pathlib.Path(M5).read_text())
         assert cfg.sections["B"].sigma is not None
         assert cfg.chart.kind == "m5"
+
+
+# JSON-ish documents: any JSON value, and the golden configs with one to
+# three fields replaced, so that the rest stays valid and parsing reaches
+# every field's own check
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats()
+    | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["chart", "kind", "d", "p", "theta", "beta", "v", "lambda",
+                         "indices", "coeff"]) | st.text(max_size=4), inner, max_size=4),
+    max_leaves=12)
+FIELD_VALUES = JSON_VALUES | st.integers(-2, 140) | st.just(10**8) \
+    | st.lists(st.integers(-1, 9), max_size=4) \
+    | st.sampled_from(["vinogradov", "m5", "-3/2", "x2^2-1/3*x1", "(1+x1)^3", "1/0",
+                       "x9", "x1^1001", "(1+x1+x2)^400", "2/3", "1e5"]) \
+    | st.text(alphabet="x0123456789+-*/^(). ", max_size=12)
+
+
+def _paths(node, path=()):
+    """Every path into a JSON document, the root's () first."""
+    yield path
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def mutated_configs(draw):
+    doc = json.loads(pathlib.Path(draw(st.sampled_from([GOLDEN_PASS, GOLDEN_FAIL, M5])))
+                     .read_text())
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))[1:]))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = draw(FIELD_VALUES)
+    return doc
+
+
+class TestConfigFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(doc=mutated_configs() | JSON_VALUES)
+    def test_documents_raise_only_config_error(self, doc):
+        try:
+            parse_config(json.dumps(doc))
+        except ConfigError:
+            pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=st.text(max_size=40))
+    def test_text_raises_only_config_error(self, text):
+        try:
+            parse_config(text)
+        except ConfigError:
+            pass
 
 
 # ---------------------------------------------------------------------
@@ -329,6 +389,8 @@ class TestInputErrors:
                      id="trials-over-10000"),
         pytest.param(("chart", "d"), 129, "chart.d", id="d-over-128"),
         pytest.param(("chart", "d"), 0, "chart.d", id="d-zero"),
+        pytest.param(("chart", "p"), 13, "chart.p", id="p-over-12"),
+        pytest.param(("chart", "p"), 1, "chart.p", id="p-one"),
         pytest.param(("sections", "A", "v", 0), "((9^999)^999)^999", "sections.A.v[0]",
                      id="coefficient-over-10000-bits"),
     ])
@@ -428,28 +490,71 @@ class TestInputErrors:
         doc = {"chart": {"kind": "vinogradov", "d": config.MAX_D, "p": 2}}
         assert parse_config(json.dumps(doc)).chart.d == 128
 
-    def test_q_square_probe_basis_cap(self, capsys, monkeypatch, tmp_path):
-        # the basis of each degree is counted, and refused, before any is built
+    def test_chart_p_cap(self, capsys, monkeypatch, tmp_path):
+        # the cap is checked before any chart is built, and only when p is given
+        def no_chart(*args):
+            raise AssertionError("an oversized chart was built")
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps({"chart": {"kind": "vinogradov", "d": 3, "p": 10**8}}))
+        with monkeypatch.context() as patch:
+            patch.setattr(config, "make_chart", no_chart)
+            for command in ("q-square", "rank"):
+                assert main([command, str(cfg)]) == 2
+                assert capsys.readouterr().err == \
+                    f"error: chart.p: must be at most {config.MAX_P}, got 100000000\n"
+        # m5 keeps its own diagnostic for any other p under the cap
+        with pytest.raises(ConfigError, match="^chart: m5 chart has fixed symplectic "):
+            parse_config(json.dumps({"chart": {"kind": "m5", "d": 3, "p": 7}}))
+        assert parse_config(json.dumps({"chart": {"kind": "m5", "d": 3}})).chart.p == 6
+
+    def test_chart_caps_keep_probe_counts_in_range(self):
+        # q-square samples from range(count), whose len() takes at most sys.maxsize
+        charts = [make_chart("vinogradov", config.MAX_D, p)
+                  for p in range(2, config.MAX_P + 1)] + [make_chart("m5", config.MAX_D)]
+        for chart in charts:
+            for n in range(chart.p + 2):
+                assert len(range(monomial_count(chart, n))) <= sys.maxsize
+        top = make_chart("vinogradov", config.MAX_D, config.MAX_P + 2)
+        assert monomial_count(top, config.MAX_P + 3) > sys.maxsize
+
+    @pytest.mark.parametrize("chart", [
+        {"kind": "m5", "d": 64}, {"kind": "m5", "d": config.MAX_D},
+        {"kind": "vinogradov", "d": 73, "p": 2},
+        {"kind": "vinogradov", "d": config.MAX_D, "p": 2},
+        {"kind": "vinogradov", "d": config.MAX_D, "p": config.MAX_P}],
+        ids=lambda c: "-".join(map(str, c.values())))
+    def test_q_square_lists_no_basis(self, capsys, monkeypatch, tmp_path, chart):
+        # each probe monomial is unranked from a count, whatever the basis size
         def no_basis(*args):
-            raise AssertionError("a probe basis was built")
-        monkeypatch.setattr(element, "_build_basis", no_basis)
-        cfg = tmp_path / "m5.json"
-        cfg.write_text(json.dumps({"chart": {"kind": "m5", "d": 64},
-                                   "theta": {"type": "m5", "F4": [], "F7": []}}))
+            raise AssertionError("a monomial basis was listed")
+        monkeypatch.setattr(element, "monomial_basis", no_basis)
+        monkeypatch.setattr(cli, "monomial_basis", no_basis)
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps({"chart": chart}))
         start = time.perf_counter()
-        assert main(["q-square", str(cfg), "--json"]) == 2
+        assert main(["q-square", str(cfg), "--json"]) == 0
         assert time.perf_counter() - start < 5
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["error"] == (
-            "chart.d: q-square probes draw from the 621984688 monomials of "
-            f"degree 7, more than {config.MAX_BASIS}; use a smaller d or --samples 0")
-        # the generator probes alone enumerate no basis
-        assert main(["q-square", str(cfg), "--samples", "0", "--json"]) == 0
-        capsys.readouterr()
-        # v(72, 2) is the largest v(d, 2) under the cap (497,712 monomials)
-        config.check_probe_basis(make_chart("vinogradov", 72, 2))
-        with pytest.raises(ConfigError, match="^chart.d: .* the 518738 monomials"):
-            config.check_probe_basis(make_chart("vinogradov", 73, 2))
+        assert json.loads(capsys.readouterr().out)["status"] == "PASS"
+
+    def test_rank_counts_and_caps_the_listed_basis(self, capsys, tmp_path):
+        # rank reads counts; only --n lists a basis, at most MAX_BASIS monomials
+        cfg = tmp_path / "m5.json"
+        cfg.write_text(json.dumps({"chart": {"kind": "m5", "d": 64}}))
+        start = time.perf_counter()
+        assert main(["rank", str(cfg), "--json"]) == 0
+        assert time.perf_counter() - start < 1
+        assert [row["rank"] for row in json.loads(capsys.readouterr().out)["ranks"]] == \
+            [1, 64, 2016, 41665, 635440, 7626592, 75020192]
+        assert main(["rank", str(cfg), "--n", "6"]) == 2
+        assert capsys.readouterr().err == ("error: --n: the degree-6 basis has 75020192 "
+                                           f"monomials, more than {config.MAX_BASIS} to list\n")
+        # the edge of the cap on m5 at degree 6 falls between d = 29 and d = 30
+        assert monomial_count(make_chart("m5", 29), 6) == 479_544 <= config.MAX_BASIS
+        cfg.write_text(json.dumps({"chart": {"kind": "m5", "d": 30}}))
+        assert main(["rank", str(cfg), "--n", "6", "--json"]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == (
+            f"--n: the degree-6 basis has 598765 monomials, more than {config.MAX_BASIS} "
+            "to list")
 
     def test_zero_max_coeff_degree_is_legal(self, capsys):
         code = main(["axioms", GOLDEN_PASS, "--suite", "leibniz", "--trials", "1",

@@ -139,7 +139,7 @@ def reference_partial(f, tag, from_right):
 def reference_poisson(f, g):
     """sum over the pairing table of (d_r f / dz^a) * pi^ab * (d_l g / dz^b)."""
     out = GradedElement.zero(f.chart)
-    for (a, b), const in f.chart.pairs.items():
+    for a, (b, const) in f.chart.partner.items():
         out = out + (reference_partial(f, a, True)
                      * reference_partial(g, b, False)) * const
     return out
