@@ -5,42 +5,48 @@ odd degree-3 generator), homological hamiltonians and their master
 equations, derived Dorfman brackets with mechanical Courant-axiom
 verification, an exterior-calculus oracle, and the exact-rational
 generalised-metric O(d,d) toolkit.  All arithmetic is over Q.
+
+Importing the package loads no submodule: each public name below is
+imported from its module on first access (PEP 562) and then cached
+here, so a CLI process loads only the modules its command runs.
 """
 
-from .algebroid import (SectionError, anchor, decode_section, derived_sign,
-                        dorfman, encode_section, lambda_rank, module_rank,
-                        pairing, rho_star, verify_courant, verify_leibniz)
-from .chart import ChartError, ChartSpec, Generator, make_chart
-from .config import Config, ConfigError, parse_config, render_config
-from .element import GradedElement, monomial_at, monomial_basis, monomial_count
-from .forms import (DiffForm, FormError, Section, classical_dorfman, ext_d,
-                    homotopy, interior, lie_deriv, poincare_primitive,
-                    sort_indices, vec_lie_bracket, wedge)
-from .genmetric import (Background, GenMetric, MatrixError, act, b_shift,
-                        block_swap, build_gen_metric, eta_matrix, extract,
-                        gl_embed, odd_check)
-from .npq import (Hamiltonian, HamiltonianError, embed_form, extract_form,
-                  kinetic_term, master_equation, q_apply, q_square_check,
-                  theta_m5, theta_vinogradov)
-from .poly import Poly, PolyError, PolyParseError, parse_poly
-from .reports import CheckReport, SuiteReport
-from .symplectic import GaugeError, gauge_exp, poisson
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Background", "ChartError", "ChartSpec", "CheckReport", "Config",
-    "ConfigError", "DiffForm", "FormError", "GaugeError", "GenMetric",
-    "Generator", "GradedElement", "Hamiltonian", "HamiltonianError",
-    "MatrixError", "Poly", "PolyError", "PolyParseError", "Section",
-    "SectionError", "SuiteReport", "act", "anchor", "b_shift", "block_swap",
-    "build_gen_metric", "classical_dorfman", "decode_section", "derived_sign",
-    "dorfman", "embed_form", "encode_section", "eta_matrix", "ext_d",
-    "extract", "extract_form", "gauge_exp", "gl_embed", "homotopy", "interior",
-    "kinetic_term", "lambda_rank", "lie_deriv", "make_chart", "master_equation",
-    "module_rank", "monomial_at", "monomial_basis", "monomial_count", "odd_check",
-    "pairing", "parse_config", "parse_poly", "poincare_primitive", "poisson",
-    "q_apply", "q_square_check", "render_config", "rho_star", "sort_indices",
-    "theta_m5", "theta_vinogradov", "vec_lie_bracket", "verify_courant",
-    "verify_leibniz", "wedge",
-]
+_EXPORTS = {
+    "algebroid": ("anchor", "decode_section", "derived_sign", "dorfman",
+                  "encode_section", "module_rank", "pairing", "rho_star",
+                  "verify_courant", "verify_leibniz"),
+    "chart": ("ChartError", "ChartSpec", "Generator", "lambda_rank",
+              "make_chart"),
+    "config": ("Config", "ConfigError", "MatrixError", "parse_config",
+               "render_config"),
+    "element": ("GradedElement", "monomial_at", "monomial_basis",
+                "monomial_count"),
+    "forms": ("DiffForm", "FormError", "Section", "SectionError",
+              "classical_dorfman", "ext_d", "homotopy", "interior", "lie_deriv",
+              "poincare_primitive", "sort_indices", "vec_lie_bracket", "wedge"),
+    "genmetric": ("Background", "GenMetric", "act", "b_shift", "block_swap",
+                  "build_gen_metric", "eta_matrix", "extract", "gl_embed",
+                  "odd_check"),
+    "npq": ("Hamiltonian", "HamiltonianError", "embed_form", "extract_form",
+            "kinetic_term", "master_equation", "q_apply", "q_square_check",
+            "theta_m5", "theta_vinogradov"),
+    "poly": ("Poly", "PolyError", "PolyParseError", "parse_poly"),
+    "reports": ("CheckReport", "SuiteReport"),
+    "symplectic": ("GaugeError", "gauge_exp", "poisson"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

@@ -15,9 +15,10 @@ import random
 import warnings
 from fractions import Fraction
 
-from .chart import ChartError, ChartSpec
+from .chart import ChartError, ChartSpec, lambda_rank
 from .element import GradedElement, monomial_count
-from .forms import DiffForm, FormError, Section, ext_d, vec_lie_bracket
+from .forms import (DiffForm, FormError, Section, SectionError, ext_d,
+                    vec_lie_bracket)
 from .npq import Hamiltonian, embed_form, q_apply
 from .poly import Poly
 from .randomgen import random_poly, random_section
@@ -30,16 +31,8 @@ from .symplectic import right_derivatives
 SIGMA_EMBED = -1
 
 
-class SectionError(ValueError):
-    pass
-
-
 def derived_sign(chart: ChartSpec) -> int:
     return 1 if chart.p % 2 == 0 else -1
-
-
-def lambda_rank(chart: ChartSpec) -> int:
-    return 2 if chart.kind == "m5" else chart.p - 1
 
 
 # ---------------------------------------------------------------------
@@ -122,8 +115,7 @@ def _derived(chart: ChartSpec, QA: GradedElement, B: GradedElement,
     """((Theta, A), B) with the chart's derived sign, given QA = (Theta, A)
     and, for a QA bracketed many times, its right derivatives dQA."""
     from .symplectic import poisson
-    out = poisson(QA, B, dQA)
-    return out if derived_sign(chart) > 0 else -out
+    return poisson(QA, B, dQA, derived_sign(chart))
 
 
 def dorfman(theta: Hamiltonian, A: GradedElement, B: GradedElement) -> GradedElement:

@@ -21,19 +21,21 @@ with chi_mu, zeta with itself).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 class ChartError(ValueError):
     """Invalid chart construction or mismatched-chart operation."""
 
 
-@dataclass(frozen=True)
 class Generator:
-    name: str
-    family: str  # 'x' | 'psi' | 'zeta' | 'chi' | 'p'
-    index: int   # 1-based within family; 0 for zeta
-    degree: int
+    """One chart generator: its name, family, index and degree."""
+
+    __slots__ = ("name", "family", "index", "degree")
+
+    def __init__(self, name: str, family: str, index: int, degree: int):
+        self.name = name
+        self.family = family  # 'x' | 'psi' | 'zeta' | 'chi' | 'p'
+        self.index = index    # 1-based within family; 0 for zeta
+        self.degree = degree
 
     @property
     def parity(self) -> int:
@@ -117,6 +119,11 @@ class ChartSpec:
         if self.kind == "m5":
             return f"ChartSpec(m5, d={self.d})"
         return f"ChartSpec(vinogradov, d={self.d}, p={self.p})"
+
+
+def lambda_rank(chart: ChartSpec) -> int:
+    """The rank of a section's form component lambda on `chart`."""
+    return 2 if chart.kind == "m5" else chart.p - 1
 
 
 def make_chart(kind: str, d: int, p: int | None = None) -> ChartSpec:

@@ -7,6 +7,11 @@ machine-readable document with --json.  Exit codes: 0 all checks pass,
 gradedq, never a verdict).  The seeded suites, q-square and axioms,
 resolve their seed as --seed, then the config's harness.seed, then the
 GB_SEED environment variable, then 0.
+
+A process imports only what its command runs: the Dorfman bracket and
+axiom suites (`algebroid`) and the generalised-metric toolkit
+(`genmetric`) are imported inside the handlers that use them, so
+check-master, q-square and classify never load them.
 """
 
 from __future__ import annotations
@@ -19,14 +24,12 @@ import warnings
 from contextlib import contextmanager
 from fractions import Fraction
 
-from . import genmetric as gm
-from .algebroid import (SectionError, decode_section, dorfman, encode_section,
-                        module_rank, verify_courant, verify_leibniz)
 from .chart import ChartError
-from .config import (MAX_BASIS, MAX_TRIALS, Config, ConfigError, bounded,
-                     parse_config)
+from .config import (MAX_BASIS, MAX_TRIALS, Config, ConfigError, MatrixError,
+                     bounded, parse_config)
 from .element import GradedElement, monomial_basis
-from .forms import DiffForm, FormError, ext_d, poincare_primitive, wedge
+from .forms import (DiffForm, FormError, SectionError, ext_d, poincare_primitive,
+                    wedge)
 from .npq import HamiltonianError, master_equation, q_square_check
 from .poly import MAX_EXPONENT, PolyError
 from .reports import CheckReport, SuiteReport, witnesses_of
@@ -35,7 +38,7 @@ PASS, FAIL, INPUT_ERROR, INTERNAL_ERROR = 0, 1, 2, 3
 
 # OSError: the config file cannot be opened or read
 _INPUT_ERRORS = (ConfigError, ChartError, FormError, SectionError,
-                 HamiltonianError, PolyError, gm.MatrixError, OSError)
+                 HamiltonianError, PolyError, MatrixError, OSError)
 
 
 def _resolve_seed(args, config: Config) -> int:
@@ -87,11 +90,12 @@ def _blame(name: str):
     """Report a MatrixError as an error in the config's matrices.<name>."""
     try:
         yield
-    except gm.MatrixError as exc:
+    except MatrixError as exc:
         raise ConfigError(f"matrices.{name}", str(exc)) from None
 
 
-def _background(config: Config) -> gm.Background:
+def _background(config: Config):
+    from . import genmetric as gm
     g, b = _named_matrix(config, "g"), _named_matrix(config, "b")
     with _blame("g"):  # g is at fault if it fails even with b = 0
         gm.Background(g, gm.mat_zero(len(g)))
@@ -100,6 +104,7 @@ def _background(config: Config) -> gm.Background:
 
 
 def _named_section(config: Config, name: str) -> GradedElement:
+    from .algebroid import encode_section
     if name not in config.sections:
         known = ", ".join(sorted(config.sections)) or "none defined"
         raise ConfigError(f"sections.{name}",
@@ -129,6 +134,7 @@ def cmd_q_square(config: Config, args) -> tuple[dict, str, int]:
 
 
 def cmd_bracket(config: Config, args) -> tuple[dict, str, int]:
+    from .algebroid import decode_section, dorfman
     chart = config.chart
     A = _named_section(config, args.A)
     B = _named_section(config, args.B)
@@ -148,6 +154,7 @@ def cmd_bracket(config: Config, args) -> tuple[dict, str, int]:
 
 
 def cmd_axioms(config: Config, args) -> tuple[dict, str, int]:
+    from .algebroid import verify_courant, verify_leibniz
     seed = _resolve_seed(args, config)
     trials = config.trials if args.trials is None else \
         bounded("--trials", args.trials, 1, MAX_TRIALS)
@@ -162,6 +169,7 @@ def cmd_axioms(config: Config, args) -> tuple[dict, str, int]:
 
 
 def cmd_rank(config: Config, args) -> tuple[dict, str, int]:
+    from .algebroid import module_rank
     chart = config.chart
     ns = [args.n] if args.n is not None else list(range(chart.p + 1))
     lines, rows = [], []
@@ -223,6 +231,7 @@ def cmd_classify(config: Config, args) -> tuple[dict, str, int]:
 
 
 def cmd_genmetric(config: Config, args) -> tuple[dict, str, int]:
+    from . import genmetric as gm
     action = args.action
     payload: dict = {"command": "genmetric", "action": action}
     lines: list[str] = []
@@ -241,7 +250,7 @@ def cmd_genmetric(config: Config, args) -> tuple[dict, str, int]:
         payload["H"] = _matrix_json(Hp.H)
         try:
             bgp = gm.extract(Hp)
-        except gm.MatrixError:
+        except MatrixError:
             bgp = None
         if bgp is not None:
             lines.append("g' =")

@@ -13,11 +13,9 @@ ConfigError.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebroid import lambda_rank
-from .chart import ChartError, ChartSpec, make_chart
+from .chart import ChartError, ChartSpec, lambda_rank, make_chart
 from .forms import DiffForm, Section
 from .npq import Hamiltonian, theta_m5, theta_vinogradov
 from .poly import MAX_EXPONENT, PolyError, parse_poly
@@ -44,6 +42,12 @@ class ConfigError(ValueError):
         super().__init__(f"{location}: {message}")
 
 
+# raised by genmetric; defined here so the CLI can catch it without
+# importing genmetric
+class MatrixError(ValueError):
+    pass
+
+
 def bounded(location: str, value: int, low: int, high: int) -> int:
     """`value` if low <= value <= high, else a ConfigError naming `location`."""
     if value < low:
@@ -53,16 +57,23 @@ def bounded(location: str, value: int, low: int, high: int) -> int:
     return value
 
 
-@dataclass
 class Config:
-    chart: ChartSpec
-    theta: Hamiltonian
-    sections: dict[str, Section] = field(default_factory=dict)
-    matrices: dict[str, tuple] = field(default_factory=dict)
-    trials: int = 100
-    seed: int | None = None
-    max_coeff_degree: int = 2
-    raw: dict = field(default_factory=dict)
+    """A parsed config: the chart, theta, named sections and matrices, and
+    the harness settings."""
+
+    def __init__(self, chart: ChartSpec, theta: Hamiltonian,
+                 sections: dict[str, Section] | None = None,
+                 matrices: dict[str, tuple] | None = None, trials: int = 100,
+                 seed: int | None = None, max_coeff_degree: int = 2,
+                 raw: dict | None = None):
+        self.chart = chart
+        self.theta = theta
+        self.sections = {} if sections is None else sections
+        self.matrices = {} if matrices is None else matrices
+        self.trials = trials
+        self.seed = seed
+        self.max_coeff_degree = max_coeff_degree
+        self.raw = {} if raw is None else raw
 
 
 def _expect(obj, key, where, kind=None, default=None, required=True):

@@ -8,13 +8,18 @@ coefficient-exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import Poly
 
 
 class FormError(ValueError):
+    pass
+
+
+# raised by algebroid's encode/decode; defined here, in a module every CLI
+# command loads, so the CLI can catch it without importing algebroid
+class SectionError(ValueError):
     pass
 
 
@@ -232,13 +237,23 @@ def vec_lie_bracket(v, w, d: int):
 # sections of generalised tangent bundles and classical Dorfman formulas
 # ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Section:
     """(v, lambda[, sigma]): vector field plus form components."""
 
-    v: tuple            # d Polys
-    lam: DiffForm       # rank p-1 (vinogradov), rank 2 (m5)
-    sigma: DiffForm | None = None   # rank 5, m5 only
+    __slots__ = ("v", "lam", "sigma")
+
+    def __init__(self, v: tuple, lam: DiffForm, sigma: DiffForm | None = None):
+        self.v = v          # d Polys
+        self.lam = lam      # rank p-1 (vinogradov), rank 2 (m5)
+        self.sigma = sigma  # rank 5, m5 only
+
+    def __eq__(self, other):
+        if type(other) is not Section:
+            return NotImplemented
+        return (self.v, self.lam, self.sigma) == (other.v, other.lam, other.sigma)
+
+    def __hash__(self):
+        return hash((self.v, self.lam, self.sigma))
 
     @property
     def d(self) -> int:

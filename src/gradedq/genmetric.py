@@ -7,12 +7,9 @@ sends H(g, b) to H(g, b + b'), which is verified as a test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-
-class MatrixError(ValueError):
-    pass
+from .config import MatrixError
 
 
 # ---------------------------------------------------------------------
@@ -113,17 +110,14 @@ def eta_matrix(d: int) -> tuple:
 # backgrounds and generalised metrics
 # ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Background:
     """Symmetric invertible g and antisymmetric b, exact rational."""
 
-    g: tuple
-    b: tuple
+    __slots__ = ("g", "b")
 
-    def __post_init__(self):
-        g, b = as_matrix(self.g), as_matrix(self.b)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "b", b)
+    def __init__(self, g, b):
+        self.g = g = as_matrix(g)
+        self.b = b = as_matrix(b)
         d = len(g)
         if len(g[0]) != d or len(b) != d or len(b[0]) != d:
             raise MatrixError("g and b must be square of the same size")
@@ -134,15 +128,13 @@ class Background:
         mat_inv(g)  # raises if singular
 
 
-@dataclass(frozen=True)
 class GenMetric:
     """Symmetric eta-orthogonal 2d x 2d matrix."""
 
-    H: tuple
+    __slots__ = ("H",)
 
-    def __post_init__(self):
-        H = as_matrix(self.H)
-        object.__setattr__(self, "H", H)
+    def __init__(self, H):
+        self.H = H = as_matrix(H)
         if not mat_symmetric(H):
             raise MatrixError("generalised metric must be symmetric")
         eta = eta_matrix(self.d)

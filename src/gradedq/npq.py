@@ -12,14 +12,12 @@ by a test).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
 
 from .chart import ChartError, ChartSpec
 from .element import GradedElement
 from .forms import DiffForm, FormError
 from .poly import Poly
-from .randomgen import random_homogeneous
 from .reports import CheckReport, SuiteReport, witnesses_of
 from .symplectic import poisson, right_derivatives
 
@@ -66,7 +64,6 @@ def kinetic_term(chart: ChartSpec) -> GradedElement:
     return GradedElement(chart, out)
 
 
-@dataclass(frozen=True)
 class Hamiltonian:
     """Degree-(p+1) element with its twist metadata.
 
@@ -79,16 +76,15 @@ class Hamiltonian:
     bracket writes.
     """
 
-    chart: ChartSpec
-    element: GradedElement
-    twist: tuple  # ("beta", DiffForm) | ("m5", F4, F7)
-
-    def __post_init__(self):
-        deg = self.element.euler_degree()
-        if self.element.is_zero() or deg != self.chart.p + 1:
+    def __init__(self, chart: ChartSpec, element: GradedElement, twist: tuple):
+        deg = element.euler_degree()
+        if element.is_zero() or deg != chart.p + 1:
             raise HamiltonianError(
-                f"hamiltonian must be homogeneous of degree p+1={self.chart.p + 1}, "
+                f"hamiltonian must be homogeneous of degree p+1={chart.p + 1}, "
                 f"got {deg}")
+        self.chart = chart
+        self.element = element
+        self.twist = twist  # ("beta", DiffForm) | ("m5", F4, F7)
 
     @cached_property
     def derivatives(self) -> tuple:
@@ -149,6 +145,7 @@ def q_square_check(theta: Hamiltonian, samples: int = 8, seed: int = 0,
     Passing coincides with the master equation holding; failures carry the
     leading offending monomials as witnesses.
     """
+    from .randomgen import random_homogeneous
     chart = theta.chart
     suite = SuiteReport("q-square", seed=seed)
     probes: list[tuple[str, GradedElement]] = []

@@ -2,18 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
-
-@dataclass
 class CheckReport:
     """Outcome of one named check with witness monomials on failure."""
 
-    check: str
-    passed: bool
-    witnesses: list[str] = field(default_factory=list)
-    trials: int | None = None
-    seed: int | None = None
+    def __init__(self, check: str, passed: bool, witnesses: list[str] | None = None,
+                 trials: int | None = None, seed: int | None = None):
+        self.check = check
+        self.passed = passed
+        self.witnesses = [] if witnesses is None else witnesses
+        self.trials = trials
+        self.seed = seed
 
     @property
     def status(self) -> str:
@@ -34,14 +33,15 @@ class CheckReport:
         return line
 
 
-@dataclass
 class SuiteReport:
     """A group of checks run together (e.g. one axiom suite)."""
 
-    name: str
-    checks: list[CheckReport] = field(default_factory=list)
-    seed: int | None = None
-    trials: int | None = None
+    def __init__(self, name: str, checks: list[CheckReport] | None = None,
+                 seed: int | None = None, trials: int | None = None):
+        self.name = name
+        self.checks = [] if checks is None else checks
+        self.seed = seed
+        self.trials = trials
 
     @property
     def passed(self) -> bool:

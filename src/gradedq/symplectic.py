@@ -72,11 +72,15 @@ def right_derivatives(f: GradedElement) -> tuple[int, dict]:
     return _derivatives(f, f.chart.partner, from_right=True)
 
 
-def poisson(f: GradedElement, g: GradedElement, df: tuple | None = None) -> GradedElement:
-    """Graded Poisson bracket (f, g); degree |f|+|g|-p on homogeneous input.
+def poisson(f: GradedElement, g: GradedElement, df: tuple | None = None,
+            sign: int = 1) -> GradedElement:
+    """Graded Poisson bracket (f, g) times `sign` (+1 or -1); degree
+    |f|+|g|-p on homogeneous input.
 
     `df`, if given, is `right_derivatives(f)`, built once for a left
-    argument bracketed many times; otherwise f is derived here."""
+    argument bracketed many times; otherwise f is derived here.  Pairs
+    are found from g's side: g depends on few generators, while a `df`
+    such as Theta's spans every tag."""
     if f.chart != g.chart:
         raise ChartError(f"chart mismatch: {f.chart} vs {g.chart}")
     chart = f.chart
@@ -89,11 +93,11 @@ def poisson(f: GradedElement, g: GradedElement, df: tuple | None = None) -> Grad
         df = _derivatives(f, {partner[b][0] for b in dg}, from_right=True)
     den_f, df = df
     pairs = []
-    for a, fa in df.items():
-        b, const = partner[a]
-        gb = dg.get(b)
-        if gb is not None:
-            pairs.append((fa, gb, const))
+    for b, gb in dg.items():
+        a = partner[b][0]  # partner is an involution: partner[a][0] == b
+        fa = df.get(a)
+        if fa is not None:
+            pairs.append((fa, gb, sign * partner[a][1]))
     return product_sum(chart, den_f * den_g, pairs)
 
 

@@ -464,7 +464,8 @@ class TestInputErrors:
         def suite(theta, **kw):
             seen.update(kw)
             return cli.SuiteReport("stub", seed=0, trials=0)
-        monkeypatch.setattr(cli, "verify_courant", suite)
+        # the axioms handler imports the suite at call time
+        monkeypatch.setattr("gradedq.algebroid.verify_courant", suite)
         monkeypatch.setattr(cli, "q_square_check", suite)
         assert main(["axioms", GOLDEN_PASS, "--suite", "courant", "--trials", "10000"]) == 0
         assert seen["trials"] == 10000
@@ -624,3 +625,52 @@ class TestInternalError:
         assert json.loads(out.out) == {"command": "check-master", "status": "INTERNAL",
                                        "error": "KeyError: 'psi9'"}
         assert out.err == "internal error: KeyError: 'psi9'\n"
+
+
+# ---------------------------------------------------------------------
+# a process imports only what its command runs
+# ---------------------------------------------------------------------
+
+class TestImportFootprint:
+    DEFERRED = ("gradedq.algebroid", "gradedq.genmetric", "gradedq.randomgen")
+
+    @staticmethod
+    def loaded(script: str) -> set[str]:
+        """The modules a fresh interpreter has loaded after `script`."""
+        code = script + "\nimport sys\nprint(' '.join(sorted(sys.modules)))"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True)
+        return set(out.stdout.split())
+
+    def test_cli_import_loads_no_command_module(self):
+        mods = self.loaded("import gradedq.cli")
+        assert "gradedq.config" in mods
+        assert "dataclasses" not in mods
+        assert mods.isdisjoint(self.DEFERRED)
+
+    @pytest.mark.parametrize("argv, needed", [
+        (["check-master", GOLDEN_PASS], ()),
+        (["classify", GOLDEN_PASS], ()),
+        (["q-square", GOLDEN_PASS, "--samples", "1"], ("gradedq.randomgen",)),
+        (["axioms", GOLDEN_PASS, "--suite", "courant", "--trials", "1"],
+         ("gradedq.algebroid", "gradedq.randomgen")),
+        (["genmetric", "build", GOLDEN_PASS], ("gradedq.genmetric",)),
+    ])
+    def test_each_command_loads_what_it_runs(self, argv, needed):
+        mods = self.loaded("import contextlib, io\nfrom gradedq.cli import main\n"
+                           "with contextlib.redirect_stdout(io.StringIO()):\n"
+                           f"    assert main({argv!r}) == 0")
+        assert {m for m in self.DEFERRED if m in mods} == set(needed)
+
+    def test_public_names_resolve(self):
+        # in a fresh process, so every name goes through the lazy lookup
+        self.loaded("import gradedq\n"
+                    "assert all(getattr(gradedq, n) is not None for n in gradedq.__all__)\n"
+                    "assert set(gradedq.__all__) <= set(vars(gradedq))\n"
+                    "namespace = {}\n"
+                    "exec('from gradedq import *', namespace)\n"
+                    "assert set(gradedq.__all__) <= set(namespace)\n"
+                    "assert getattr(gradedq, 'BACKEND', 'python') == 'python'\n"
+                    "assert not hasattr(gradedq, 'no_such_name')\n"
+                    "from gradedq.algebroid import SectionError, lambda_rank\n"
+                    "from gradedq.genmetric import MatrixError")
