@@ -171,7 +171,8 @@ def cmd_axioms(config: Config, args) -> tuple[dict, str, int]:
 def cmd_rank(config: Config, args) -> tuple[dict, str, int]:
     from .algebroid import module_rank
     chart = config.chart
-    ns = [args.n] if args.n is not None else list(range(chart.p + 1))
+    ns = list(range(chart.p + 1)) if args.n is None else \
+        [bounded("--n", args.n, 0, chart.p)]
     lines, rows = [], []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

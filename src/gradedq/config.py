@@ -204,22 +204,22 @@ def parse_config(text: str) -> Config:
         else:
             raise ConfigError("theta.type",
                               f"expected 'vinogradov' or 'm5', got {ttype!r}")
-    except (ValueError,) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+    except ConfigError:
+        raise
+    except ValueError as exc:
         raise ConfigError("theta", str(exc)) from None
 
     sections = {}
-    for name, obj in (_expect(doc, "sections", "<root>", dict,
-                              required=False, default={}) or {}).items():
+    for name, obj in _expect(doc, "sections", "<root>", dict,
+                             required=False, default={}).items():
         sections[name] = _parse_section(obj, chart, f"sections.{name}")
 
     matrices = {}
-    for name, rows in (_expect(doc, "matrices", "<root>", dict,
-                               required=False, default={}) or {}).items():
+    for name, rows in _expect(doc, "matrices", "<root>", dict,
+                              required=False, default={}).items():
         matrices[name] = _parse_matrix(rows, f"matrices.{name}")
 
-    harness = _expect(doc, "harness", "<root>", dict, required=False, default={}) or {}
+    harness = _expect(doc, "harness", "<root>", dict, required=False, default={})
     trials = bounded("harness.trials", _expect(harness, "trials", "harness", int,
                                                required=False, default=100),
                      1, MAX_TRIALS)

@@ -15,7 +15,7 @@ from math import lcm
 
 from .chart import ChartError, ChartSpec
 from ._kernel_py import element_mul
-from .poly import Poly, _product
+from .poly import Poly, _product, render_product, render_sum
 
 INHOMOGENEOUS = "inhomogeneous"
 
@@ -126,34 +126,12 @@ class GradedElement:
 
     # rendering -------------------------------------------------------
     def render_mono(self, mono) -> str:
-        bits = []
-        for sid, e in mono:
-            name = self.chart.generator(sid).name
-            bits.append(name + (f"^{e}" if e > 1 else ""))
-        return "*".join(bits) if bits else "1"
+        return render_product((self.chart.generator(sid).name, e)
+                              for sid, e in mono) or "1"
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono in self.monomials():
-            poly = self.terms[mono]
-            ms = self.render_mono(mono)
-            ps = str(poly)
-            if ms == "1":
-                parts.append(ps)
-            elif ps == "1":
-                parts.append(ms)
-            elif ps == "-1":
-                parts.append(f"-{ms}")
-            elif ("+" in ps) or (" - " in ps):
-                parts.append(f"({ps})*{ms}")
-            else:
-                parts.append(f"{ps}*{ms}")
-        out = parts[0]
-        for t in parts[1:]:
-            out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-        return out
+        return render_sum((str(self.terms[m]), self.render_mono(m) if m else "")
+                          for m in self.monomials())
 
     def __repr__(self):
         return f"GradedElement({self})"

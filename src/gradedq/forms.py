@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import Poly
+from .poly import Poly, render_sum
 
 
 class FormError(ValueError):
@@ -147,27 +147,8 @@ class DiffForm:
         return hash((self.d, self.rank, frozenset(self.terms.items())))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for idx in sorted(self.terms):
-            poly = self.terms[idx]
-            base = "dx" + "".join(str(i) for i in idx) if idx else ""
-            ps = str(poly)
-            if not base:
-                parts.append(ps)
-            elif ps == "1":
-                parts.append(base)
-            elif ps == "-1":
-                parts.append(f"-{base}")
-            elif ("+" in ps) or (" - " in ps):
-                parts.append(f"({ps})*{base}")
-            else:
-                parts.append(f"{ps}*{base}")
-        out = parts[0]
-        for t in parts[1:]:
-            out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-        return out
+        return render_sum((str(p), "dx" + "".join(map(str, idx)) if idx else "")
+                          for idx, p in sorted(self.terms.items()))
 
     def __repr__(self):
         return f"DiffForm({self})"

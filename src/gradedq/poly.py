@@ -216,31 +216,41 @@ class Poly:
     # rendering -------------------------------------------------------
     def __str__(self):
         terms = self.terms
-        if not terms:
-            return "0"
-        bits = []
-        for exp in sorted(terms, key=lambda e: (sum(e), e), reverse=True):
-            c = terms[exp]
-            mono = "*".join(
-                f"x{mu + 1}" + (f"^{k}" if k > 1 else "")
-                for mu, k in enumerate(exp) if k)
-            if mono:
-                if c == 1:
-                    t = mono
-                elif c == -1:
-                    t = f"-{mono}"
-                else:
-                    t = f"{c}*{mono}"
-            else:
-                t = str(c)
-            bits.append(t)
-        out = bits[0]
-        for t in bits[1:]:
-            out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-        return out
+        return render_sum((str(terms[e]), render_product(
+            (f"x{mu}", k) for mu, k in enumerate(e, 1) if k))
+            for e in sorted(terms, key=lambda e: (sum(e), e), reverse=True))
 
     def __repr__(self):
         return f"Poly({self})"
+
+
+def render_product(factors) -> str:
+    """The power product of (name, exponent) pairs, like 'x1^2*x3'; '' if
+    there are none."""
+    return "*".join(name + (f"^{e}" if e > 1 else "") for name, e in factors)
+
+
+def render_sum(parts) -> str:
+    """The signed sum of (coefficient text, basis text) pairs, in order.
+
+    A coefficient of 1 or -1 is left out, a coefficient that is itself a
+    sum is parenthesised, an empty basis is the constant term, printed
+    bare, and an empty sum is '0'.  Polynomials, graded elements and forms
+    all print through this one function."""
+    terms = []
+    for coeff, basis in parts:
+        if not basis:
+            terms.append(coeff)
+        elif coeff in ("1", "-1"):
+            terms.append(coeff[:-1] + basis)  # the sign alone
+        elif "+" in coeff or " - " in coeff:
+            terms.append(f"({coeff})*{basis}")
+        else:
+            terms.append(f"{coeff}*{basis}")
+    if not terms:
+        return "0"
+    return terms[0] + "".join(f" - {t[1:]}" if t[0] == "-" else f" + {t}"
+                              for t in terms[1:])
 
 
 def _raw(d: int, den: int, nums: dict) -> Poly:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from .chart import ChartSpec
+from .chart import ChartSpec, lambda_rank
 from .element import GradedElement, monomial_at, monomial_count
 from .forms import DiffForm, Section
 from .poly import Poly
@@ -58,12 +58,10 @@ def random_vector(rng: random.Random, d: int,
 def random_section(rng: random.Random, chart: ChartSpec,
                    max_degree: int = MAX_COEFF_DEGREE) -> Section:
     d = chart.d
-    if chart.kind == "m5":
-        return Section(random_vector(rng, d, max_degree),
-                       random_form(rng, d, 2, max_degree),
-                       random_form(rng, d, 5, max_degree))
-    return Section(random_vector(rng, d, max_degree),
-                   random_form(rng, d, chart.p - 1, max_degree))
+    v = random_vector(rng, d, max_degree)
+    lam = random_form(rng, d, lambda_rank(chart), max_degree)
+    sigma = random_form(rng, d, 5, max_degree) if chart.kind == "m5" else None
+    return Section(v, lam, sigma)
 
 
 def random_homogeneous(rng: random.Random, chart: ChartSpec, n: int,

@@ -6,10 +6,10 @@ from fractions import Fraction
 from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gradedq import (ChartError, GradedElement, Poly, PolyParseError,
+from gradedq import (ChartError, DiffForm, GradedElement, Poly, PolyParseError,
                      make_chart, monomial_basis, parse_poly)
 from gradedq import element
 from gradedq.element import INHOMOGENEOUS, monomial_at, monomial_count
@@ -104,6 +104,17 @@ def polys(d=3, max_terms=4):
         lambda t: Poly(d, {e: c for e, c in t.items() if c}))
 
 
+@st.composite
+def mixed_polys(draw):
+    """(d, Poly) for d up to 12, so that variable names reach two digits,
+    with a mix of int and Fraction coefficients; may be zero or constant."""
+    d = draw(st.integers(1, 12))
+    coeff = st.one_of(st.integers(-9, 9),
+                      st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7)))
+    exps = st.tuples(*[st.integers(0, 3)] * d)
+    return d, Poly(d, draw(st.dictionaries(exps, coeff, max_size=4)))
+
+
 class TestPoly:
     @settings(max_examples=60, deadline=None)
     @given(polys(), polys(), polys())
@@ -137,14 +148,15 @@ class TestPoly:
     def test_parse_parens_and_unary(self):
         assert parse_poly("-(x1 + x2)^2", 2) == -((Poly.var(2, 1) + Poly.var(2, 2)) ** 2)
 
-    def test_parse_render_roundtrip(self):
-        rng = random.Random(5)
-        for _ in range(50):
-            terms = {tuple(rng.randint(0, 3) for _ in range(3)):
-                     Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 7))
-                     for _ in range(rng.randint(1, 4))}
-            p = Poly(3, terms)
-            assert parse_poly(str(p), 3) == p
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_polys())
+    @example((12, Poly(12)))
+    @example((1, Poly.const(1, Fraction(-7, 3))))
+    @example((12, Poly(12, {(0,) * 9 + (1, 0, 2): -1, (0,) * 11 + (1,): Fraction(5, 4),
+                            (0,) * 12: 3})))
+    def test_parse_render_roundtrip(self, case):
+        d, p = case
+        assert parse_poly(str(p), d) == p
 
     def test_parse_errors(self):
         for bad in ("x0", "x4", "1 +", "x1^", "(x1", "x1 x2 @", ""):
@@ -294,6 +306,50 @@ class TestGradedElement:
         psi1, psi2 = self.gen(self.chart, "psi1"), self.gen(self.chart, "psi2")
         e = x1 * psi1 * psi2 * Fraction(-3, 2)
         assert str(e) == "-3/2*x1*psi1*psi2"
+
+
+# ---------------------------------------------------------------------
+# printing: forms and graded elements, one case per branch of the
+# signed-sum format
+# ---------------------------------------------------------------------
+
+V32 = make_chart("vinogradov", 3, 2)
+
+
+def form(rank, *terms):
+    return DiffForm(3, rank, {idx: parse_poly(c, 3) for idx, c in terms})
+
+
+def element_of(*terms):
+    out = GradedElement.zero(V32)
+    for names, c in terms:
+        e = GradedElement.from_poly(V32, parse_poly(c, 3))
+        for name in names:
+            e = e * GradedElement.generator(V32, name)
+        out = out + e
+    return out
+
+
+@pytest.mark.parametrize("value, text", [
+    pytest.param(form(2), "0", id="form-zero"),
+    pytest.param(form(0, ((), "x1 - 2")), "x1 - 2", id="form-constant"),
+    pytest.param(form(2, ((1, 2), "1"), ((1, 3), "-1")), "dx12 - dx13", id="form-unit"),
+    pytest.param(form(1, ((1,), "x2 + 1/2"), ((3,), "x1 - x2")),
+                 "(x2 + 1/2)*dx1 + (x1 - x2)*dx3", id="form-compound"),
+    pytest.param(form(2, ((2, 1), "3/2*x2"), ((1, 3), "2")), "-3/2*x2*dx12 + 2*dx13",
+                 id="form-negative-lead"),
+    pytest.param(element_of(), "0", id="element-zero"),
+    pytest.param(element_of(((), "x2 + 1"), (("psi1",), "1")), "x2 + 1 + psi1",
+                 id="element-constant"),
+    pytest.param(element_of((("psi1",), "1"), (("chi2",), "-1"), (("p1", "p1"), "1")),
+                 "psi1 - chi2 + p1^2", id="element-unit"),
+    pytest.param(element_of((("psi1", "psi2"), "x1 - x3"), (("p3",), "x1^2 + 1")),
+                 "(x1 - x3)*psi1*psi2 + (x1^2 + 1)*p3", id="element-compound"),
+    pytest.param(element_of((("psi2", "psi1"), "2*x1"), (("p2",), "1/3")),
+                 "-2*x1*psi1*psi2 + 1/3*p2", id="element-negative-lead"),
+])
+def test_printed_notation(value, text):
+    assert str(value) == text
 
 
 REFERENCE_CHARTS = [*(make_chart("vinogradov", d, p) for d in (1, 2, 3, 4) for p in (2, 3, 4)),

@@ -557,6 +557,16 @@ class TestInputErrors:
             f"--n: the degree-6 basis has 598765 monomials, more than {config.MAX_BASIS} "
             "to list")
 
+    @pytest.mark.parametrize("path, n, bound", [
+        (GOLDEN_PASS, -1, "at least 0, got -1"), (GOLDEN_PASS, 3, "at most 2, got 3"),
+        (M5, -1, "at least 0, got -1"), (M5, 7, "at most 6, got 7")],
+        ids=["v32-negative", "v32-over-p", "m5-negative", "m5-over-p"])
+    def test_rank_n_is_bounded_by_p(self, capsys, path, n, bound):
+        assert main(["rank", path, "--n", str(n)]) == 2
+        assert capsys.readouterr().err == f"error: --n: must be {bound}\n"
+        assert main(["rank", path, "--n", str(n), "--json"]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == f"--n: must be {bound}"
+
     def test_zero_max_coeff_degree_is_legal(self, capsys):
         code = main(["axioms", GOLDEN_PASS, "--suite", "leibniz", "--trials", "1",
                      "--max-coeff-degree", "0", "--json"])
