@@ -16,14 +16,21 @@ no repeated generator, no stored numerator is zero, and a derivative
 in one generator is injective on the terms it keeps, so those terms
 never collide and need no merging.
 
+Products are built row by row: a row is one term c*x^e of one factor
+times the whole other factor, and `poly_add(acc, b, e, c)` adds it
+straight into its accumulator, so no row is ever stored.
+
 Mutation: every function leaves its arguments alone and returns new
-values, except the two accumulators.  `poly_add(a, b)` adds b into a in
-place, and `element_mul(f, g, parity, out, sign)` adds sign*f*g into the
-term map `out` in place.  The only dicts they write are `a` and `out`
-and the numerator dicts `element_mul` itself made: fresh `poly_mul`
-results, which it negates in place when the sign is -1 and puts into
-`out`; the numerators of a `Poly` are shared by the callers and are
-never written.
+values, except the two accumulators.  `poly_add(a, b, shift, scale)`
+adds a scaled, shifted b into a in place, and `element_mul(f, g,
+parity, out, weight)` adds weight*f*g, for any nonzero integer weight,
+into the term map `out` in place.  The only dicts they write are `a`
+and `out` and the numerator dicts `element_mul` itself made.  The first
+product to land on a monomial is a fresh `poly_mul` result, scaled in
+place by its signed weight and put into `out`; every later product on
+that monomial adds its weighted rows straight into those numerators, so
+no full product or negated copy is built for it.  The numerators of a
+`Poly` are shared by the callers and are never written.
 """
 
 from bisect import bisect_right
@@ -32,12 +39,16 @@ FIELD = 16
 FIELD_MASK = (1 << FIELD) - 1
 
 
-def poly_add(a, b):
-    """Add b into a in place, dropping the terms that cancel; returns a."""
-    if not a:
+def poly_add(a, b, shift=0, scale=1):
+    """Add scale * x^shift * b into a in place, dropping the terms that
+    cancel; returns a.  x^shift is the monomial with packed exponent
+    `shift`, so the default adds b itself."""
+    if not a and not shift and scale == 1:
         a.update(b)
         return a
     for exp, c in b.items():
+        exp += shift
+        c *= scale
         s = a.get(exp)
         if s is None:
             a[exp] = c
@@ -65,22 +76,13 @@ def poly_scale(a, c):
 
 
 def poly_mul(a, b):
-    if not a or not b:
-        return {}
+    """a * b, added row by row into a fresh dict: one `poly_add` per term
+    of the shorter factor, so a one-term factor gives its row."""
+    if len(a) > len(b):
+        a, b = b, a
     out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            exp = ea + eb
-            c = ca * cb
-            s = out.get(exp)
-            if s is None:
-                out[exp] = c
-            else:
-                s = s + c
-                if s:
-                    out[exp] = s
-                else:
-                    del out[exp]
+    for exp, c in a.items():
+        poly_add(out, b, exp, c)
     return out
 
 
@@ -154,8 +156,9 @@ def mono_partial(m, gid, parity, from_right):
     return (-1 if odd & 1 else 1), m[:pos] + m[pos + 1:]
 
 
-def element_mul(f, g, parity, out, sign):
-    """Add sign * f * g into the term map `out` in place.
+def element_mul(f, g, parity, out, weight):
+    """Add weight * f * g into the term map `out` in place; weight is any
+    nonzero int.
 
     f and g are term maps {mono: numerator dict}, all of f over one
     denominator and all of g over another; `out` is over their product
@@ -166,14 +169,15 @@ def element_mul(f, g, parity, out, sign):
             s, mono = mono_mul(m1, m2, parity)
             if s == 0:
                 continue
-            prod = poly_mul(p1, p2)
-            if not prod:
-                continue
-            if s != sign:  # the Koszul sign times `sign` is -1
-                for exp, c in prod.items():
-                    prod[exp] = -c
+            w = weight if s == 1 else -weight
             cur = out.get(mono)
             if cur is None:
+                prod = poly_mul(p1, p2)
+                if w != 1:
+                    for exp, c in prod.items():
+                        prod[exp] = w * c
                 out[mono] = prod
             else:
-                poly_add(cur, prod)
+                a, b = (p1, p2) if len(p1) <= len(p2) else (p2, p1)
+                for exp, c in a.items():
+                    poly_add(cur, b, exp, c * w)

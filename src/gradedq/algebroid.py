@@ -23,7 +23,7 @@ from .npq import Hamiltonian, embed_form, q_apply
 from .poly import Poly
 from .randomgen import random_poly, random_section
 from .reports import CheckReport, SuiteReport, witnesses_of
-from .symplectic import right_derivatives
+from .symplectic import bracket_sum, right_derivatives
 
 # 5-form slot embedding constant for m5 sections; -1 reproduces the
 # -lambda' ^ d lambda term of the exceptional Dorfman bracket given the
@@ -191,14 +191,17 @@ def _scalar_of(chart: ChartSpec, e: GradedElement) -> Poly:
 def _leibniz_defect(theta: Hamiltonian, QA, dQA, B, C, LAB, LAC) -> GradedElement:
     """L_A(L_B C) - L_{L_A B} C - L_B(L_A C), given QA = (Theta, A) with its
     right derivatives dQA, L_A B and L_A C; (Theta, B) is bracketed once
-    for L_B C and L_B(L_A C)."""
+    for L_B C and L_B(L_A C), and the commutator L_A(L_B C) - L_B(L_A C)
+    is summed in one accumulator."""
     chart = theta.chart
     # the checks dorfman(theta, B, L_A C) makes
     _check_section_degree(chart, B, "A")
     _check_section_degree(chart, LAC, "B")
     QB = q_apply(theta, B)
-    return _derived(chart, QA, _derived(chart, QB, C), dQA) \
-        - (dorfman(theta, LAB, C) + _derived(chart, QB, LAC))
+    sign = derived_sign(chart)
+    commutator = bracket_sum(chart, ((QA, _derived(chart, QB, C), dQA, sign),
+                                     (QB, LAC, None, -sign)))
+    return commutator - dorfman(theta, LAB, C)
 
 
 def _suite(name: str, checks: tuple[str, ...], fails: dict, trials: int,

@@ -340,10 +340,24 @@ _HANDLERS = {
 
 
 def _emit(args, payload: dict, text: str):
-    if args.json:
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        print(text)
+    _print(json.dumps(payload, sort_keys=True, indent=2) if args.json else text)
+
+
+def _print(text: str):
+    """Print text to stdout and flush it.  A reader that closed the pipe
+    early (`| head`) is not an error: stdout's descriptor is pointed at
+    devnull, so the flush at interpreter exit stays quiet and the exit
+    code stays the verdict's."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        except (OSError, ValueError):  # a stdout with no descriptor
+            pass
+        finally:
+            os.close(devnull)
 
 
 def _read_config(path: str) -> str:
@@ -368,16 +382,16 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as exc:
         message = str(exc)
         if args.json:
-            print(json.dumps({"command": args.command, "status": "ERROR",
-                              "error": message}, sort_keys=True, indent=2))
+            _print(json.dumps({"command": args.command, "status": "ERROR",
+                               "error": message}, sort_keys=True, indent=2))
         else:
             print(f"error: {message}", file=sys.stderr)
         return INPUT_ERROR
     except Exception as exc:  # a defect in gradedq, not in the input
         message = f"{type(exc).__name__}: {exc}".replace("\n", " ")
         if args.json:
-            print(json.dumps({"command": args.command, "status": "INTERNAL",
-                              "error": message}, sort_keys=True, indent=2))
+            _print(json.dumps({"command": args.command, "status": "INTERNAL",
+                               "error": message}, sort_keys=True, indent=2))
         print(f"internal error: {message}", file=sys.stderr)
         return INTERNAL_ERROR
     payload["exit_code"] = code

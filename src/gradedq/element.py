@@ -147,15 +147,16 @@ def _numerators(terms: dict) -> tuple[int, dict]:
 
 
 def product_sum(chart: ChartSpec, den: int, pairs) -> GradedElement:
-    """The sum of sign * f * g over the (f, g, sign) in `pairs`: term maps
-    {mono: numerators}, every f over one denominator and every g over
-    another, den their product.  All products accumulate in one map of
-    integer numerators, so each surviving monomial becomes a canonical
-    Poly once, and a monomial whose terms cancel is dropped."""
+    """The sum of weight * f * g over the (f, g, weight) in `pairs`: f and
+    g are term maps {mono: numerators}, weight is a nonzero int, and every
+    weighted product is over the one denominator den.  All products
+    accumulate in one map of integer numerators, so each surviving
+    monomial becomes a canonical Poly once, and a monomial whose terms
+    cancel is dropped."""
     parity = chart.parity
     out: dict = {}
-    for f, g, sign in pairs:
-        element_mul(f, g, parity, out, sign)
+    for f, g, weight in pairs:
+        element_mul(f, g, parity, out, weight)
     d = chart.d
     return GradedElement(chart, {m: _product(d, den, nums)
                                  for m, nums in out.items() if nums})

@@ -147,7 +147,10 @@ class DiffForm:
         return hash((self.d, self.rank, frozenset(self.terms.items())))
 
     def __str__(self):
-        return render_sum((str(p), "dx" + "".join(map(str, idx)) if idx else "")
+        # from d = 10 on an index can have two digits, so indices are
+        # separated: dx1_12 and dx11_2 are different forms
+        sep = "_" if self.d >= 10 else ""
+        return render_sum((str(p), "dx" + sep.join(map(str, idx)) if idx else "")
                           for idx, p in sorted(self.terms.items()))
 
     def __repr__(self):

@@ -22,13 +22,22 @@ Theta in Q = (Theta, -), is derived once: `right_derivatives` builds its
 derivatives in every pairing tag, and `poisson` takes them as `df`
 instead of deriving f again (`npq.Hamiltonian.derivatives` holds
 Theta's).
+
+`bracket_sum(chart, brackets)` is the sum of several signed brackets,
+such as the commutator L_A(L_B C) - L_B(L_A C) of the Leibniz identity,
+in one accumulator: the derivative pairs of every bracket are products
+over the lcm of the brackets' denominators, each weighted by its sign
+times lcm / its own denominator, so the sum makes one canonical `Poly`
+per surviving monomial.  `poisson` stages its pairs through the same
+helper and skips the lcm, so one bracket costs what it did alone.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from .chart import ChartError
+from .chart import ChartError, ChartSpec
 from ._kernel_py import mono_partial, poly_partial, poly_scale
 from .element import GradedElement, _numerators, product_sum
 
@@ -72,22 +81,17 @@ def right_derivatives(f: GradedElement) -> tuple[int, dict]:
     return _derivatives(f, f.chart.partner, from_right=True)
 
 
-def poisson(f: GradedElement, g: GradedElement, df: tuple | None = None,
-            sign: int = 1) -> GradedElement:
-    """Graded Poisson bracket (f, g) times `sign` (+1 or -1); degree
-    |f|+|g|-p on homogeneous input.
-
-    `df`, if given, is `right_derivatives(f)`, built once for a left
-    argument bracketed many times; otherwise f is derived here.  Pairs
-    are found from g's side: g depends on few generators, while a `df`
-    such as Theta's spans every tag."""
-    if f.chart != g.chart:
+def _bracket_pairs(f: GradedElement, g: GradedElement, df: tuple | None,
+                   sign: int) -> tuple[int, list]:
+    """(den, pairs): the derivative pairs (d_r f / dz^a, d_l g / dz^b,
+    sign * pi^{ab}) of the bracket (f, g) times `sign`, for
+    `product_sum`, and den the denominator of their products."""
+    if f.chart is not g.chart and f.chart != g.chart:
         raise ChartError(f"chart mismatch: {f.chart} vs {g.chart}")
-    chart = f.chart
-    partner = chart.partner
+    partner = f.chart.partner
     den_g, dg = _derivatives(g, partner, from_right=False)
     if not dg:
-        return GradedElement.zero(chart)
+        return 1, []
     if df is None:
         # derive f only in the partners of g's derivatives
         df = _derivatives(f, {partner[b][0] for b in dg}, from_right=True)
@@ -98,7 +102,35 @@ def poisson(f: GradedElement, g: GradedElement, df: tuple | None = None,
         fa = df.get(a)
         if fa is not None:
             pairs.append((fa, gb, sign * partner[a][1]))
-    return product_sum(chart, den_f * den_g, pairs)
+    return den_f * den_g, pairs
+
+
+def poisson(f: GradedElement, g: GradedElement, df: tuple | None = None,
+            sign: int = 1) -> GradedElement:
+    """Graded Poisson bracket (f, g) times `sign` (+1 or -1); degree
+    |f|+|g|-p on homogeneous input.
+
+    `df`, if given, is `right_derivatives(f)`, built once for a left
+    argument bracketed many times; otherwise f is derived here.  Pairs
+    are found from g's side: g depends on few generators, while a `df`
+    such as Theta's spans every tag."""
+    den, pairs = _bracket_pairs(f, g, df, sign)
+    return product_sum(f.chart, den, pairs)
+
+
+def bracket_sum(chart: ChartSpec, brackets) -> GradedElement:
+    """The sum of sign * (f, g) over the (f, g, df, sign) in `brackets`,
+    each as `poisson(f, g, df, sign)` takes it, in one accumulator over
+    the lcm of the brackets' denominators."""
+    staged = []
+    for f, g, df, sign in brackets:
+        if f.chart != chart:
+            raise ChartError(f"chart mismatch: {f.chart} vs {chart}")
+        staged.append(_bracket_pairs(f, g, df, sign))
+    den = lcm(*(d for d, _ in staged))
+    return product_sum(chart, den, [(fa, gb, w * (den // d))
+                                    for d, pairs in staged
+                                    for fa, gb, w in pairs])
 
 
 def gauge_exp(R: GradedElement, f: GradedElement) -> GradedElement:

@@ -352,6 +352,16 @@ def test_printed_notation(value, text):
     assert str(value) == text
 
 
+def test_form_indices_are_separated_from_d_10():
+    # run together, (1, 112) and (11, 12) would both print as dx1112
+    assert str(DiffForm.basis(128, (1, 112))) == "dx1_112"
+    assert str(DiffForm.basis(128, (11, 12))) == "dx11_12"
+    assert str(DiffForm.basis(10, (1, 2, 10))) == "dx1_2_10"
+    assert str(DiffForm(12, 2, {(1, 12): Poly.var(12, 3), (2, 3): Poly.const(12, -1)})) \
+        == "x3*dx1_12 - dx2_3"
+    assert str(DiffForm.basis(9, (1, 2, 9))) == "dx129"
+
+
 REFERENCE_CHARTS = [*(make_chart("vinogradov", d, p) for d in (1, 2, 3, 4) for p in (2, 3, 4)),
                     make_chart("m5", 6), make_chart("m5", 8)]
 

@@ -11,7 +11,7 @@ from gradedq import (ChartError, DiffForm, GradedElement, Poly, Section,
                      dorfman, encode_section, ext_d, interior, make_chart,
                      module_rank, monomial_basis, pairing, rho_star, theta_m5,
                      theta_vinogradov, verify_courant, verify_leibniz)
-from gradedq import npq, symplectic
+from gradedq import symplectic
 from gradedq.randomgen import random_poly, random_section
 
 P2 = make_chart("vinogradov", 3, 2)
@@ -241,16 +241,16 @@ class TestCourantSuite:
 ], ids=["courant", "leibniz"])
 def test_poisson_brackets_per_trial(monkeypatch, suite, per_trial):
     calls = 0
-    poisson = symplectic.poisson
+    stage = symplectic._bracket_pairs
 
-    def counting(f, g, *df):  # q_apply passes Theta's derivatives as df
+    def counting(*args):
         nonlocal calls
         calls += 1
-        return poisson(f, g, *df)
+        return stage(*args)
 
-    # (Theta, X) goes through npq.q_apply, other brackets through symplectic
-    monkeypatch.setattr(symplectic, "poisson", counting)
-    monkeypatch.setattr(npq, "poisson", counting)
+    # every bracket, alone in poisson or one of a bracket_sum, stages its
+    # derivative pairs here
+    monkeypatch.setattr(symplectic, "_bracket_pairs", counting)
     beta = DiffForm.basis(3, (1, 2, 3), Poly.var(3, 2))
     trials = 3
     assert suite(theta_vinogradov(P2, beta), trials=trials, seed=7).passed

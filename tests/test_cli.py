@@ -1,5 +1,6 @@
 """Config parsing, command dispatch, exit codes, and report determinism."""
 
+import io
 import json
 import os
 import pathlib
@@ -635,6 +636,53 @@ class TestInternalError:
         assert json.loads(out.out) == {"command": "check-master", "status": "INTERNAL",
                                        "error": "KeyError: 'psi9'"}
         assert out.err == "internal error: KeyError: 'psi9'\n"
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone: every write raises BrokenPipeError.
+    `fd` is the descriptor it reports, or None for a stream without one."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        if self.fd is None:
+            raise io.UnsupportedOperation("fileno")
+        return self.fd
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early (`gradedq ... | head`) leaves the
+    verdict's exit code and prints no traceback."""
+
+    CASES = [(["rank", M5, "--n", "4", "--json"], 0),
+             (["check-master", GOLDEN_FAIL], 1),
+             (["check-master", GOLDEN_ERROR, "--json"], 2)]
+
+    @pytest.mark.parametrize("argv, code", CASES)
+    def test_exit_code_is_the_verdicts(self, tmp_path, monkeypatch, capsys, argv, code):
+        path = tmp_path / "stdout"
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT)
+        try:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe(fd))
+            assert main(argv) == code
+            # the descriptor now writes to devnull, so the flush at exit is quiet
+            os.write(fd, b"late")
+        finally:
+            os.close(fd)
+        assert path.read_bytes() == b""
+        assert capsys.readouterr().err == ""
+
+    def test_stdout_without_a_descriptor(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(None))
+        assert main(["check-master", GOLDEN_FAIL, "--json"]) == 1
+        assert capsys.readouterr().err == ""
 
 
 # ---------------------------------------------------------------------

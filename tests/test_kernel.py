@@ -8,6 +8,7 @@ reference the packed, fraction-free arithmetic must agree with.
 
 import ast
 import inspect
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -15,8 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedq import Poly, PolyError, _kernel_py, parse_poly
+from gradedq import (ChartError, GradedElement, Poly, PolyError, _kernel_py,
+                     make_chart, parse_poly)
 from gradedq.poly import ExponentOverflowError, _pack, _unpack
+from gradedq.randomgen import random_homogeneous
+from gradedq.symplectic import bracket_sum, poisson, right_derivatives
 
 # up to 33 generators: the m5 chart at d=8
 MAX_GENERATORS = 33
@@ -299,11 +303,57 @@ class TestKernelAgainstReference:
         assert pb == packed(d, b)
 
     @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+        st.just(d), int_polys(d), int_polys(d), st.tuples(*[st.integers(0, 3)] * d),
+        st.integers(-9, 9).filter(bool))))
+    def test_poly_add_shifted_and_scaled(self, case):
+        d, a, b, shift, scale = case
+        pa, pb = packed(d, a), packed(d, b)
+        row = ref_scale(ref_mul({shift: 1}, b), scale)
+        assert _kernel_py.poly_add(pa, pb, _pack(d, shift), scale) is pa
+        assert pa == packed(d, ref_add(a, row))
+        assert pb == packed(d, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+        st.just(d), int_polys(d).filter(lambda a: len(a) == 1), int_polys(d))))
+    def test_poly_mul_one_term_factor(self, case):
+        d, a, b = case
+        pa, pb = packed(d, a), packed(d, b)
+        assert _kernel_py.poly_mul(pa, pb) == packed(d, ref_mul(a, b))
+        assert _kernel_py.poly_mul(pb, pa) == packed(d, ref_mul(b, a))
+
+    def test_poly_mul_cancels_and_empty_factors(self):
+        x, one = _pack(1, (1,)), 0
+        # (x + 1)(x - 1) - (x^2 - 1) is empty
+        prod = _kernel_py.poly_mul({x: 1, one: 1}, {x: 1, one: -1})
+        assert prod == {2 * x: 1, one: -1}
+        assert _kernel_py.poly_add(prod, {2 * x: -1, one: 1}) == {}
+        # (x - 1)(x^2 + x + 1) = x^3 - 1: terms of different rows cancel
+        assert _kernel_py.poly_mul({x: 1, one: -1}, {2 * x: 1, x: 1, one: 1}) \
+            == {3 * x: 1, one: -1}
+        for a in ({}, {x: 3}, {x: 1, one: 2}):
+            assert _kernel_py.poly_mul(a, {}) == {}
+            assert _kernel_py.poly_mul({}, a) == {}
+
+    @settings(max_examples=100, deadline=None)
+    @given(term_maps(), st.sampled_from([1, -1, 2, -2, 3]))
+    def test_element_mul_weight(self, case, weight):
+        parity, d, f, g = case
+        pf, pg = packed_terms(d, f), packed_terms(d, g)
+        out = {}
+        _kernel_py.element_mul(pf, pg, parity, out, weight)
+        assert nonzero(out) == packed_terms(d, reference_element_mul(f, g, parity, weight))
+        # a second pair lands on the monomials of the first: rows add in place
+        _kernel_py.element_mul(pf, pg, parity, out, -2 * weight)
+        assert nonzero(out) == packed_terms(d, reference_element_mul(f, g, parity, -weight))
+        assert (pf, pg) == (packed_terms(d, f), packed_terms(d, g))
+
+    @settings(max_examples=100, deadline=None)
     @given(term_maps(), st.sampled_from([1, -1]))
     def test_element_mul_accumulates_the_pair_sum(self, case, sign):
         parity, d, f, g = case
-        pf = {m: packed(d, p) for m, p in f.items()}
-        pg = {m: packed(d, p) for m, p in g.items()}
+        pf, pg = packed_terms(d, f), packed_terms(d, g)
         out = {}
         _kernel_py.element_mul(pf, pg, parity, out, sign)
         first = reference_element_mul(f, g, parity, sign)
@@ -320,8 +370,56 @@ class TestKernelAgainstReference:
         _kernel_py.element_mul(pf, pg, parity, out, -sign)
         assert nonzero(out) == {}
         # the factors' numerator dicts were read, never written
-        assert pf == {m: packed(d, p) for m, p in f.items()}
-        assert pg == {m: packed(d, p) for m, p in g.items()}
+        assert (pf, pg) == (packed_terms(d, f), packed_terms(d, g))
+
+
+BRACKET_CHARTS = [make_chart("vinogradov", 3, 2), make_chart("vinogradov", 2, 3),
+                  make_chart("m5", 6)]
+
+
+@st.composite
+def signed_brackets(draw):
+    """A chart and 2-3 brackets (f, g, df, sign) whose arguments have
+    different non-unit denominators; df is f's right derivatives or None."""
+    chart = draw(st.sampled_from(BRACKET_CHARTS))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    brackets = []
+    for k in range(draw(st.integers(2, 3))):
+        f = random_homogeneous(rng, chart, rng.randint(1, chart.p)) * Fraction(1, 2 + k)
+        g = random_homogeneous(rng, chart, rng.randint(1, chart.p)) * Fraction(k + 1, 5 + 2 * k)
+        df = right_derivatives(f) if draw(st.booleans()) else None
+        brackets.append((f, g, df, draw(st.sampled_from([1, -1]))))
+    return chart, brackets
+
+
+class TestBracketSum:
+    @settings(max_examples=60, deadline=None)
+    @given(signed_brackets())
+    def test_equals_the_separate_brackets(self, case):
+        chart, brackets = case
+        expected = GradedElement.zero(chart)
+        for f, g, df, sign in brackets:
+            expected = expected + poisson(f, g, df, sign)
+        got = bracket_sum(chart, brackets)
+        assert got == expected
+        assert all(canonical(p) for p in got.terms.values())
+
+    def test_a_bracket_minus_itself_is_zero(self):
+        chart = BRACKET_CHARTS[0]
+        f = GradedElement.from_poly(chart, parse_poly("1/3*x1^2 + x2", 3))
+        g = GradedElement.generator(chart, "p1") * Fraction(1, 2)
+        assert not poisson(f, g).is_zero()
+        assert bracket_sum(chart, [(f, g, None, 1), (f, g, right_derivatives(f), -1)]) \
+            == GradedElement.zero(chart)
+        assert bracket_sum(chart, []) == GradedElement.zero(chart)
+
+    def test_chart_mismatch(self):
+        a, b = BRACKET_CHARTS[:2]
+        f = GradedElement.generator(a, "psi1")
+        with pytest.raises(ChartError):
+            bracket_sum(b, [(f, f, None, 1)])
+        with pytest.raises(ChartError):
+            bracket_sum(a, [(f, GradedElement.generator(b, "psi1"), None, 1)])
 
 
 # coefficients as inputs arrive: int, Fraction (integral ones included)
