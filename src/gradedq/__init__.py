@@ -21,8 +21,7 @@ _EXPORTS = {
                   "verify_courant", "verify_leibniz"),
     "chart": ("ChartError", "ChartSpec", "Generator", "lambda_rank",
               "make_chart"),
-    "config": ("Config", "ConfigError", "MatrixError", "parse_config",
-               "render_config"),
+    "config": ("Config", "ConfigError", "MatrixError", "parse_config"),
     "element": ("GradedElement", "monomial_at", "monomial_basis",
                 "monomial_count"),
     "forms": ("DiffForm", "FormError", "Section", "SectionError",
@@ -31,9 +30,9 @@ _EXPORTS = {
     "genmetric": ("Background", "GenMetric", "act", "b_shift", "block_swap",
                   "build_gen_metric", "eta_matrix", "extract", "gl_embed",
                   "odd_check"),
-    "npq": ("Hamiltonian", "HamiltonianError", "embed_form", "extract_form",
-            "kinetic_term", "master_equation", "q_apply", "q_square_check",
-            "theta_m5", "theta_vinogradov"),
+    "npq": ("Hamiltonian", "HamiltonianError", "embed_form", "kinetic_term",
+            "master_equation", "q_apply", "q_square_check", "theta_m5",
+            "theta_vinogradov"),
     "poly": ("Poly", "PolyError", "PolyParseError", "parse_poly"),
     "reports": ("CheckReport", "SuiteReport"),
     "symplectic": ("GaugeError", "gauge_exp", "poisson"),

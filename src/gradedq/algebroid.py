@@ -23,7 +23,7 @@ from .npq import Hamiltonian, embed_form, q_apply
 from .poly import Poly
 from .randomgen import random_poly, random_section
 from .reports import CheckReport, SuiteReport, witnesses_of
-from .symplectic import bracket_sum, right_derivatives
+from .symplectic import bracket_sum
 
 # 5-form slot embedding constant for m5 sections; -1 reproduces the
 # -lambda' ^ d lambda term of the exceptional Dorfman bracket given the
@@ -110,12 +110,11 @@ def _check_section_degree(chart: ChartSpec, A: GradedElement, name: str):
                            f"{chart.p - 1}, got {A.euler_degree()}")
 
 
-def _derived(chart: ChartSpec, QA: GradedElement, B: GradedElement,
-             dQA: tuple | None = None) -> GradedElement:
-    """((Theta, A), B) with the chart's derived sign, given QA = (Theta, A)
-    and, for a QA bracketed many times, its right derivatives dQA."""
+def _derived(chart: ChartSpec, QA: GradedElement, B: GradedElement) -> GradedElement:
+    """((Theta, A), B) with the chart's derived sign, given QA = (Theta, A)."""
+    # imported per call so brackets go through symplectic.poisson, a perfbench traced site
     from .symplectic import poisson
-    return poisson(QA, B, dQA, derived_sign(chart))
+    return poisson(QA, B, derived_sign(chart))
 
 
 def dorfman(theta: Hamiltonian, A: GradedElement, B: GradedElement) -> GradedElement:
@@ -138,6 +137,7 @@ def anchor(theta: Hamiltonian, A: GradedElement, f: Poly) -> Poly:
 
 def pairing(A: GradedElement, B: GradedElement) -> GradedElement:
     """(A, B) via the Poisson bracket; the O(d,d) metric eta for p=2."""
+    # local import, for the reason given in _derived
     from .symplectic import poisson
     _check_section_degree(A.chart, A, "A")
     _check_section_degree(A.chart, B, "B")
@@ -188,19 +188,19 @@ def _scalar_of(chart: ChartSpec, e: GradedElement) -> Poly:
     return e.terms[()]
 
 
-def _leibniz_defect(theta: Hamiltonian, QA, dQA, B, C, LAB, LAC) -> GradedElement:
-    """L_A(L_B C) - L_{L_A B} C - L_B(L_A C), given QA = (Theta, A) with its
-    right derivatives dQA, L_A B and L_A C; (Theta, B) is bracketed once
-    for L_B C and L_B(L_A C), and the commutator L_A(L_B C) - L_B(L_A C)
-    is summed in one accumulator."""
+def _leibniz_defect(theta: Hamiltonian, QA, B, C, LAB, LAC) -> GradedElement:
+    """L_A(L_B C) - L_{L_A B} C - L_B(L_A C), given QA = (Theta, A), L_A B
+    and L_A C; QA and (Theta, B) each stay derived from their first
+    bracket (the memo of `symplectic`), and the commutator
+    L_A(L_B C) - L_B(L_A C) is summed in one accumulator."""
     chart = theta.chart
     # the checks dorfman(theta, B, L_A C) makes
     _check_section_degree(chart, B, "A")
     _check_section_degree(chart, LAC, "B")
     QB = q_apply(theta, B)
     sign = derived_sign(chart)
-    commutator = bracket_sum(chart, ((QA, _derived(chart, QB, C), dQA, sign),
-                                     (QB, LAC, None, -sign)))
+    commutator = bracket_sum(chart, ((QA, _derived(chart, QB, C), sign),
+                                     (QB, LAC, -sign)))
     return commutator - dorfman(theta, LAB, C)
 
 
@@ -230,9 +230,8 @@ def verify_leibniz(theta: Hamiltonian, trials: int = 100, seed: int = 0,
         B = encode_section(chart, random_section(rng, chart, max_degree))
         C = encode_section(chart, random_section(rng, chart, max_degree))
         QA = q_apply(theta, A)
-        dQA = right_derivatives(QA)
-        diff = _leibniz_defect(theta, QA, dQA, B, C, _derived(chart, QA, B, dQA),
-                               _derived(chart, QA, C, dQA))
+        diff = _leibniz_defect(theta, QA, B, C, _derived(chart, QA, B),
+                               _derived(chart, QA, C))
         if not diff.is_zero():
             fails.setdefault("leibniz identity", (t, diff))
     return _suite("leibniz", ("leibniz identity",), fails, trials, seed)
@@ -262,15 +261,14 @@ def verify_courant(theta: Hamiltonian, trials: int = 100, seed: int = 0,
         C = encode_section(chart, sC)
         f = random_poly(rng, chart.d, max_degree)
         QA = q_apply(theta, A)
-        dQA = right_derivatives(QA)
-        LAB = _derived(chart, QA, B, dQA)
-        LAC = _derived(chart, QA, C, dQA)
+        LAB = _derived(chart, QA, B)
+        LAC = _derived(chart, QA, C)
         defects = []
 
         # 1. anchored Leibniz: L_A(f B) = f L_A B + (rho(A).f) B
         rho_A_f = _scalar_of(chart, _derived(chart, QA,
-                                             GradedElement.from_poly(chart, f), dQA))
-        defects.append(_derived(chart, QA, B * f, dQA)
+                                             GradedElement.from_poly(chart, f)))
+        defects.append(_derived(chart, QA, B * f)
                        - (LAB * f + B * rho_A_f))
 
         # 2. anchor morphism: rho(L_A B) = [rho(A), rho(B)]
@@ -286,12 +284,12 @@ def verify_courant(theta: Hamiltonian, trials: int = 100, seed: int = 0,
         defects.append(GradedElement.from_poly(chart, lhs0 - rhs0))
 
         # 4. Leibniz identity
-        defects.append(_leibniz_defect(theta, QA, dQA, B, C, LAB, LAC))
+        defects.append(_leibniz_defect(theta, QA, B, C, LAB, LAC))
 
         # 5. L_A A = 1/2 rho*(d eta(A, A))
         eta_AA = _scalar_of(chart, pairing(A, A))
         rhs = rho_star(chart, ext_d(DiffForm.from_poly(chart.d, eta_AA))) * half
-        defects.append(_derived(chart, QA, A, dQA) - rhs)
+        defects.append(_derived(chart, QA, A) - rhs)
 
         # chain complex: rho o rho* = 0
         lam1 = DiffForm(chart.d, 1)

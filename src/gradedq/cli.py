@@ -71,12 +71,12 @@ def _form_terms(form: DiffForm) -> list[dict]:
             for idx in sorted(form.terms)]
 
 
-def _render_matrix(m) -> list[str]:
-    return ["  [" + ", ".join(str(Fraction(c)) for c in row) + "]" for row in m]
-
-
-def _matrix_json(m) -> list[list[str]]:
-    return [[str(Fraction(c)) for c in row] for row in m]
+def _put_matrix(payload: dict, lines: list[str], key: str, label: str, m):
+    """Report matrix m as payload[key] and as a `label =` line with its rows."""
+    rows = [[str(Fraction(c)) for c in row] for row in m]
+    payload[key] = rows
+    lines.append(f"{label} =")
+    lines.extend("  [" + ", ".join(row) + "]" for row in rows)
 
 
 def _named_matrix(config: Config, name: str):
@@ -238,38 +238,26 @@ def cmd_genmetric(config: Config, args) -> tuple[dict, str, int]:
     lines: list[str] = []
     if action == "build":
         H = gm.build_gen_metric(_background(config))
-        lines.append("H =")
-        lines.extend(_render_matrix(H.H))
-        payload["H"] = _matrix_json(H.H)
+        _put_matrix(payload, lines, "H", "H", H.H)
     elif action == "act":
         H = gm.build_gen_metric(_background(config))
         O = _named_matrix(config, "O")
         with _blame("O"):
             Hp = gm.act(O, H)
-        lines.append("H' = O^t H O =")
-        lines.extend(_render_matrix(Hp.H))
-        payload["H"] = _matrix_json(Hp.H)
+        _put_matrix(payload, lines, "H", "H' = O^t H O", Hp.H)
         try:
             bgp = gm.extract(Hp)
         except MatrixError:
             bgp = None
         if bgp is not None:
-            lines.append("g' =")
-            lines.extend(_render_matrix(bgp.g))
-            lines.append("b' =")
-            lines.extend(_render_matrix(bgp.b))
-            payload["g"] = _matrix_json(bgp.g)
-            payload["b"] = _matrix_json(bgp.b)
+            _put_matrix(payload, lines, "g", "g'", bgp.g)
+            _put_matrix(payload, lines, "b", "b'", bgp.b)
     else:  # extract
         H = _named_matrix(config, "H")
         with _blame("H"):
             bg = gm.extract(gm.GenMetric(H))
-        lines.append("g =")
-        lines.extend(_render_matrix(bg.g))
-        lines.append("b =")
-        lines.extend(_render_matrix(bg.b))
-        payload["g"] = _matrix_json(bg.g)
-        payload["b"] = _matrix_json(bg.b)
+        _put_matrix(payload, lines, "g", "g", bg.g)
+        _put_matrix(payload, lines, "b", "b", bg.b)
     return payload, "\n".join(lines), PASS
 
 

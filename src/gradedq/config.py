@@ -64,8 +64,7 @@ class Config:
     def __init__(self, chart: ChartSpec, theta: Hamiltonian,
                  sections: dict[str, Section] | None = None,
                  matrices: dict[str, tuple] | None = None, trials: int = 100,
-                 seed: int | None = None, max_coeff_degree: int = 2,
-                 raw: dict | None = None):
+                 seed: int | None = None, max_coeff_degree: int = 2):
         self.chart = chart
         self.theta = theta
         self.sections = {} if sections is None else sections
@@ -73,7 +72,6 @@ class Config:
         self.trials = trials
         self.seed = seed
         self.max_coeff_degree = max_coeff_degree
-        self.raw = {} if raw is None else raw
 
 
 def _expect(obj, key, where, kind=None, default=None, required=True):
@@ -230,9 +228,4 @@ def parse_config(text: str) -> Config:
                       0, MAX_EXPONENT)
 
     return Config(chart=chart, theta=theta, sections=sections, matrices=matrices,
-                  trials=trials, seed=seed, max_coeff_degree=max_deg, raw=doc)
-
-
-def render_config(config: Config) -> str:
-    """Canonical text form; parse(render(parse(text))) == parse(text)."""
-    return json.dumps(config.raw, sort_keys=True, indent=2) + "\n"
+                  trials=trials, seed=seed, max_coeff_degree=max_deg)

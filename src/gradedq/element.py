@@ -21,13 +21,18 @@ INHOMOGENEOUS = "inhomogeneous"
 
 
 class GradedElement:
-    """Map from canonical graded monomial to nonzero Poly coefficient."""
+    """Map from canonical graded monomial to nonzero Poly coefficient.
 
-    __slots__ = ("chart", "terms")
+    `_derivs` is the bracket's memo of this element's [left, right]
+    derivatives, None until `symplectic._derivatives` fills it; it stays
+    valid because no operation changes an element's terms."""
+
+    __slots__ = ("chart", "terms", "_derivs")
 
     def __init__(self, chart: ChartSpec, terms=None):
         self.chart = chart
         self.terms = {m: p for m, p in terms.items() if p} if terms else {}
+        self._derivs = None
 
     # constructors ----------------------------------------------------
     @classmethod
@@ -60,6 +65,8 @@ class GradedElement:
             raise ChartError(f"chart mismatch: {self.chart} vs {other.chart}")
 
     def __add__(self, other: "GradedElement") -> "GradedElement":
+        if not isinstance(other, GradedElement):
+            return NotImplemented
         self._check(other)
         out = dict(self.terms)
         for mono, poly in other.terms.items():
@@ -80,6 +87,8 @@ class GradedElement:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Poly)):
             return GradedElement(self.chart, {m: p * other for m, p in self.terms.items()})
+        if not isinstance(other, GradedElement):
+            return NotImplemented
         self._check(other)
         da, fa = _numerators(self.terms)
         db, fb = _numerators(other.terms)

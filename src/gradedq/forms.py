@@ -104,6 +104,8 @@ class DiffForm:
             raise FormError(f"rank mismatch: {self.rank} vs {other.rank}")
 
     def __add__(self, other: "DiffForm") -> "DiffForm":
+        if not isinstance(other, DiffForm):
+            return NotImplemented
         self._check(other)
         out = DiffForm(self.d, self.rank)
         out.terms = dict(self.terms)

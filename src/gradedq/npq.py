@@ -12,14 +12,13 @@ by a test).
 from __future__ import annotations
 
 import random
-from functools import cached_property
 
 from .chart import ChartError, ChartSpec
 from .element import GradedElement
 from .forms import DiffForm, FormError
 from .poly import Poly
 from .reports import CheckReport, SuiteReport, witnesses_of
-from .symplectic import poisson, right_derivatives
+from .symplectic import poisson
 
 
 class HamiltonianError(ValueError):
@@ -37,23 +36,6 @@ def embed_form(chart: ChartSpec, omega: DiffForm) -> GradedElement:
     return GradedElement(chart, out)
 
 
-def extract_form(chart: ChartSpec, f: GradedElement, rank: int) -> DiffForm:
-    """Inverse of embed_form on pure psi-elements of the given rank."""
-    omega = DiffForm(chart.d, rank)
-    for mono, poly in f.terms.items():
-        idx = []
-        for sid, e in mono:
-            g = chart.generator(sid)
-            if g.family != "psi" or e != 1:
-                raise FormError(f"monomial {f.render_mono(mono)} is not a psi-embedding")
-            idx.append(g.index)
-        if len(idx) != rank:
-            raise FormError(f"monomial {f.render_mono(mono)} has psi-rank {len(idx)}, "
-                            f"expected {rank}")
-        omega.add_term(tuple(idx), poly)
-    return omega
-
-
 def kinetic_term(chart: ChartSpec) -> GradedElement:
     """The anchor normal form sum_mu psi^mu p_mu."""
     out = {}
@@ -67,13 +49,10 @@ def kinetic_term(chart: ChartSpec) -> GradedElement:
 class Hamiltonian:
     """Degree-(p+1) element with its twist metadata.
 
-    Q = (Theta, -) is one fixed operator: `derivatives` holds Theta's right
-    graded derivatives in every pairing tag, built on first use and then
-    reused by every `q_apply` and `master_equation` on this hamiltonian,
-    so each bracket derives only its other argument.  They are kept in
-    numerator form, (den, {tag: {mono: integer numerators over den}}),
-    and share the numerator dicts of Theta's coefficients, which no
-    bracket writes.
+    Q = (Theta, -) is one fixed operator: the first `q_apply` or
+    `master_equation` derives Theta (the bracket memoises an element's
+    derivatives on the element, see `symplectic`), and every later one on
+    this hamiltonian derives only its other argument.
     """
 
     def __init__(self, chart: ChartSpec, element: GradedElement, twist: tuple):
@@ -85,11 +64,6 @@ class Hamiltonian:
         self.chart = chart
         self.element = element
         self.twist = twist  # ("beta", DiffForm) | ("m5", F4, F7)
-
-    @cached_property
-    def derivatives(self) -> tuple:
-        """Theta's right derivatives, as `poisson` takes them for `df`."""
-        return right_derivatives(self.element)
 
 
 def theta_vinogradov(chart: ChartSpec, beta: DiffForm | None = None) -> Hamiltonian:
@@ -127,7 +101,7 @@ def theta_m5(chart: ChartSpec, F4: DiffForm | None = None,
 
 def master_equation(theta: Hamiltonian) -> tuple[GradedElement, bool]:
     """((Theta, Theta), is_zero); zero iff Q squares to zero."""
-    bracket = poisson(theta.element, theta.element, theta.derivatives)
+    bracket = poisson(theta.element, theta.element)
     return bracket, bracket.is_zero()
 
 
@@ -135,7 +109,7 @@ def q_apply(theta: Hamiltonian, f: GradedElement) -> GradedElement:
     """Q(f) = (Theta, f); raises degree by one on homogeneous input."""
     if f.chart != theta.chart:
         raise ChartError(f"chart mismatch: {f.chart} vs {theta.chart}")
-    return poisson(theta.element, f, theta.derivatives)
+    return poisson(theta.element, f)
 
 
 def q_square_check(theta: Hamiltonian, samples: int = 8, seed: int = 0,

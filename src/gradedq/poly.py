@@ -147,6 +147,8 @@ class Poly:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Poly.const(self.d, other)
+        elif not isinstance(other, Poly):
+            return NotImplemented
         self._check(other)
         den = lcm(self.den, other.den)
         nums = self._over(den)
@@ -176,6 +178,8 @@ class Poly:
             if q == 1:
                 return _raw(self.d, self.den // g, nums)
             return _normal(self.d, self.den // g * q, nums)
+        if not isinstance(other, Poly):
+            return NotImplemented  # a GradedElement or DiffForm scales by its __rmul__
         self._check(other)
         return _product(self.d, self.den * other.den, poly_mul(self.nums, other.nums))
 

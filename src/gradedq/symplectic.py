@@ -9,19 +9,22 @@ derivative on the left argument and a left graded derivative on the
 right argument.  Graded symmetry, Leibniz and Jacobi follow from the
 table's symmetry and are pinned by the test suite.
 
-`poisson` scans each argument once: one pass over g's terms yields every
-left derivative, one pass over f's terms the right derivatives in the
-partners (`ChartSpec.partner`) of those generators, and each derivative
-of f meets the one derivative of g it pairs with.  It works in numerator
-space: a derivative is a term map {mono: integer numerators} over its
-argument's common denominator, built by scaling or x-deriving the
-numerators, with no gcd and no `Poly`; `element.product_sum` multiplies
-every pair into one integer accumulator and makes one canonical `Poly`
-per surviving monomial.  A left argument bracketed many times, such as
-Theta in Q = (Theta, -), is derived once: `right_derivatives` builds its
-derivatives in every pairing tag, and `poisson` takes them as `df`
-instead of deriving f again (`npq.Hamiltonian.derivatives` holds
-Theta's).
+A bracket works in numerator space: a derivative is a term map {mono:
+integer numerators} over its argument's common denominator, built by
+scaling or x-deriving the numerators, with no gcd and no `Poly`, and
+each derivative of g meets the one derivative of f it pairs with
+(`ChartSpec.partner`).  `element.product_sum` multiplies every pair into
+one integer accumulator and makes one canonical `Poly` per surviving
+monomial.
+
+An element is derived at most once per side.  The first bracket that
+needs f's right (or left) derivatives builds them in every tag f
+depends on, in one pass over f's terms, and keeps them on f
+(`GradedElement` slot `_derivs`); every later bracket with f on that
+side reuses them.  So Theta in Q = (Theta, -), (Theta, A) in a suite
+trial and a section bracketed several times are each derived once.
+Elements are never changed after construction, and no bracket writes
+the derivatives it reads, so a memo stays valid for its element's life.
 
 `bracket_sum(chart, brackets)` is the sum of several signed brackets,
 such as the commutator L_A(L_B C) - L_B(L_A C) of the Leibniz identity,
@@ -48,55 +51,49 @@ class GaugeError(ValueError):
     pass
 
 
-def _derivatives(f: GradedElement, tags, from_right: bool) -> tuple[int, dict]:
-    """(den, {tag: {mono: numerators over den}}): the derivatives of f in
-    one pass over f's terms, for each tag in `tags` that f depends on: the
-    graded derivative in every super generator a monomial contains, the
-    x-partial in every variable a coefficient uses.  den is f's common
-    denominator.  A derivative in one generator is injective on the terms
-    it keeps, so no two terms land on the same key.  A numerator dict
-    scaled by 1 is f's own, shared and never written."""
+def _derivatives(f: GradedElement, from_right: bool) -> tuple[int, dict]:
+    """(den, {tag: {mono: numerators over den}}): f's right (or left)
+    derivatives in every tag f depends on, memoised on f.  One pass over
+    f's terms builds the graded derivative in every super generator a
+    monomial contains and the x-partial in every variable a coefficient
+    uses; den is f's common denominator.  A derivative in one generator
+    is injective on the terms it keeps, so no two terms land on the same
+    key.  A numerator dict scaled by 1 is f's own, shared and never
+    written."""
+    memo = f._derivs
+    if memo is None:
+        memo = f._derivs = [None, None]
+    found = memo[from_right]
+    if found is not None:
+        return found
     parity = f.chart.parity
     den, numerators = _numerators(f.terms)
     out: dict[tuple, dict] = {}
     for mono, poly in f.terms.items():
         nums = numerators[mono]
         for sid, _ in mono:
-            tag = ("s", sid)
-            if tag in tags:
-                coeff, reduced = mono_partial(mono, sid, parity, from_right)
-                out.setdefault(tag, {})[reduced] = \
-                    nums if coeff == 1 else poly_scale(nums, coeff)
+            coeff, reduced = mono_partial(mono, sid, parity, from_right)
+            out.setdefault(("s", sid), {})[reduced] = \
+                nums if coeff == 1 else poly_scale(nums, coeff)
         for mu in poly.variables():
-            tag = ("x", mu)
-            if tag in tags:
-                out.setdefault(tag, {})[mono] = poly_partial(nums, mu - 1)
-    return den, out
+            out.setdefault(("x", mu), {})[mono] = poly_partial(nums, mu - 1)
+    found = memo[from_right] = (den, out)
+    return found
 
 
-def right_derivatives(f: GradedElement) -> tuple[int, dict]:
-    """f's right derivatives in every pairing tag f depends on, in the
-    numerator form of `_derivatives`: the `df` that lets `poisson` bracket
-    f on the left without deriving it."""
-    return _derivatives(f, f.chart.partner, from_right=True)
-
-
-def _bracket_pairs(f: GradedElement, g: GradedElement, df: tuple | None,
-                   sign: int) -> tuple[int, list]:
+def _bracket_pairs(f: GradedElement, g: GradedElement, sign: int) -> tuple[int, list]:
     """(den, pairs): the derivative pairs (d_r f / dz^a, d_l g / dz^b,
     sign * pi^{ab}) of the bracket (f, g) times `sign`, for
     `product_sum`, and den the denominator of their products."""
     if f.chart is not g.chart and f.chart != g.chart:
         raise ChartError(f"chart mismatch: {f.chart} vs {g.chart}")
-    partner = f.chart.partner
-    den_g, dg = _derivatives(g, partner, from_right=False)
+    den_g, dg = _derivatives(g, from_right=False)
     if not dg:
         return 1, []
-    if df is None:
-        # derive f only in the partners of g's derivatives
-        df = _derivatives(f, {partner[b][0] for b in dg}, from_right=True)
-    den_f, df = df
+    den_f, df = _derivatives(f, from_right=True)
+    partner = f.chart.partner
     pairs = []
+    # from g's side: g mostly depends on few generators, f (Theta) on all
     for b, gb in dg.items():
         a = partner[b][0]  # partner is an involution: partner[a][0] == b
         fa = df.get(a)
@@ -105,28 +102,21 @@ def _bracket_pairs(f: GradedElement, g: GradedElement, df: tuple | None,
     return den_f * den_g, pairs
 
 
-def poisson(f: GradedElement, g: GradedElement, df: tuple | None = None,
-            sign: int = 1) -> GradedElement:
+def poisson(f: GradedElement, g: GradedElement, sign: int = 1) -> GradedElement:
     """Graded Poisson bracket (f, g) times `sign` (+1 or -1); degree
-    |f|+|g|-p on homogeneous input.
-
-    `df`, if given, is `right_derivatives(f)`, built once for a left
-    argument bracketed many times; otherwise f is derived here.  Pairs
-    are found from g's side: g depends on few generators, while a `df`
-    such as Theta's spans every tag."""
-    den, pairs = _bracket_pairs(f, g, df, sign)
+    |f|+|g|-p on homogeneous input."""
+    den, pairs = _bracket_pairs(f, g, sign)
     return product_sum(f.chart, den, pairs)
 
 
 def bracket_sum(chart: ChartSpec, brackets) -> GradedElement:
-    """The sum of sign * (f, g) over the (f, g, df, sign) in `brackets`,
-    each as `poisson(f, g, df, sign)` takes it, in one accumulator over
-    the lcm of the brackets' denominators."""
+    """The sum of sign * (f, g) over the (f, g, sign) in `brackets`, in one
+    accumulator over the lcm of the brackets' denominators."""
     staged = []
-    for f, g, df, sign in brackets:
+    for f, g, sign in brackets:
         if f.chart != chart:
             raise ChartError(f"chart mismatch: {f.chart} vs {chart}")
-        staged.append(_bracket_pairs(f, g, df, sign))
+        staged.append(_bracket_pairs(f, g, sign))
     den = lcm(*(d for d, _ in staged))
     return product_sum(chart, den, [(fa, gb, w * (den // d))
                                     for d, pairs in staged

@@ -308,6 +308,25 @@ class TestGradedElement:
         assert str(e) == "-3/2*x1*psi1*psi2"
 
 
+def test_poly_times_element_or_form_is_reflected():
+    # a Poly leaves an operand it does not know to that operand's own operator
+    chart = make_chart("vinogradov", 2, 2)
+    x = Poly.var(2, 1) + Fraction(1, 3)
+    e = GradedElement.generator(chart, "psi1") + GradedElement.generator(chart, "p2")
+    form = DiffForm.basis(2, (1,), Poly.var(2, 2))
+    assert x * e == e * x
+    assert str(x * e) == "(x1 + 1/3)*psi1 + (x1 + 1/3)*p2"
+    assert x * form == form * x
+    assert str(x * form) == "(x1*x2 + 1/3*x2)*dx1"
+    for a, b in ((x, e), (e, x), (x, form), (form, x), (e, form)):
+        with pytest.raises(TypeError):
+            a + b
+        with pytest.raises(TypeError):
+            a - b
+    with pytest.raises(TypeError):
+        e * form
+
+
 # ---------------------------------------------------------------------
 # printing: forms and graded elements, one case per branch of the
 # signed-sum format

@@ -255,3 +255,32 @@ def test_poisson_brackets_per_trial(monkeypatch, suite, per_trial):
     trials = 3
     assert suite(theta_vinogradov(P2, beta), trials=trials, seed=7).passed
     assert calls == per_trial * trials
+
+
+@pytest.mark.parametrize("suite, theta", [
+    (verify_courant, theta_vinogradov(P2, DiffForm.basis(3, (1, 2, 3), Poly.var(3, 2)))),
+    (verify_leibniz, untwisted(M5)),
+], ids=["courant", "leibniz-m5"])
+def test_brackets_leave_the_memo_as_derived(monkeypatch, suite, theta):
+    """Every argument of a trial's brackets keeps its coefficients, and
+    its memoised derivatives equal a fresh derivation of a copy."""
+    args = {}
+    stage = symplectic._bracket_pairs
+
+    def recording(f, g, sign):
+        for e in (f, g):
+            if id(e) not in args:  # p * 1 copies the numerators
+                args[id(e)] = (e, GradedElement(e.chart, {m: p * 1 for m, p
+                                                         in e.terms.items()}))
+        return stage(f, g, sign)
+
+    monkeypatch.setattr(symplectic, "_bracket_pairs", recording)
+    assert suite(theta, trials=1, seed=5).passed
+    memos = 0
+    for e, copy in args.values():
+        assert e.terms == copy.terms
+        for side, memo in enumerate(e._derivs or (None, None)):
+            if memo is not None:
+                memos += 1
+                assert memo == symplectic._derivatives(copy, bool(side))
+    assert memos >= len(args)  # every argument here was derived on a side

@@ -20,7 +20,7 @@ from gradedq import (ChartError, GradedElement, Poly, PolyError, _kernel_py,
                      make_chart, parse_poly)
 from gradedq.poly import ExponentOverflowError, _pack, _unpack
 from gradedq.randomgen import random_homogeneous
-from gradedq.symplectic import bracket_sum, poisson, right_derivatives
+from gradedq.symplectic import _derivatives, bracket_sum, poisson
 
 # up to 33 generators: the m5 chart at d=8
 MAX_GENERATORS = 33
@@ -377,18 +377,25 @@ BRACKET_CHARTS = [make_chart("vinogradov", 3, 2), make_chart("vinogradov", 2, 3)
                   make_chart("m5", 6)]
 
 
+def fresh(f):
+    """A copy of f with no memoised derivatives."""
+    return GradedElement(f.chart, dict(f.terms))
+
+
 @st.composite
 def signed_brackets(draw):
-    """A chart and 2-3 brackets (f, g, df, sign) whose arguments have
-    different non-unit denominators; df is f's right derivatives or None."""
+    """A chart and 2-3 brackets (f, g, sign) whose arguments have
+    different non-unit denominators; each bracket's f and g come with
+    their derivatives memoised by an earlier bracket, or none."""
     chart = draw(st.sampled_from(BRACKET_CHARTS))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     brackets = []
     for k in range(draw(st.integers(2, 3))):
         f = random_homogeneous(rng, chart, rng.randint(1, chart.p)) * Fraction(1, 2 + k)
         g = random_homogeneous(rng, chart, rng.randint(1, chart.p)) * Fraction(k + 1, 5 + 2 * k)
-        df = right_derivatives(f) if draw(st.booleans()) else None
-        brackets.append((f, g, df, draw(st.sampled_from([1, -1]))))
+        if draw(st.booleans()):
+            poisson(f, g)  # warms f's right and g's left memo
+        brackets.append((f, g, draw(st.sampled_from([1, -1]))))
     return chart, brackets
 
 
@@ -398,8 +405,8 @@ class TestBracketSum:
     def test_equals_the_separate_brackets(self, case):
         chart, brackets = case
         expected = GradedElement.zero(chart)
-        for f, g, df, sign in brackets:
-            expected = expected + poisson(f, g, df, sign)
+        for f, g, sign in brackets:
+            expected = expected + poisson(fresh(f), fresh(g), sign)
         got = bracket_sum(chart, brackets)
         assert got == expected
         assert all(canonical(p) for p in got.terms.values())
@@ -409,7 +416,8 @@ class TestBracketSum:
         f = GradedElement.from_poly(chart, parse_poly("1/3*x1^2 + x2", 3))
         g = GradedElement.generator(chart, "p1") * Fraction(1, 2)
         assert not poisson(f, g).is_zero()
-        assert bracket_sum(chart, [(f, g, None, 1), (f, g, right_derivatives(f), -1)]) \
+        # the first bracket reads the memo of f and g, the second derives copies
+        assert bracket_sum(chart, [(f, g, 1), (fresh(f), fresh(g), -1)]) \
             == GradedElement.zero(chart)
         assert bracket_sum(chart, []) == GradedElement.zero(chart)
 
@@ -417,9 +425,23 @@ class TestBracketSum:
         a, b = BRACKET_CHARTS[:2]
         f = GradedElement.generator(a, "psi1")
         with pytest.raises(ChartError):
-            bracket_sum(b, [(f, f, None, 1)])
+            bracket_sum(b, [(f, f, 1)])
         with pytest.raises(ChartError):
-            bracket_sum(a, [(f, GradedElement.generator(b, "psi1"), None, 1)])
+            bracket_sum(a, [(f, GradedElement.generator(b, "psi1"), 1)])
+
+    @settings(max_examples=30, deadline=None)
+    @given(signed_brackets())
+    def test_brackets_leave_the_memo_as_derived(self, case):
+        chart, brackets = case
+        copies = [(e, GradedElement(chart, {m: p * 1 for m, p in e.terms.items()}))
+                  for f, g, _ in brackets for e in (f, g)]  # p * 1 copies numerators
+        bracket_sum(chart, brackets)
+        bracket_sum(chart, [(g, f, sign) for f, g, sign in brackets])
+        for e, copy in copies:
+            assert e.terms == copy.terms
+            for side, memo in enumerate(e._derivs or (None, None)):
+                if memo is not None:
+                    assert memo == _derivatives(copy, bool(side))
 
 
 # coefficients as inputs arrive: int, Fraction (integral ones included)

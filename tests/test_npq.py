@@ -8,14 +8,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradedq import (DiffForm, GradedElement, HamiltonianError, Poly,
-                     embed_form, ext_d, extract_form, gauge_exp, kinetic_term,
-                     make_chart, master_equation, npq, q_apply, q_square_check,
-                     parse_poly, symplectic, theta_m5, theta_vinogradov, wedge)
+                     embed_form, ext_d, gauge_exp, kinetic_term, make_chart,
+                     master_equation, npq, q_apply, q_square_check, parse_poly,
+                     symplectic, theta_m5, theta_vinogradov, wedge)
 from gradedq.randomgen import random_form, random_homogeneous
 
 
 def gen(chart, name):
     return GradedElement.generator(chart, name)
+
+
+def fresh(f):
+    """A copy of f with no memoised derivatives."""
+    return GradedElement(f.chart, dict(f.terms))
+
+
+def extract_form(chart, f, rank):
+    """Inverse of embed_form on pure psi-elements of the given rank."""
+    omega = DiffForm(chart.d, rank)
+    for mono, poly in f.terms.items():
+        gens = [(chart.generator(sid), e) for sid, e in mono]
+        assert [(g.family, e) for g, e in gens] == [("psi", 1)] * rank
+        omega.add_term(tuple(g.index for g, _ in gens), poly)
+    return omega
 
 
 class TestEmbedding:
@@ -227,7 +242,7 @@ class TestThetaDerivatives:
     def test_master_equation_bracket(self, name):
         theta = THETAS[name]
         bracket, ok = master_equation(theta)
-        assert bracket == symplectic.poisson(theta.element, theta.element)
+        assert bracket == symplectic.poisson(fresh(theta.element), fresh(theta.element))
         assert ok == name.endswith(" closed")
 
     @pytest.mark.parametrize("name", THETAS)
@@ -238,21 +253,24 @@ class TestThetaDerivatives:
         rng = random.Random(seed)
         f = random_homogeneous(rng, theta.chart, degree)
         f = f + random_homogeneous(rng, theta.chart, degree) * Poly.var(theta.chart.d, 1)
-        assert q_apply(theta, f) == symplectic.poisson(theta.element, f)
+        assert q_apply(theta, f) == symplectic.poisson(fresh(theta.element), fresh(f))
 
-    def test_built_once_per_hamiltonian(self, monkeypatch):
-        builds = []
-        derive = npq.right_derivatives
-        monkeypatch.setattr(npq, "right_derivatives",
-                            lambda f: builds.append(f) or derive(f))
+    def test_theta_derived_once_per_side(self, monkeypatch):
+        # every derivation takes its element's numerators once
+        derived = []
+        numerators = symplectic._numerators
+        monkeypatch.setattr(symplectic, "_numerators",
+                            lambda terms: derived.append(terms) or numerators(terms))
         for name in ("v(4,2) non-closed", "m5(8) closed"):
             theta = THETAS[name]
-            fresh = npq.Hamiltonian(theta.chart, theta.element, theta.twist)
-            suite = q_square_check(fresh, samples=8, seed=3)
-            bracket, ok = master_equation(fresh)
+            new = npq.Hamiltonian(theta.chart, fresh(theta.element), theta.twist)
+            suite = q_square_check(new, samples=8, seed=3)
+            bracket, ok = master_equation(new)
             assert suite.passed == ok
-            assert builds[-1] is fresh.element
-        assert len(builds) == 2
+            # right for every Q, left once for (Theta, Theta)
+            assert sum(terms is new.element.terms for terms in derived) == 2
+            assert new.element._derivs[0] is not None
+            assert new.element._derivs[1] is not None
 
 
 class TestGaugeCovariance:
