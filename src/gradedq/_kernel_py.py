@@ -9,7 +9,8 @@ the product of two monomials is the sum of their keys, a carry out of a
 field shows as a guard bit (checked by the caller), and the x-partial
 reads a field with shift and mask.  A graded monomial is a tuple of
 (generator id, exponent) pairs sorted by generator id; odd generators
-carry exponent 1.
+carry exponent 1.  `mono_partial` derives a monomial in all of its
+generators in one walk.
 
 Invariants the code relies on: monomials are canonically sorted with
 no repeated generator, no stored numerator is zero, and a derivative
@@ -135,25 +136,25 @@ def mono_mul(m1, m2, parity):
     return (-1 if swaps & 1 else 1), tuple(out)
 
 
-def mono_partial(m, gid, parity, from_right):
-    """Graded derivative of a monomial with respect to one generator.
-
-    Returns (integer coefficient, reduced monomial).  Coefficient 0 means
-    the generator is absent.  For odd generators the coefficient is the
-    Koszul sign of commuting the derivation to the generator's slot.
-    """
+def mono_partial(m, parity, from_right):
+    """[(generator id, integer coefficient, reduced monomial)]: the graded
+    derivative of a monomial in each of its generators, in order, in one
+    walk.  An even generator's coefficient is its exponent, an odd one's
+    the Koszul sign of the odd letters the derivation crosses: those
+    before it from the left, those after it from the right."""
+    # the sign at the first odd letter; it flips at every odd letter
+    odd = sum(parity[g] for g, _ in m) - 1 if from_right else 0
+    sign = -1 if odd & 1 else 1
+    out = []
     for pos, (g, e) in enumerate(m):
-        if g == gid:
-            break
-    else:
-        return 0, None
-    if not parity[gid]:
-        if e > 1:
-            return e, m[:pos] + ((g, e - 1),) + m[pos + 1:]
-        return e, m[:pos] + m[pos + 1:]
-    crossed = m[pos + 1:] if from_right else m[:pos]
-    odd = sum(parity[h] for h, _ in crossed)
-    return (-1 if odd & 1 else 1), m[:pos] + m[pos + 1:]
+        if parity[g]:
+            out.append((g, sign, m[:pos] + m[pos + 1:]))
+            sign = -sign
+        elif e > 1:
+            out.append((g, e, m[:pos] + ((g, e - 1),) + m[pos + 1:]))
+        else:
+            out.append((g, e, m[:pos] + m[pos + 1:]))
+    return out
 
 
 def element_mul(f, g, parity, out, weight):

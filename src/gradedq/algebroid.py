@@ -23,7 +23,7 @@ from .npq import Hamiltonian, embed_form, q_apply
 from .poly import Poly
 from .randomgen import random_poly, random_section
 from .reports import CheckReport, SuiteReport, witnesses_of
-from .symplectic import bracket_sum
+from . import symplectic
 
 # 5-form slot embedding constant for m5 sections; -1 reproduces the
 # -lambda' ^ d lambda term of the exceptional Dorfman bracket given the
@@ -112,9 +112,7 @@ def _check_section_degree(chart: ChartSpec, A: GradedElement, name: str):
 
 def _derived(chart: ChartSpec, QA: GradedElement, B: GradedElement) -> GradedElement:
     """((Theta, A), B) with the chart's derived sign, given QA = (Theta, A)."""
-    # imported per call so brackets go through symplectic.poisson, a perfbench traced site
-    from .symplectic import poisson
-    return poisson(QA, B, derived_sign(chart))
+    return symplectic.poisson(QA, B, derived_sign(chart))
 
 
 def dorfman(theta: Hamiltonian, A: GradedElement, B: GradedElement) -> GradedElement:
@@ -137,11 +135,9 @@ def anchor(theta: Hamiltonian, A: GradedElement, f: Poly) -> Poly:
 
 def pairing(A: GradedElement, B: GradedElement) -> GradedElement:
     """(A, B) via the Poisson bracket; the O(d,d) metric eta for p=2."""
-    # local import, for the reason given in _derived
-    from .symplectic import poisson
     _check_section_degree(A.chart, A, "A")
     _check_section_degree(A.chart, B, "B")
-    return poisson(A, B)
+    return symplectic.poisson(A, B)
 
 
 def rho_star(chart: ChartSpec, lam: DiffForm) -> GradedElement:
@@ -199,8 +195,8 @@ def _leibniz_defect(theta: Hamiltonian, QA, B, C, LAB, LAC) -> GradedElement:
     _check_section_degree(chart, LAC, "B")
     QB = q_apply(theta, B)
     sign = derived_sign(chart)
-    commutator = bracket_sum(chart, ((QA, _derived(chart, QB, C), sign),
-                                     (QB, LAC, -sign)))
+    commutator = symplectic.bracket_sum(
+        chart, ((QA, _derived(chart, QB, C), sign), (QB, LAC, -sign)))
     return commutator - dorfman(theta, LAB, C)
 
 

@@ -11,7 +11,7 @@ GB_SEED environment variable, then 0.
 A process imports only what its command runs: the Dorfman bracket and
 axiom suites (`algebroid`) and the generalised-metric toolkit
 (`genmetric`) are imported inside the handlers that use them, so
-check-master, q-square and classify never load them.
+check-master, q-square, rank and classify never load them.
 """
 
 from __future__ import annotations
@@ -20,14 +20,13 @@ import argparse
 import json
 import os
 import sys
-import warnings
 from contextlib import contextmanager
 from fractions import Fraction
 
 from .chart import ChartError
 from .config import (MAX_BASIS, MAX_TRIALS, Config, ConfigError, MatrixError,
                      bounded, parse_config)
-from .element import GradedElement, monomial_basis
+from .element import GradedElement, monomial_basis, monomial_count
 from .forms import (DiffForm, FormError, SectionError, ext_d, poincare_primitive,
                     wedge)
 from .npq import HamiltonianError, master_equation, q_square_check
@@ -169,26 +168,23 @@ def cmd_axioms(config: Config, args) -> tuple[dict, str, int]:
 
 
 def cmd_rank(config: Config, args) -> tuple[dict, str, int]:
-    from .algebroid import module_rank
     chart = config.chart
     ns = list(range(chart.p + 1)) if args.n is None else \
         [bounded("--n", args.n, 0, chart.p)]
     lines, rows = [], []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for n in ns:
-            rank = module_rank(chart, n)
-            lines.append(f"n={n}: {rank}")
-            row = {"n": n, "rank": rank}
-            if args.n is not None:
-                if rank > MAX_BASIS:
-                    raise ConfigError("--n", f"the degree-{n} basis has {rank} "
-                                      f"monomials, more than {MAX_BASIS} to list")
-                zero = GradedElement.zero(chart)
-                names = [zero.render_mono(m) for m in monomial_basis(chart, n)]
-                lines.extend(f"  {name}" for name in names)
-                row["basis"] = names
-            rows.append(row)
+    for n in ns:
+        rank = monomial_count(chart, n)
+        lines.append(f"n={n}: {rank}")
+        row = {"n": n, "rank": rank}
+        if args.n is not None:
+            if rank > MAX_BASIS:
+                raise ConfigError("--n", f"the degree-{n} basis has {rank} "
+                                  f"monomials, more than {MAX_BASIS} to list")
+            zero = GradedElement.zero(chart)
+            names = [zero.render_mono(m) for m in monomial_basis(chart, n)]
+            lines.extend(f"  {name}" for name in names)
+            row["basis"] = names
+        rows.append(row)
     payload = {"command": "rank", "chart": {"kind": chart.kind, "d": chart.d,
                                             "p": chart.p}, "ranks": rows}
     return payload, "\n".join(lines), PASS

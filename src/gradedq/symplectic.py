@@ -18,11 +18,13 @@ one integer accumulator and makes one canonical `Poly` per surviving
 monomial.
 
 An element is derived at most once per side.  The first bracket that
-needs f's right (or left) derivatives builds them in every tag f
-depends on, in one pass over f's terms, and keeps them on f
-(`GradedElement` slot `_derivs`); every later bracket with f on that
-side reuses them.  So Theta in Q = (Theta, -), (Theta, A) in a suite
-trial and a section bracketed several times are each derived once.
+needs f's right (or left) derivatives builds them in one pass over f's
+terms and keeps them on f (`GradedElement` slot `_derivs`); every later
+bracket with f on that side reuses them.  The x-partials are the same
+on both sides, so only the left pass builds them: a bracket (f, g) whose
+g carries a momentum reads f's x-partials from f's left memo.  So Theta
+in Q = (Theta, -), (Theta, A) in a suite trial and a section bracketed
+several times are each derived once per side.
 Elements are never changed after construction, and no bracket writes
 the derivatives it reads, so a memo stays valid for its element's life.
 
@@ -53,13 +55,13 @@ class GaugeError(ValueError):
 
 def _derivatives(f: GradedElement, from_right: bool) -> tuple[int, dict]:
     """(den, {tag: {mono: numerators over den}}): f's right (or left)
-    derivatives in every tag f depends on, memoised on f.  One pass over
-    f's terms builds the graded derivative in every super generator a
-    monomial contains and the x-partial in every variable a coefficient
-    uses; den is f's common denominator.  A derivative in one generator
-    is injective on the terms it keeps, so no two terms land on the same
-    key.  A numerator dict scaled by 1 is f's own, shared and never
-    written."""
+    derivatives, memoised on f.  One pass over f's terms builds the graded
+    derivative in every super generator a monomial contains (one kernel
+    walk per monomial) and, on the left only, the x-partial in every
+    variable a coefficient uses; den is f's common denominator.  A
+    derivative in one generator is injective on the terms it keeps, so
+    no two terms land on the same key.  A numerator dict scaled by 1 is
+    f's own, shared and never written."""
     memo = f._derivs
     if memo is None:
         memo = f._derivs = [None, None]
@@ -71,12 +73,12 @@ def _derivatives(f: GradedElement, from_right: bool) -> tuple[int, dict]:
     out: dict[tuple, dict] = {}
     for mono, poly in f.terms.items():
         nums = numerators[mono]
-        for sid, _ in mono:
-            coeff, reduced = mono_partial(mono, sid, parity, from_right)
+        for sid, coeff, reduced in mono_partial(mono, parity, from_right):
             out.setdefault(("s", sid), {})[reduced] = \
                 nums if coeff == 1 else poly_scale(nums, coeff)
-        for mu in poly.variables():
-            out.setdefault(("x", mu), {})[mono] = poly_partial(nums, mu - 1)
+        if not from_right:
+            for mu in poly.variables():
+                out.setdefault(("x", mu), {})[mono] = poly_partial(nums, mu - 1)
     found = memo[from_right] = (den, out)
     return found
 
@@ -96,7 +98,8 @@ def _bracket_pairs(f: GradedElement, g: GradedElement, sign: int) -> tuple[int, 
     # from g's side: g mostly depends on few generators, f (Theta) on all
     for b, gb in dg.items():
         a = partner[b][0]  # partner is an involution: partner[a][0] == b
-        fa = df.get(a)
+        # x-partials are the same on both sides; only f's left memo has them
+        fa = (_derivatives(f, from_right=False)[1] if a[0] == "x" else df).get(a)
         if fa is not None:
             pairs.append((fa, gb, sign * partner[a][1]))
     return den_f * den_g, pairs

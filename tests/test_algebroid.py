@@ -8,9 +8,10 @@ import pytest
 
 from gradedq import (ChartError, DiffForm, GradedElement, Poly, Section,
                      SectionError, anchor, classical_dorfman, decode_section,
-                     dorfman, encode_section, ext_d, interior, make_chart,
-                     module_rank, monomial_basis, pairing, rho_star, theta_m5,
-                     theta_vinogradov, verify_courant, verify_leibniz)
+                     dorfman, embed_form, encode_section, ext_d, gauge_exp,
+                     interior, make_chart, module_rank, monomial_basis, pairing,
+                     rho_star, theta_m5, theta_vinogradov, verify_courant,
+                     verify_leibniz)
 from gradedq import symplectic
 from gradedq.randomgen import random_poly, random_section
 
@@ -284,3 +285,31 @@ def test_brackets_leave_the_memo_as_derived(monkeypatch, suite, theta):
                 memos += 1
                 assert memo == symplectic._derivatives(copy, bool(side))
     assert memos >= len(args)  # every argument here was derived on a side
+
+
+def test_right_passes_build_no_x_partials(monkeypatch):
+    """x-partials are the same on both sides, so only an element's left
+    pass builds them: after a Courant trial, a Leibniz trial and a gauge
+    transformation, no right memo holds one."""
+    derived = {}
+    derive = symplectic._derivatives
+
+    def recording(f, from_right):
+        derived[id(f)] = f
+        return derive(f, from_right)
+
+    monkeypatch.setattr(symplectic, "_derivatives", recording)
+    beta = DiffForm.basis(3, (1, 2, 3), Poly.var(3, 2))
+    assert verify_courant(theta_vinogradov(P2, beta), trials=1, seed=5).passed
+    x = [Poly.var(4, mu) for mu in range(1, 5)]
+    hflux = DiffForm.basis(4, (1, 2, 3, 4),
+                           (1 + x[0] + 2 * x[1] - x[2] + Fraction(1, 2) * x[3]) ** 3)
+    theta = theta_vinogradov(P3, hflux)
+    assert verify_leibniz(theta, trials=1, seed=5).passed
+    rho = DiffForm.basis(4, (1, 2, 4), x[0] * x[2] + x[3])
+    assert gauge_exp(embed_form(P3, rho), theta.element) \
+        == theta_vinogradov(P3, hflux + ext_d(rho)).element
+    left = [e._derivs[0][1] for e in derived.values() if e._derivs[0]]
+    right = [e._derivs[1][1] for e in derived.values() if e._derivs[1]]
+    assert right and any(tag[0] == "x" for memo in left for tag in memo)
+    assert [tag for memo in right for tag in memo if tag[0] == "x"] == []

@@ -712,6 +712,7 @@ class TestImportFootprint:
     @pytest.mark.parametrize("argv, needed", [
         (["check-master", GOLDEN_PASS], ()),
         (["classify", GOLDEN_PASS], ()),
+        (["rank", GOLDEN_PASS, "--n", "1"], ()),
         (["q-square", GOLDEN_PASS, "--samples", "1"], ("gradedq.randomgen",)),
         (["axioms", GOLDEN_PASS, "--suite", "courant", "--trials", "1"],
          ("gradedq.algebroid", "gradedq.randomgen")),

@@ -218,17 +218,22 @@ class TestPythonKernel:
         assert (sign, mono) == (-1, ((0, 1), (1, 1)))
 
     def test_mono_partial_signs(self):
-        parity = (1, 1, 1)
-        m = ((0, 1), (1, 1), (2, 1))
-        # left derivative of the middle letter crosses one odd letter
-        assert _kernel_py.mono_partial(m, 1, parity, False) == (-1, ((0, 1), (2, 1)))
-        # right derivative crosses the one to its right
-        assert _kernel_py.mono_partial(m, 1, parity, True) == (-1, ((0, 1), (2, 1)))
-        assert _kernel_py.mono_partial(m, 0, parity, False) == (1, ((1, 1), (2, 1)))
+        parity = (1, 0, 1)
+        m = ((0, 1), (1, 2), (2, 1))
+        # from the left an odd letter crosses the odd letters before it
+        assert _kernel_py.mono_partial(m, parity, False) == [
+            (0, 1, ((1, 2), (2, 1))), (1, 2, ((0, 1), (1, 1), (2, 1))),
+            (2, -1, ((0, 1), (1, 2)))]
+        # from the right, the odd letters after it
+        assert _kernel_py.mono_partial(m, parity, True) == [
+            (0, -1, ((1, 2), (2, 1))), (1, 2, ((0, 1), (1, 1), (2, 1))),
+            (2, 1, ((0, 1), (1, 2)))]
 
     def test_even_partial_brings_down_exponent(self):
         parity = (0,)
-        assert _kernel_py.mono_partial(((0, 3),), 0, parity, False) == (3, ((0, 2),))
+        assert _kernel_py.mono_partial(((0, 3),), parity, False) == [(0, 3, ((0, 2),))]
+        assert _kernel_py.mono_partial(((0, 1),), parity, True) == [(0, 1, ())]
+        assert _kernel_py.mono_partial((), parity, False) == []
 
     def test_kernel_imports_no_fractions(self):
         tree = ast.parse(inspect.getsource(_kernel_py))
@@ -264,12 +269,15 @@ class TestKernelAgainstReference:
         assert _kernel_py.mono_mul(m1, m2, parity) == reference_mul(m1, m2, parity)
 
     @settings(max_examples=300, deadline=None)
-    @given(parity_and_monos(1), st.integers(0, MAX_GENERATORS - 1), st.booleans())
-    def test_mono_partial_matches_letter_strike(self, case, gid, from_right):
+    @given(parity_and_monos(1))
+    def test_mono_partial_matches_letter_strike(self, case):
         parity, (m,) = case
-        gid %= len(parity)
-        assert _kernel_py.mono_partial(m, gid, parity, from_right) == \
-            reference_partial(m, gid, parity, from_right)
+        for from_right in (False, True):
+            walk = _kernel_py.mono_partial(m, parity, from_right)
+            # every generator of m, in order, each struck as the reference does
+            assert [g for g, _, _ in walk] == [g for g, _ in m]
+            for g, coeff, reduced in walk:
+                assert (coeff, reduced) == reference_partial(m, g, parity, from_right)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 4).flatmap(lambda d: st.tuples(

@@ -1,5 +1,6 @@
 """Poisson bracket conformance, graded algebra laws, gauge symplectomorphisms."""
 
+import pathlib
 import random
 from fractions import Fraction
 from math import gcd
@@ -8,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedq import (GaugeError, GradedElement, Poly, gauge_exp, make_chart,
-                     monomial_basis, poisson)
-from gradedq._kernel_py import mono_partial
-from gradedq.randomgen import random_homogeneous
+from gradedq import (DiffForm, GaugeError, GradedElement, Poly, encode_section,
+                     gauge_exp, make_chart, master_equation, monomial_basis,
+                     parse_config, poisson, q_apply, theta_vinogradov)
+from gradedq.randomgen import random_homogeneous, random_section
+from test_kernel import reference_partial as strike_letter
 
+DATA = pathlib.Path(__file__).parent / "data"
 CHARTS = [make_chart("vinogradov", 3, 2), make_chart("vinogradov", 4, 3),
           make_chart("m5", 6)]
 
@@ -120,7 +123,9 @@ class TestPoissonLaws:
 # ---------------------------------------------------------------------
 
 def reference_partial(f, tag, from_right):
-    """The derivative of f in one tagged generator, term by term."""
+    """The derivative of f in one tagged generator, term by term; a
+    monomial by striking one letter, so the reference shares no
+    derivative code with `poisson`."""
     chart = f.chart
     kind, idx = tag
     terms = {}
@@ -130,7 +135,7 @@ def reference_partial(f, tag, from_right):
             terms[mono] = Poly(chart.d, {exp[:i] + (exp[i] - 1,) + exp[i + 1:]: c * exp[i]
                                          for exp, c in poly.terms.items() if exp[i]})
         else:
-            coeff, reduced = mono_partial(mono, idx, chart.parity, from_right)
+            coeff, reduced = strike_letter(mono, idx, chart.parity, from_right)
             if coeff:
                 terms[reduced] = poly * coeff
     return GradedElement(chart, terms)
@@ -212,6 +217,29 @@ def test_bracket_with_polynomial_coefficients():
     p1 = gen(chart, "p1")
     assert poisson(x1 * x2, p1) == -x2
     assert poisson(p1, x1 * x2) == x2
+
+
+class TestXPartialsFromTheLeftMemo:
+    """A bracket (f, g) whose g carries a momentum reads f's x-partials
+    from f's left memo, the only pass that builds them."""
+
+    @pytest.mark.parametrize("name", ["golden_fail.json", "m5.json"])
+    def test_master_equation(self, name):
+        theta = parse_config((DATA / name).read_text()).theta
+        bracket, _ = master_equation(theta)
+        assert bracket == reference_poisson(theta.element, theta.element)
+
+    def test_element_derived_on_the_right_first(self):
+        chart = make_chart("vinogradov", 3, 2)
+        theta = theta_vinogradov(chart, DiffForm.basis(3, (1, 2, 3), Poly.var(3, 2)))
+        rng = random.Random(4)
+        A, B = (encode_section(chart, random_section(rng, chart, 2)) for _ in range(2))
+        QA = q_apply(theta, A)
+        poisson(QA, B)  # a section carries no momentum
+        assert QA._derivs[0] is None and QA._derivs[1] is not None
+        p1 = gen(chart, "p1")
+        assert poisson(QA, p1) == reference_poisson(QA, p1)
+        assert QA._derivs[0] is not None
 
 
 # ---------------------------------------------------------------------
