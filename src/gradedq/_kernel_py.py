@@ -34,8 +34,6 @@ no full product or negated copy is built for it.  The numerators of a
 `Poly` are shared by the callers and are never written.
 """
 
-from bisect import bisect_right
-
 FIELD = 16
 FIELD_MASK = (1 << FIELD) - 1
 
@@ -100,21 +98,15 @@ def poly_partial(a, mu):
 
 
 def mono_mul(m1, m2, parity):
-    """Multiply canonical monomials.  Returns (sign, mono); sign 0 means zero."""
+    """Multiply canonical monomials in one merge.  Returns (sign, mono);
+    sign 0 means zero.  An odd letter of m2 crosses every odd letter of
+    m1 not yet placed."""
     if not m1:
         return 1, m2
     if not m2:
         return 1, m1
-    odd1 = [g for g, _ in m1 if parity[g]]
+    odd1 = sum(parity[g] for g, _ in m1)  # odd letters of m1 not yet placed
     swaps = 0
-    for g, _ in m2:
-        if parity[g]:
-            # crossings with odd letters of m1 that end up to the right
-            k = bisect_right(odd1, g)
-            if k and odd1[k - 1] == g:
-                return 0, None
-            swaps += len(odd1) - k
-    # merge
     out = []
     i = j = 0
     n1, n2 = len(m1), len(m2)
@@ -123,10 +115,15 @@ def mono_mul(m1, m2, parity):
         g2, e2 = m2[j]
         if g1 < g2:
             out.append(m1[i])
+            odd1 -= parity[g1]
             i += 1
         elif g2 < g1:
             out.append(m2[j])
+            if parity[g2]:
+                swaps += odd1
             j += 1
+        elif parity[g1]:
+            return 0, None
         else:
             out.append((g1, e1 + e2))
             i += 1

@@ -197,9 +197,10 @@ def cmd_classify(config: Config, args) -> tuple[dict, str, int]:
     primitives: dict[str, DiffForm] = {}
     if theta.twist[0] == "beta":
         beta = theta.twist[1]
-        closed = ext_d(beta).is_zero()
+        dbeta = ext_d(beta)
+        closed = dbeta.is_zero()
         checks.append(CheckReport("twist closure (d beta = 0)", closed,
-                                  [] if closed else [str(ext_d(beta))]))
+                                  [] if closed else [str(dbeta)]))
         if closed and not beta.is_zero():
             primitives["beta"] = poincare_primitive(beta)
     else:

@@ -62,13 +62,12 @@ class Config:
     the harness settings."""
 
     def __init__(self, chart: ChartSpec, theta: Hamiltonian,
-                 sections: dict[str, Section] | None = None,
-                 matrices: dict[str, tuple] | None = None, trials: int = 100,
-                 seed: int | None = None, max_coeff_degree: int = 2):
+                 sections: dict[str, Section], matrices: dict[str, tuple],
+                 trials: int, seed: int | None, max_coeff_degree: int):
         self.chart = chart
         self.theta = theta
-        self.sections = {} if sections is None else sections
-        self.matrices = {} if matrices is None else matrices
+        self.sections = sections
+        self.matrices = matrices
         self.trials = trials
         self.seed = seed
         self.max_coeff_degree = max_coeff_degree

@@ -53,10 +53,8 @@ class GradedElement:
         return cls(chart, {((sid, 1),): Poly.const(chart.d, 1)})
 
     @classmethod
-    def monomial(cls, chart: ChartSpec, mono, coeff: Poly | None = None) -> "GradedElement":
+    def monomial(cls, chart: ChartSpec, mono, coeff: Poly) -> "GradedElement":
         """Element with a single canonical monomial (already sorted)."""
-        if coeff is None:
-            coeff = Poly.const(chart.d, 1)
         return cls(chart, {tuple(mono): coeff})
 
     # arithmetic ------------------------------------------------------
@@ -114,14 +112,8 @@ class GradedElement:
 
     # structure -------------------------------------------------------
     def monomials(self):
-        return sorted(self.terms, key=self._mono_key)
-
-    def _mono_key(self, mono):
-        return (self.chart.mono_degree(mono), mono)
-
-    def top_monomials(self, count: int = 3):
-        """The leading monomials in canonical order, for witness reports."""
-        return sorted(self.terms, key=self._mono_key, reverse=True)[:count]
+        degree = self.chart.mono_degree
+        return sorted(self.terms, key=lambda m: (degree(m), m))
 
     def __eq__(self, other):
         return (isinstance(other, GradedElement)

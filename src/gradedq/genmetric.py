@@ -29,9 +29,8 @@ def mat_identity(n: int) -> tuple:
                  for i in range(n))
 
 
-def mat_zero(n: int, m: int | None = None) -> tuple:
-    m = n if m is None else m
-    return tuple(tuple(Fraction(0) for _ in range(m)) for _ in range(n))
+def mat_zero(n: int) -> tuple:
+    return tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n))
 
 
 def mat_mul(a, b) -> tuple:

@@ -20,9 +20,9 @@ COEFF_RANGE = 3
 
 
 def random_poly(rng: random.Random, d: int, max_degree: int = MAX_COEFF_DEGREE,
-                terms: int = 2, allow_zero: bool = False) -> Poly:
+                allow_zero: bool = False) -> Poly:
     acc = {}
-    for _ in range(rng.randint(1, terms)):
+    for _ in range(rng.randint(1, 2)):  # one or two terms
         exp = [0] * d
         for _ in range(rng.randint(0, max_degree)):
             exp[rng.randrange(d)] += 1
@@ -73,8 +73,6 @@ def random_homogeneous(rng: random.Random, chart: ChartSpec, n: int,
     if not count:
         return GradedElement.zero(chart)
     picks = rng.sample(range(count), min(count, rng.randint(1, terms)))
-    out = GradedElement.zero(chart)
-    for i in picks:
-        out = out + GradedElement.monomial(chart, monomial_at(chart, n, i),
-                                           random_poly(rng, chart.d, max_degree))
-    return out
+    # distinct picks are distinct monomials, so their terms never merge
+    return GradedElement(chart, {monomial_at(chart, n, i):
+                                 random_poly(rng, chart.d, max_degree) for i in picks})

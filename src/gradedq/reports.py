@@ -36,10 +36,9 @@ class CheckReport:
 class SuiteReport:
     """A group of checks run together (e.g. one axiom suite)."""
 
-    def __init__(self, name: str, checks: list[CheckReport] | None = None,
-                 seed: int | None = None, trials: int | None = None):
+    def __init__(self, name: str, seed: int | None = None, trials: int | None = None):
         self.name = name
-        self.checks = [] if checks is None else checks
+        self.checks: list[CheckReport] = []
         self.seed = seed
         self.trials = trials
 
@@ -62,6 +61,7 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-def witnesses_of(element, count: int = 3) -> list[str]:
-    """The leading offending monomials of a nonzero element, rendered."""
-    return [element.render_mono(m) for m in element.top_monomials(count)]
+def witnesses_of(element) -> list[str]:
+    """The three leading offending monomials of a nonzero element (fewer if
+    it has fewer), rendered, highest first."""
+    return [element.render_mono(m) for m in element.monomials()[:-4:-1]]

@@ -61,6 +61,25 @@ def test_m5_lambda_and_sigma_slots():
     assert decode_section(M5, e) == s
 
 
+def _zero_v(d):
+    return tuple(Poly.zero(d) for _ in range(d))
+
+
+@pytest.mark.parametrize("chart, section, message", [
+    (P2, Section(_zero_v(4), DiffForm(4, 1)), "section on R^4, chart on R^3"),
+    (P2, Section(_zero_v(3), DiffForm(3, 2)), "lambda must have rank 1, got 2"),
+    (M5, Section(_zero_v(6), DiffForm(6, 2)), "m5 sections need a sigma component"),
+    (M5, Section(_zero_v(6), DiffForm(6, 2), DiffForm(6, 4)),
+     "sigma must have rank 5, got 4"),
+    (P2, Section(_zero_v(3), DiffForm(3, 1), DiffForm(3, 5)),
+     "sigma component only exists on the m5 chart"),
+], ids=["wrong-d", "lambda-rank", "m5-no-sigma", "sigma-rank", "sigma-on-vinogradov"])
+def test_encode_section_rejects(chart, section, message):
+    with pytest.raises(SectionError) as err:
+        encode_section(chart, section)
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------
 # derived bracket vs classical oracle
 # ---------------------------------------------------------------------

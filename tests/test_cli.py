@@ -282,16 +282,14 @@ class TestCommands:
         assert out.returncode == 1
         assert "witness" in out.stdout
 
-    def test_genmetric_build_extract_consistency(self, tmp_path):
-        doc = json.loads(run_cli("genmetric", "build", GOLDEN_PASS,
-                                 "--json").stdout)
-        H = doc["H"]
+    def test_genmetric_build_extract_consistency(self, capsys, tmp_path):
+        assert main(["genmetric", "build", GOLDEN_PASS, "--json"]) == 0
         cfg = json.loads(pathlib.Path(GOLDEN_PASS).read_text())
-        cfg["matrices"]["H"] = H
+        cfg["matrices"]["H"] = json.loads(capsys.readouterr().out)["H"]
         path = tmp_path / "extract.json"
         path.write_text(json.dumps(cfg))
-        back = json.loads(run_cli("genmetric", "extract", str(path),
-                                  "--json").stdout)
+        assert main(["genmetric", "extract", str(path), "--json"]) == 0
+        back = json.loads(capsys.readouterr().out)
         assert back["g"] == cfg["matrices"]["g"]
         assert back["b"] == cfg["matrices"]["b"]
 
@@ -300,6 +298,29 @@ class TestCommands:
                                  "--json").stdout)
         # O is the full block swap; the result is again of metric form
         assert "g" in doc and "b" in doc
+
+    def test_genmetric_act_reports_h_alone_without_metric_form(self, capsys, tmp_path):
+        # g - b g^-1 b = 0, so the block swap moves a zero block to the
+        # lower right and H' = O^t H O has no (g, b)
+        path = tmp_path / "act.json"
+        path.write_text(json.dumps({
+            "chart": {"kind": "vinogradov", "d": 2, "p": 2},
+            "matrices": {"g": [[1, 0], [0, -1]], "b": [[0, 1], [-1, 0]],
+                         "O": [[0, 0, 1, 0], [0, 0, 0, 1],
+                               [1, 0, 0, 0], [0, 1, 0, 0]]}}))
+        assert main(["genmetric", "act", str(path), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["H"] and "g" not in doc and "b" not in doc
+
+    def test_classify_m5_primitive_of_f4(self, capsys, tmp_path):
+        path = tmp_path / "f4.json"
+        path.write_text(json.dumps({
+            "chart": {"kind": "m5", "d": 6},
+            "theta": {"type": "m5", "F4": [{"indices": [1, 2, 3, 4], "coeff": "1"}],
+                      "F7": []}}))
+        assert main(["classify", str(path), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["status"] == "PASS" and list(doc["primitives"]) == ["F4"]
 
     def test_q_square_zero_samples_still_probes_generators(self):
         doc = json.loads(run_cli("q-square", GOLDEN_PASS, "--samples", "0",
@@ -397,6 +418,13 @@ class TestInputErrors:
         pytest.param(("chart", "p"), 1, "chart.p", id="p-one"),
         pytest.param(("sections", "A", "v", 0), "((9^999)^999)^999", "sections.A.v[0]",
                      id="coefficient-over-10000-bits"),
+        pytest.param(("theta", "type"), "general", "theta.type", id="theta-type-unknown"),
+        pytest.param(("theta", "type"), "m5", "theta", id="theta-m5-on-vinogradov"),
+        pytest.param(("sections", "A", "sigma"), [], "sections.A.sigma",
+                     id="sigma-on-vinogradov"),
+        pytest.param(("matrices", "g"), [], "matrices.g", id="matrix-empty"),
+        pytest.param(("matrices", "g"), [["1", "0"], ["1"]], "matrices.g",
+                     id="matrix-rows-unequal"),
     ])
     def test_bad_config_field(self, capsys, tmp_path, path, value, field):
         cfg = tmp_path / "cfg.json"
