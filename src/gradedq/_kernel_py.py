@@ -19,18 +19,18 @@ never collide and need no merging.
 
 Products are built row by row: a row is one term c*x^e of one factor
 times the whole other factor, and `poly_add(acc, b, e, c)` adds it
-straight into its accumulator, so no row is ever stored.
+straight into its accumulator, so no row is ever stored.  Every
+coefficient product goes through `poly_mul`.
 
 Mutation: every function leaves its arguments alone and returns new
-values, except the two accumulators.  `poly_add(a, b, shift, scale)`
-adds a scaled, shifted b into a in place, and `element_mul(f, g,
-parity, out, weight)` adds weight*f*g, for any nonzero integer weight,
-into the term map `out` in place.  The only dicts they write are `a`
-and `out` and the numerator dicts `element_mul` itself made.  The first
-product to land on a monomial is a fresh `poly_mul` result, scaled in
-place by its signed weight and put into `out`; every later product on
-that monomial adds its weighted rows straight into those numerators, so
-no full product or negated copy is built for it.  The numerators of a
+values, except the three accumulators.  `poly_add(a, b, shift, scale)`
+adds a scaled, shifted b into a in place; `poly_mul(a, b, weight, out)`
+adds weight*a*b into `out` in place, or into a fresh dict when `out` is
+None; and `element_mul(f, g, parity, out, weight)` adds weight*f*g, for
+any nonzero integer weight, into the term map `out` in place, each
+product straight into its monomial's numerators, so no full product or
+negated copy is built.  The only dicts they write are `a`, `out` and
+the numerator dicts `element_mul` itself made.  The numerators of a
 `Poly` are shared by the callers and are never written.
 """
 
@@ -60,28 +60,20 @@ def poly_add(a, b, shift=0, scale=1):
     return a
 
 
-def poly_neg(a):
-    return {exp: -c for exp, c in a.items()}
-
-
 def poly_scale(a, c):
-    if c == 1:
-        return dict(a)
-    if c == -1:
-        return poly_neg(a)
-    if not c:
-        return {}
-    return {exp: c * v for exp, v in a.items()}
+    return {exp: c * v for exp, v in a.items()} if c else {}
 
 
-def poly_mul(a, b):
-    """a * b, added row by row into a fresh dict: one `poly_add` per term
-    of the shorter factor, so a one-term factor gives its row."""
+def poly_mul(a, b, weight=1, out=None):
+    """Add weight * a * b into `out` row by row and return it, starting
+    from a fresh dict when `out` is None: one `poly_add` per term of the
+    shorter factor, so a one-term factor gives its row."""
+    if out is None:
+        out = {}
     if len(a) > len(b):
         a, b = b, a
-    out = {}
     for exp, c in a.items():
-        poly_add(out, b, exp, c)
+        poly_add(out, b, exp, c * weight)
     return out
 
 
@@ -165,17 +157,5 @@ def element_mul(f, g, parity, out, weight):
     for m1, p1 in f.items():
         for m2, p2 in g.items():
             s, mono = mono_mul(m1, m2, parity)
-            if s == 0:
-                continue
-            w = weight if s == 1 else -weight
-            cur = out.get(mono)
-            if cur is None:
-                prod = poly_mul(p1, p2)
-                if w != 1:
-                    for exp, c in prod.items():
-                        prod[exp] = w * c
-                out[mono] = prod
-            else:
-                a, b = (p1, p2) if len(p1) <= len(p2) else (p2, p1)
-                for exp, c in a.items():
-                    poly_add(cur, b, exp, c * w)
+            if s:
+                out[mono] = poly_mul(p1, p2, s * weight, out.get(mono))

@@ -209,18 +209,26 @@ def _suite(name: str, checks: tuple[str, ...], fails: dict, trials: int,
     return suite
 
 
+def _trial(theta: Hamiltonian, rng: random.Random, max_degree: int):
+    """One seeded trial: the random sections (sA, sB, sC), drawn in that
+    order, their encodings (A, B, C), and (QA, L_A B, L_A C)."""
+    chart = theta.chart
+    sections = tuple(random_section(rng, chart, max_degree) for _ in range(3))
+    A, B, C = (encode_section(chart, s) for s in sections)
+    QA = q_apply(theta, A)
+    return sections, (A, B, C), (QA, _derived(QA, B), _derived(QA, C))
+
+
 def verify_leibniz(theta: Hamiltonian, trials: int = 100, seed: int = 0,
                    max_degree: int = 2) -> SuiteReport:
     """L_A(L_B C) = L_{L_A B} C + L_B(L_A C) on seeded random triples."""
-    chart = theta.chart
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rng = random.Random(seed)
     fails: dict[str, tuple] = {}
     for t in range(trials):
-        A = encode_section(chart, random_section(rng, chart, max_degree))
-        B = encode_section(chart, random_section(rng, chart, max_degree))
-        C = encode_section(chart, random_section(rng, chart, max_degree))
-        QA = q_apply(theta, A)
-        diff = _leibniz_defect(theta, QA, B, C, _derived(QA, B), _derived(QA, C))
+        _, (_, B, C), (QA, LAB, LAC) = _trial(theta, rng, max_degree)
+        diff = _leibniz_defect(theta, QA, B, C, LAB, LAC)
         if not diff.is_zero():
             fails.setdefault("leibniz identity", (t, diff))
     return _suite("leibniz", ("leibniz identity",), fails, trials, seed)
@@ -237,21 +245,15 @@ def verify_courant(theta: Hamiltonian, trials: int = 100, seed: int = 0,
     chart = theta.chart
     if chart.p != 2 or chart.kind != "vinogradov":
         raise ChartError("the Courant suite runs on p=2 vinogradov charts")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rng = random.Random(seed)
     fails: dict[str, tuple] = {}
     half = Fraction(1, 2)
 
     for t in range(trials):
-        sA = random_section(rng, chart, max_degree)
-        sB = random_section(rng, chart, max_degree)
-        sC = random_section(rng, chart, max_degree)
-        A = encode_section(chart, sA)
-        B = encode_section(chart, sB)
-        C = encode_section(chart, sC)
+        (sA, sB, _), (A, B, C), (QA, LAB, LAC) = _trial(theta, rng, max_degree)
         f = random_poly(rng, chart.d, max_degree)
-        QA = q_apply(theta, A)
-        LAB = _derived(QA, B)
-        LAC = _derived(QA, C)
         defects = []
 
         # 1. anchored Leibniz: L_A(f B) = f L_A B + (rho(A).f) B

@@ -73,14 +73,14 @@ class Config:
         self.max_coeff_degree = max_coeff_degree
 
 
-def _expect(obj, key, where, kind=None, default=None, required=True):
+def _expect(obj, key, where, kind, default=None, required=True):
     if key not in obj:
         if not required:
             return default
         raise ConfigError(f"{where}.{key}", "missing required field")
     val = obj[key]
     # JSON true/false load as bool, a subclass of int; no field takes one
-    if kind is not None and (not isinstance(val, kind) or isinstance(val, bool)):
+    if not isinstance(val, kind) or isinstance(val, bool):
         names = kind.__name__ if not isinstance(kind, tuple) else \
             "/".join(k.__name__ for k in kind)
         raise ConfigError(f"{where}.{key}", f"expected {names}, "
@@ -186,8 +186,7 @@ def parse_config(text: str) -> Config:
     except ChartError as exc:
         raise ConfigError("chart", str(exc)) from None
 
-    theta_obj = _expect(doc, "theta", "<root>", dict, required=False,
-                        default={"type": kind})
+    theta_obj = _expect(doc, "theta", "<root>", dict, required=False, default={})
     ttype = _expect(theta_obj, "type", "theta", str, required=False, default=kind)
     try:
         if ttype == "vinogradov":

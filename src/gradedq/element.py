@@ -46,16 +46,13 @@ class GradedElement:
     @classmethod
     def generator(cls, chart: ChartSpec, name: str) -> "GradedElement":
         """The generator as an element; accepts x, psi, zeta, chi, p names."""
-        if name.startswith("x"):
-            mu = int(name[1:])
-            return cls.from_poly(chart, Poly.var(chart.d, mu))
-        sid = chart.sid_of_name(name)
-        return cls(chart, {((sid, 1),): Poly.const(chart.d, 1)})
-
-    @classmethod
-    def monomial(cls, chart: ChartSpec, mono, coeff: Poly) -> "GradedElement":
-        """Element with a single canonical monomial (already sorted)."""
-        return cls(chart, {tuple(mono): coeff})
+        if not name.startswith("x"):
+            sid = chart.sid_of_name(name)
+            return cls(chart, {((sid, 1),): Poly.const(chart.d, 1)})
+        for g in chart.xs:
+            if g.name == name:
+                return cls.from_poly(chart, Poly.var(chart.d, g.index))
+        raise ChartError(f"unknown generator {name!r}")
 
     # arithmetic ------------------------------------------------------
     def _check(self, other: "GradedElement"):

@@ -82,19 +82,6 @@ def mat_antisymmetric(a) -> bool:
     return a == mat_neg(mat_t(a))
 
 
-def blocks(h) -> tuple:
-    """Split a 2d x 2d matrix into ((UL, UR), (LL, LR))."""
-    n = len(h)
-    if n % 2:
-        raise MatrixError("expected an even-dimensional matrix")
-    d = n // 2
-    ul = tuple(row[:d] for row in h[:d])
-    ur = tuple(row[d:] for row in h[:d])
-    ll = tuple(row[:d] for row in h[d:])
-    lr = tuple(row[d:] for row in h[d:])
-    return (ul, ur), (ll, lr)
-
-
 def assemble(ul, ur, ll, lr) -> tuple:
     top = tuple(ra + rb for ra, rb in zip(ul, ur))
     bot = tuple(ra + rb for ra, rb in zip(ll, lr))
@@ -174,7 +161,9 @@ def act(O, H: GenMetric) -> GenMetric:
 
 def extract(H: GenMetric) -> Background:
     """g = (lower-right)^-1, b = -g (lower-left); exact roundtrip inverse."""
-    (_, _), (ll, lr) = blocks(H.H)
+    d = H.d
+    ll = tuple(row[:d] for row in H.H[d:])
+    lr = tuple(row[d:] for row in H.H[d:])
     g = mat_inv(lr)
     b = mat_neg(mat_mul(g, ll))
     bg = Background(g, b)  # raises if H was not of generalised-metric form

@@ -120,11 +120,8 @@ def q_square_check(theta: Hamiltonian, samples: int = 8, seed: int = 0,
     from .randomgen import random_homogeneous
     chart = theta.chart
     suite = SuiteReport("q-square", seed=seed)
-    probes: list[tuple[str, GradedElement]] = []
-    for g in chart.xs:
-        probes.append((g.name, GradedElement.generator(chart, g.name)))
-    for g in chart.supers:
-        probes.append((g.name, GradedElement.generator(chart, g.name)))
+    probes = [(g.name, GradedElement.generator(chart, g.name))
+              for g in chart.xs + chart.supers]
     rng = random.Random(seed)
     for k in range(samples):
         n = rng.randint(0, chart.p + 1)

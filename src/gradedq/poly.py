@@ -11,8 +11,8 @@ from functools import reduce
 from math import comb, gcd, lcm
 from operator import or_
 
-from ._kernel_py import (FIELD, FIELD_MASK, poly_add, poly_mul, poly_neg,
-                         poly_partial, poly_scale)
+from ._kernel_py import (FIELD, FIELD_MASK, poly_add, poly_mul, poly_partial,
+                         poly_scale)
 
 
 class PolyError(ValueError):
@@ -159,7 +159,7 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self):
-        return _raw(self.d, self.den, poly_neg(self.nums))
+        return _raw(self.d, self.den, poly_scale(self.nums, -1))
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):

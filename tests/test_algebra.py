@@ -245,6 +245,11 @@ class TestGradedElement:
     def gen(self, chart, name):
         return GradedElement.generator(chart, name)
 
+    @pytest.mark.parametrize("name", ["x", "xy", "x0", "x4", "x01", "q1"])
+    def test_unknown_generator_names(self, name):
+        with pytest.raises(ChartError, match="unknown generator"):
+            self.gen(self.chart, name)
+
     def test_odd_squares_vanish(self):
         psi1 = self.gen(self.chart, "psi1")
         zeta = self.gen(self.m5, "zeta")
@@ -505,7 +510,7 @@ def _random_homogeneous_from_basis(rng, chart, n, max_degree=2, terms=2):
     picks = rng.sample(basis, min(len(basis), rng.randint(1, terms)))
     out = GradedElement.zero(chart)
     for mono in picks:
-        out = out + GradedElement.monomial(chart, mono, random_poly(rng, chart.d, max_degree))
+        out = out + GradedElement(chart, {mono: random_poly(rng, chart.d, max_degree)})
     return out
 
 

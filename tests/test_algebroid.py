@@ -254,6 +254,18 @@ class TestCourantSuite:
             verify_courant(untwisted(P3), trials=1, seed=0)
 
 
+@pytest.mark.parametrize("suite", [verify_courant, verify_leibniz],
+                         ids=["courant", "leibniz"])
+def test_zero_trials_raise_before_drawing(monkeypatch, suite):
+    """A suite that ran no trial has no evidence for a PASS."""
+    def no_draw(*args):
+        raise AssertionError("a section was drawn")
+    monkeypatch.setattr("gradedq.algebroid.random_section", no_draw)
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}"):
+            suite(untwisted(P2), trials=trials)
+
+
 @pytest.mark.parametrize("suite, per_trial", [
     # (Theta, A), (Theta, B), L_A B and L_A C once per trial
     (verify_courant, 18),

@@ -319,6 +319,18 @@ class TestKernelAgainstReference:
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+        st.just(d), int_polys(d), int_polys(d), int_polys(d),
+        st.integers(-9, 9).filter(bool))))
+    def test_poly_mul_accumulates_weighted(self, case):
+        d, a, b, acc, weight = case
+        pa, pb, out = packed(d, a), packed(d, b), packed(d, acc)
+        expected = packed(d, ref_add(acc, ref_scale(ref_mul(a, b), weight)))
+        assert _kernel_py.poly_mul(pa, pb, weight, out) is out
+        assert out == expected
+        assert (pa, pb) == (packed(d, a), packed(d, b))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda d: st.tuples(
         st.just(d), int_polys(d).filter(lambda a: len(a) == 1), int_polys(d))))
     def test_poly_mul_one_term_factor(self, case):
         d, a, b = case
