@@ -48,6 +48,14 @@ class ChartSpec:
     The x generators live in polynomial coefficients; the remaining
     ("super") generators label graded monomials and are numbered by a
     super id (sid) in canonical order.
+
+    A chart also owns two caches, each entry built on first use and never
+    changed after: `_counts` (degree n -> element's monomial count table)
+    and `_elements`, its constant elements (each generator element of
+    `GradedElement.generator` under its name, and `npq.kinetic_term` under
+    a tuple key, which no name equals).  They belong to the instance, so
+    an equal but distinct chart builds its own; equality and hashing
+    ignore them.
     """
 
     def __init__(self, kind: str, d: int, p: int):
@@ -92,6 +100,8 @@ class ChartSpec:
         self.momentum = tuple(g.family in ("p", "chi", "zeta") for g in supers)
         # element's count tables: degree n -> T[sid][r] for r <= n, built once
         self._counts: dict[int, list] = {}
+        # shared constant elements, each built once (see the class docstring)
+        self._elements: dict = {}
 
     def sid(self, family: str, index: int) -> int:
         return self._by_family[(family, index)]

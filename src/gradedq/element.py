@@ -4,8 +4,12 @@ Elements are finite sums of canonical graded monomials with exact
 polynomial coefficients.  The constructor takes a dict keyed by canonical
 monomials and drops zero coefficients; products and sums canonicalize
 (Koszul signs, annihilation of odd squares, merging).  All operations are
-pure and return new values.  The x-free monomials of degree n are counted,
-unranked and listed from one count table per (chart, n), never stored.
+pure and return new values, except `generator`: it returns the chart's
+shared element for that name, built once per chart, which is safe because
+no operation changes an element's terms (the bracket's derivative memo on
+it is then built once per chart, too).  The x-free monomials of degree n
+are counted, unranked and listed from one count table per (chart, n),
+never stored.
 """
 
 from __future__ import annotations
@@ -45,14 +49,21 @@ class GradedElement:
 
     @classmethod
     def generator(cls, chart: ChartSpec, name: str) -> "GradedElement":
-        """The generator as an element; accepts x, psi, zeta, chi, p names."""
+        """The generator as an element; accepts x, psi, zeta, chi, p names.
+        The chart builds it once and every call shares it."""
+        found = chart._elements.get(name)
+        if found is not None:
+            return found
         if not name.startswith("x"):
             sid = chart.sid_of_name(name)
-            return cls(chart, {((sid, 1),): Poly.const(chart.d, 1)})
-        for g in chart.xs:
-            if g.name == name:
-                return cls.from_poly(chart, Poly.var(chart.d, g.index))
-        raise ChartError(f"unknown generator {name!r}")
+            found = cls(chart, {((sid, 1),): Poly.const(chart.d, 1)})
+        else:
+            mu = next((g.index for g in chart.xs if g.name == name), None)
+            if mu is None:
+                raise ChartError(f"unknown generator {name!r}")
+            found = cls.from_poly(chart, Poly.var(chart.d, mu))
+        chart._elements[name] = found
+        return found
 
     # arithmetic ------------------------------------------------------
     def _check(self, other: "GradedElement"):

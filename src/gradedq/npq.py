@@ -36,14 +36,19 @@ def embed_form(chart: ChartSpec, omega: DiffForm) -> GradedElement:
     return GradedElement(chart, out)
 
 
+_KINETIC = ("kinetic",)  # the kinetic term's key in a chart's elements
+
+
 def kinetic_term(chart: ChartSpec) -> GradedElement:
-    """The anchor normal form sum_mu psi^mu p_mu."""
-    out = {}
-    one = Poly.const(chart.d, 1)
-    for mu in range(1, chart.d + 1):
-        mono = ((chart.sid("psi", mu), 1), (chart.sid("p", mu), 1))
-        out[tuple(sorted(mono))] = one
-    return GradedElement(chart, out)
+    """The anchor normal form sum_mu psi^mu p_mu, built once per chart and
+    shared like a generator (see `ChartSpec`)."""
+    found = chart._elements.get(_KINETIC)
+    if found is None:
+        one = Poly.const(chart.d, 1)
+        found = chart._elements[_KINETIC] = GradedElement(chart, {
+            ((chart.sid("psi", mu), 1), (chart.sid("p", mu), 1)): one
+            for mu in range(1, chart.d + 1)})
+    return found
 
 
 class Hamiltonian:

@@ -13,7 +13,8 @@ import random
 from .chart import ChartSpec, lambda_rank
 from .element import GradedElement, monomial_at, monomial_count
 from .forms import DiffForm, Section
-from .poly import Poly
+from ._kernel_py import FIELD
+from .poly import _EXP_LIMIT, Poly, PolyError, _raw
 
 MAX_COEFF_DEGREE = 2
 COEFF_RANGE = 3
@@ -21,21 +22,22 @@ COEFF_RANGE = 3
 
 def random_poly(rng: random.Random, d: int, max_degree: int = MAX_COEFF_DEGREE,
                 allow_zero: bool = False) -> Poly:
+    """One or two terms of total degree at most max_degree, each drawn
+    straight into its packed exponent key (see `_kernel_py`): no exponent
+    can exceed max_degree, so one below the field limit never carries."""
+    if max_degree >= _EXP_LIMIT:
+        raise PolyError(f"max_degree {max_degree} reaches the packed exponent "
+                        f"limit {_EXP_LIMIT}")
     acc = {}
     for _ in range(rng.randint(1, 2)):  # one or two terms
-        exp = [0] * d
+        key = 0
         for _ in range(rng.randint(0, max_degree)):
-            exp[rng.randrange(d)] += 1
-        c = rng.randint(-COEFF_RANGE, COEFF_RANGE)
-        key = tuple(exp)
-        acc[key] = acc.get(key, 0) + c
-    poly = Poly(d, {e: c for e, c in acc.items() if c})
-    if poly.is_zero() and not allow_zero:
-        mu = rng.randrange(d)
-        exp = [0] * d
-        exp[mu] = 1
-        poly = Poly(d, {tuple(exp): 1})
-    return poly
+            key += 1 << FIELD * rng.randrange(d)
+        acc[key] = acc.get(key, 0) + rng.randint(-COEFF_RANGE, COEFF_RANGE)
+    nums = {k: c for k, c in acc.items() if c}
+    if not nums and not allow_zero:
+        nums = {1 << FIELD * rng.randrange(d): 1}
+    return _raw(d, 1, nums)
 
 
 def random_form(rng: random.Random, d: int, rank: int,

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gradedq import (ChartError, DiffForm, GradedElement, Poly, PolyParseError,
-                     make_chart, monomial_basis, parse_poly)
+from gradedq import (ChartError, DiffForm, GradedElement, Poly, PolyError,
+                     PolyParseError, make_chart, monomial_basis, parse_poly)
 from gradedq import element
 from gradedq.element import INHOMOGENEOUS, monomial_at, monomial_count
 from gradedq.randomgen import random_homogeneous, random_poly
@@ -247,8 +247,25 @@ class TestGradedElement:
 
     @pytest.mark.parametrize("name", ["x", "xy", "x0", "x4", "x01", "q1"])
     def test_unknown_generator_names(self, name):
+        self.gen(self.chart, "x1")
+        cached = dict(self.chart._elements)
         with pytest.raises(ChartError, match="unknown generator"):
             self.gen(self.chart, name)
+        assert self.chart._elements == cached  # a failed lookup caches nothing
+
+    def test_generators_are_shared_per_chart(self):
+        names = ["x1", "x3", "psi2", "chi1", "p3"]
+        for name in names:
+            assert self.gen(self.chart, name) is self.gen(self.chart, name)
+        assert list(self.chart._elements) == names
+        zeta = self.gen(self.m5, "zeta")
+        assert self.gen(self.m5, "zeta") is zeta and zeta.chart is self.m5
+        other = make_chart("vinogradov", 3, 2)  # an equal, new chart
+        assert other._elements == {}
+        psi2 = self.gen(other, "psi2")
+        assert psi2 == self.gen(self.chart, "psi2")
+        assert psi2 is not self.gen(self.chart, "psi2") and psi2.chart is other
+        assert list(other._elements) == ["psi2"]
 
     def test_odd_squares_vanish(self):
         psi1 = self.gen(self.chart, "psi1")
@@ -539,3 +556,53 @@ def _recursive_basis(chart, n):
 
     rec(0, n, [])
     return sorted(out)
+
+
+# ---------------------------------------------------------------------
+# random polynomials
+# ---------------------------------------------------------------------
+
+def _random_poly_from_tuples(rng, d, max_degree=2, allow_zero=False):
+    """random_poly as it was written before it drew packed keys: exponent
+    tuples through the validating constructor, kept as the reference draw."""
+    acc = {}
+    for _ in range(rng.randint(1, 2)):
+        exp = [0] * d
+        for _ in range(rng.randint(0, max_degree)):
+            exp[rng.randrange(d)] += 1
+        c = rng.randint(-3, 3)
+        key = tuple(exp)
+        acc[key] = acc.get(key, 0) + c
+    poly = Poly(d, {e: c for e, c in acc.items() if c})
+    if poly.is_zero() and not allow_zero:
+        mu = rng.randrange(d)
+        exp = [0] * d
+        exp[mu] = 1
+        poly = Poly(d, {tuple(exp): 1})
+    return poly
+
+
+class TestRandomPoly:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32), d=st.integers(1, 10),
+           max_degree=st.integers(0, 4), allow_zero=st.booleans())
+    def test_packed_draw_matches_the_tuple_draw(self, seed, d, max_degree, allow_zero):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        drawn = random_poly(rng, d, max_degree, allow_zero)
+        ref = _random_poly_from_tuples(ref_rng, d, max_degree, allow_zero)
+        assert drawn == ref
+        # the same numerators in the same order, over the same denominator
+        assert (drawn.d, drawn.den, list(drawn.nums.items())) \
+            == (ref.d, ref.den, list(ref.nums.items()))
+        assert rng.getstate() == ref_rng.getstate()
+        assert allow_zero or drawn
+
+    def test_degree_at_the_field_limit_raises_before_drawing(self):
+        rng = random.Random(0)
+        state = rng.getstate()
+        for max_degree in (2**15, 2**15 + 1, 2**20):
+            with pytest.raises(PolyError, match="packed exponent limit"):
+                random_poly(rng, 3, max_degree)
+            assert rng.getstate() == state
+        # one below the limit is a legal degree bound
+        assert random_poly(random.Random(0), 3, 2**15 - 1)

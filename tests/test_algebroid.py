@@ -9,10 +9,11 @@ import pytest
 from gradedq import (ChartError, DiffForm, GradedElement, Poly, Section,
                      SectionError, anchor, classical_dorfman, decode_section,
                      dorfman, embed_form, encode_section, ext_d, gauge_exp,
-                     interior, make_chart, module_rank, monomial_basis, pairing,
+                     interior, kinetic_term, make_chart, master_equation,
+                     module_rank, monomial_basis, pairing, q_square_check,
                      rho_star, theta_m5, theta_vinogradov, verify_courant,
                      verify_leibniz)
-from gradedq import symplectic
+from gradedq import npq, symplectic
 from gradedq.randomgen import random_poly, random_section
 
 P2 = make_chart("vinogradov", 3, 2)
@@ -316,6 +317,40 @@ def test_brackets_leave_the_memo_as_derived(monkeypatch, suite, theta):
                 memos += 1
                 assert memo == symplectic._derivatives(copy, bool(side))
     assert memos >= len(args)  # every argument here was derived on a side
+
+
+@pytest.mark.parametrize("kind", ["vinogradov", "m5"])
+def test_suites_leave_the_chart_elements_intact(kind):
+    """Every suite run on one chart shares its generators and kinetic term;
+    afterwards each keeps the terms it was built with, and each memo equals
+    a fresh derivation of a copy."""
+    gen = GradedElement.generator
+    if kind == "vinogradov":
+        chart = make_chart("vinogradov", 3, 2)
+        theta = theta_vinogradov(chart, DiffForm.basis(3, (1, 2, 3), Poly.var(3, 2)))
+        assert verify_courant(theta, trials=2, seed=3).passed
+        R = gen(chart, "x3") * gen(chart, "psi1") * gen(chart, "psi2")
+    else:
+        chart = make_chart("m5", 6)
+        theta = theta_m5(chart, DiffForm.basis(6, (1, 2, 3, 4), Poly.var(6, 1)))
+        R = gen(chart, "x4") * gen(chart, "zeta") * embed_form(
+            chart, DiffForm.basis(6, (1, 2, 3)))
+    assert master_equation(theta)[1]
+    assert q_square_check(theta, samples=4, seed=3).passed
+    assert verify_leibniz(theta, trials=2, seed=3).passed
+    assert gauge_exp(R, theta.element) != theta.element
+    names = [g.name for g in chart.xs + chart.supers]
+    assert set(chart._elements) == set(names) | {npq._KINETIC}
+    other = make_chart(kind, chart.d, chart.p)  # an equal, new chart
+    memos = 0
+    for key, e in chart._elements.items():
+        built = kinetic_term(other) if key == npq._KINETIC else gen(other, key)
+        assert e.terms == built.terms
+        for side, memo in enumerate(e._derivs or (None, None)):
+            if memo is not None:
+                memos += 1
+                assert memo == symplectic._derivatives(built, bool(side))
+    assert memos >= len(names)  # every probe was derived on the left
 
 
 def test_right_passes_build_no_x_partials(monkeypatch):

@@ -53,7 +53,17 @@ class TestEmbedding:
         chart = make_chart("vinogradov", 2, 2)
         kin = kinetic_term(chart)
         assert kin.euler_degree() == chart.p + 1
-        assert len(kin.terms) == 2
+        assert kin == gen(chart, "psi1") * gen(chart, "p1") \
+            + gen(chart, "psi2") * gen(chart, "p2")
+
+    def test_kinetic_term_shared_per_chart(self):
+        chart = make_chart("vinogradov", 2, 2)
+        kin = kinetic_term(chart)
+        assert kinetic_term(chart) is kin
+        theta = theta_vinogradov(chart)
+        assert theta.element == kin and theta.element is not kin
+        other = make_chart("vinogradov", 2, 2)  # an equal, new chart
+        assert kinetic_term(other) == kin and kinetic_term(other) is not kin
 
 
 class TestHamiltonianConstruction:
@@ -208,6 +218,24 @@ class TestQSquare:
         suite = q_square_check(theta_vinogradov(chart, beta), samples=2, seed=0)
         assert not suite.passed
         assert any(c.witnesses for c in suite.checks if not c.passed)
+
+    def test_reports_on_a_shared_chart_match_fresh_charts(self):
+        # the probes persist on the chart, derivative memos included, so a
+        # Bianchi-failing and then a passing Theta on one chart must report
+        # exactly what each reports on a chart of its own
+        def thetas(chart):
+            F4 = DiffForm.basis(8, (1, 2, 3, 4)) + DiffForm.basis(8, (5, 6, 7, 8))
+            F7 = DiffForm.basis(8, (2, 3, 4, 5, 6, 7, 8), Poly.var(8, 1) * (-1))
+            return (theta_m5(chart, DiffForm.basis(8, (1, 2, 3, 4), Poly.var(8, 5))),
+                    theta_m5(chart, F4, F7))
+
+        shared = make_chart("m5", 8)
+        on_shared = [q_square_check(theta, samples=4, seed=7).to_dict()
+                     for theta in thetas(shared)]
+        on_fresh = [q_square_check(thetas(make_chart("m5", 8))[i], samples=4,
+                                   seed=7).to_dict() for i in (0, 1)]
+        assert [r["status"] for r in on_shared] == ["FAIL", "PASS"]
+        assert on_shared == on_fresh
 
 
 def _m5_closed():
