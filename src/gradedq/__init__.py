@@ -17,8 +17,7 @@ __version__ = "1.0.0"
 
 _EXPORTS = {
     "algebroid": ("anchor", "decode_section", "derived_sign", "dorfman",
-                  "encode_section", "module_rank", "pairing", "rho_star",
-                  "verify_courant", "verify_leibniz"),
+                  "encode_section", "pairing", "verify_courant", "verify_leibniz"),
     "chart": ("ChartError", "ChartSpec", "Generator", "lambda_rank",
               "make_chart"),
     "config": ("Config", "ConfigError", "MatrixError", "parse_config"),

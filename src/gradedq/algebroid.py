@@ -7,18 +7,19 @@ double Poisson contraction ((Theta, A), B) times a chart-level sign:
 embedding constant, is the convention knob that makes the untwisted
 derived bracket reproduce the classical Dorfman/Vinogradov formulas
 verbatim; both are pinned by the oracle cross-check tests.
+
+Axiom 2 is the Courant suite's one classical check (`vec_lie_bracket`),
+which the benchmark's call-site pins still expect.
 """
 
 from __future__ import annotations
 
 import random
-import warnings
 from fractions import Fraction
 
 from .chart import ChartError, ChartSpec, lambda_rank
-from .element import GradedElement, monomial_count
-from .forms import (DiffForm, FormError, Section, SectionError, ext_d,
-                    vec_lie_bracket)
+from .element import GradedElement
+from .forms import DiffForm, Section, SectionError, vec_lie_bracket
 from .npq import Hamiltonian, embed_form, q_apply
 from .poly import Poly
 from .randomgen import random_poly, random_section
@@ -137,41 +138,9 @@ def pairing(A: GradedElement, B: GradedElement) -> GradedElement:
     return symplectic.poisson(A, B)
 
 
-def rho_star(chart: ChartSpec, lam: DiffForm) -> GradedElement:
-    """The psi-embedding of a 1-form; eta(rho*(lam), A) = lam(rho(A))."""
-    if chart.p != 2 or chart.kind != "vinogradov":
-        raise ChartError("rho_star is defined on p=2 vinogradov charts")
-    if lam.rank != 1:
-        raise FormError(f"rho_star takes a 1-form, got rank {lam.rank}")
-    return embed_form(chart, lam)
-
-
-# ---------------------------------------------------------------------
-# module ranks
-# ---------------------------------------------------------------------
-
-def module_rank(chart: ChartSpec, n: int) -> int:
-    """The number of x-free generator monomials of total degree n (0 <= n <= p)."""
-    if n < 0 or n > chart.p:
-        raise ChartError(f"module interpretation only exists for 0 <= n <= p="
-                         f"{chart.p}, got {n}")
-    if n == chart.p:
-        warnings.warn("degree n = p sits at the top of the Darboux degree "
-                      "bound; the C(M)-module interpretation below p does "
-                      "not apply", stacklevel=2)
-    return monomial_count(chart, n)
-
-
 # ---------------------------------------------------------------------
 # verification suites
 # ---------------------------------------------------------------------
-
-def _lie_on_poly(v, f: Poly) -> Poly:
-    out = Poly.zero(f.d)
-    for mu in range(1, f.d + 1):
-        out = out + v[mu - 1] * f.partial(mu)
-    return out
-
 
 def _scalar_of(e: GradedElement) -> Poly:
     if e.is_zero():
@@ -234,6 +203,9 @@ def verify_leibniz(theta: Hamiltonian, trials: int = 100, seed: int = 0,
     return _suite("leibniz", ("leibniz identity",), fails, trials, seed)
 
 
+# Axiom 5 and the chain complex keep their classical names, so reports stay
+# byte-identical: on p = 2, Q(eta) = psi^mu d_mu eta = rho*(d eta) with
+# sign +, since (p_mu, x^mu) = +1, and rho* is the psi-embedding.
 _COURANT_CHECKS = ("axiom 1 (anchored Leibniz)", "axiom 2 (anchor morphism)",
                    "axiom 3 (metric invariance)", "axiom 4 (Leibniz identity)",
                    "axiom 5 (rho* of d eta(A,A))", "chain complex (rho o rho* = 0)")
@@ -241,7 +213,8 @@ _COURANT_CHECKS = ("axiom 1 (anchored Leibniz)", "axiom 2 (anchor morphism)",
 
 def verify_courant(theta: Hamiltonian, trials: int = 100, seed: int = 0,
                    max_degree: int = 2) -> SuiteReport:
-    """All five Courant axioms plus rho o rho* = 0, on a p=2 chart."""
+    """All five Courant axioms plus rho o rho* = 0, on a p=2 chart; all but
+    axiom 2 through Q, the pairing and rho(A)g = ((Theta, A), g)."""
     chart = theta.chart
     if chart.p != 2 or chart.kind != "vinogradov":
         raise ChartError("the Courant suite runs on p=2 vinogradov charts")
@@ -249,14 +222,14 @@ def verify_courant(theta: Hamiltonian, trials: int = 100, seed: int = 0,
         raise ValueError(f"trials must be at least 1, got {trials}")
     rng = random.Random(seed)
     fails: dict[str, tuple] = {}
-    half = Fraction(1, 2)
 
     for t in range(trials):
         (sA, sB, _), (A, B, C), (QA, LAB, LAC) = _trial(theta, rng, max_degree)
         f = random_poly(rng, chart.d, max_degree)
         defects = []
 
-        # 1. anchored Leibniz: L_A(f B) = f L_A B + (rho(A).f) B
+        # 1. anchored Leibniz: L_A(f B) = f L_A B + (rho(A).f) B; rho(A).f
+        # is anchor()'s body on the QA at hand, which anchor() would rebracket
         rho_A_f = _scalar_of(_derived(QA, GradedElement.from_poly(chart, f)))
         defects.append(_derived(QA, B * f)
                        - (LAB * f + B * rho_A_f))
@@ -267,24 +240,22 @@ def verify_courant(theta: Hamiltonian, trials: int = 100, seed: int = 0,
         defects.append(encode_section(chart, Section(
             tuple(a - b for a, b in zip(vL, vR)), DiffForm.zero(chart.d, 1))))
 
-        # 3. metric invariance: rho(A).eta(B,C) = eta(L_A B, C) + eta(B, L_A C)
-        lhs0 = _lie_on_poly(sA.v, _scalar_of(pairing(B, C)))
-        rhs0 = _scalar_of(pairing(LAB, C)) + _scalar_of(pairing(B, LAC))
-        defects.append(GradedElement.from_poly(chart, lhs0 - rhs0))
+        # 3. metric invariance: rho(A).(B,C) = (L_A B, C) + (B, L_A C)
+        defects.append(_derived(QA, pairing(B, C))
+                       - (pairing(LAB, C) + pairing(B, LAC)))
 
         # 4. Leibniz identity
         defects.append(_leibniz_defect(theta, QA, B, C, LAB, LAC))
 
-        # 5. L_A A = 1/2 rho*(d eta(A, A))
-        eta_AA = _scalar_of(pairing(A, A))
-        rhs = rho_star(chart, ext_d(DiffForm.from_poly(chart.d, eta_AA))) * half
-        defects.append(_derived(QA, A) - rhs)
+        # 5. L_A A = 1/2 Q((A, A))
+        defects.append(_derived(QA, A)
+                       - q_apply(theta, pairing(A, A)) * Fraction(1, 2))
 
-        # chain complex: rho o rho* = 0
+        # chain complex: rho(rho*(lam1)) = 0
         lam1 = DiffForm(chart.d, 1)
         lam1.add_term((rng.randint(1, chart.d),), random_poly(rng, chart.d, max_degree))
         defects.append(GradedElement.from_poly(
-            chart, anchor(theta, rho_star(chart, lam1), f)))
+            chart, anchor(theta, embed_form(chart, lam1), f)))
 
         for check, diff in zip(_COURANT_CHECKS, defects):
             if not diff.is_zero():

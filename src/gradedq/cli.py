@@ -102,6 +102,18 @@ def _background(config: Config):
         return gm.Background(g, b)
 
 
+@contextmanager
+def _exact_digits():
+    """Lift the interpreter-wide int-to-str digit limit for exact results;
+    every input text is parsed before, so handlers and output parse none."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _named_section(config: Config, name: str) -> GradedElement:
     from .algebroid import encode_section
     if name not in config.sections:
@@ -127,7 +139,7 @@ def cmd_check_master(config: Config, args) -> tuple[dict, str, int]:
 def cmd_q_square(config: Config, args) -> tuple[dict, str, int]:
     suite = q_square_check(config.theta,
                            samples=bounded("--samples", args.samples, 0, MAX_TRIALS),
-                           seed=_resolve_seed(args, config),
+                           seed=args.seed,
                            max_degree=_resolve_max_degree(args, config))
     return _suite_result("q-square", suite)
 
@@ -154,16 +166,11 @@ def cmd_bracket(config: Config, args) -> tuple[dict, str, int]:
 
 def cmd_axioms(config: Config, args) -> tuple[dict, str, int]:
     from .algebroid import verify_courant, verify_leibniz
-    seed = _resolve_seed(args, config)
     trials = config.trials if args.trials is None else \
         bounded("--trials", args.trials, 1, MAX_TRIALS)
     max_degree = _resolve_max_degree(args, config)
-    if args.suite == "courant":
-        suite = verify_courant(config.theta, trials=trials, seed=seed,
-                               max_degree=max_degree)
-    else:
-        suite = verify_leibniz(config.theta, trials=trials, seed=seed,
-                               max_degree=max_degree)
+    verify = verify_courant if args.suite == "courant" else verify_leibniz
+    suite = verify(config.theta, trials=trials, seed=args.seed, max_degree=max_degree)
     return _suite_result("axioms", suite)
 
 
@@ -363,7 +370,13 @@ def main(argv=None) -> int:
         return INPUT_ERROR if exc.code else PASS
     try:
         config = parse_config(_read_config(args.config))
-        payload, text, code = _HANDLERS[args.command](config, args)
+        if "seed" in args:  # the seeded suites; GB_SEED is input text too
+            args.seed = _resolve_seed(args, config)
+        with _exact_digits():
+            payload, text, code = _HANDLERS[args.command](config, args)
+            payload["exit_code"] = code
+            _emit(args, payload, text)
+        return code
     except _INPUT_ERRORS as exc:
         message = str(exc)
         if args.json:
@@ -379,9 +392,6 @@ def main(argv=None) -> int:
                                "error": message}, sort_keys=True, indent=2))
         print(f"internal error: {message}", file=sys.stderr)
         return INTERNAL_ERROR
-    payload["exit_code"] = code
-    _emit(args, payload, text)
-    return code
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ ConfigError.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .chart import ChartError, ChartSpec, lambda_rank, make_chart
@@ -32,6 +33,12 @@ MAX_P = 12
 # cap on the basis that rank --n lists and prints: m5(29)'s 479,544
 # monomials of degree 6 take about 2 s and 210 MB with --json
 MAX_BASIS = 500_000
+# caps on a `matrices` entry, over one common denominator: `genmetric
+# build` on a 16 x 16 g of 64-bit entries took 1.7-2.1 s (act: 0.7 s) on
+# a 2-core x86-64 host, Python 3.11.7; 64-bit cells with independent
+# denominators took 137 s
+MAX_MATRIX_SIDE = 16
+MAX_ENTRY_BITS = 64
 
 
 class ConfigError(ValueError):
@@ -139,12 +146,14 @@ def _parse_section(obj, chart: ChartSpec, where: str) -> Section:
 
 
 def _parse_matrix(rows, where: str) -> tuple:
-    if not isinstance(rows, list) or not rows:
-        raise ConfigError(where, "expected a non-empty row-major array")
+    if not isinstance(rows, list) or not 0 < len(rows) <= MAX_MATRIX_SIDE:
+        raise ConfigError(where, f"expected 1 to {MAX_MATRIX_SIDE} row arrays")
     out = []
+    den = 1  # the common denominator of the cells so far
     for i, row in enumerate(rows):
-        if not isinstance(row, list):
-            raise ConfigError(f"{where}[{i}]", "expected a row array")
+        if not isinstance(row, list) or len(row) > MAX_MATRIX_SIDE:
+            raise ConfigError(f"{where}[{i}]", f"expected a row array of at most "
+                              f"{MAX_MATRIX_SIDE} cells")
         vals = []
         for j, cell in enumerate(row):
             # Fraction("1e20000000") would expand the power of ten
@@ -155,9 +164,18 @@ def _parse_matrix(rows, where: str) -> tuple:
                 vals.append(Fraction(str(cell)))
             except (ValueError, ZeroDivisionError) as exc:
                 raise ConfigError(f"{where}[{i}][{j}]", str(exc)) from None
+            den = math.lcm(den, vals[-1].denominator)
+            if den.bit_length() > MAX_ENTRY_BITS:
+                raise ConfigError(f"{where}[{i}][{j}]", "the common denominator "
+                                  f"exceeds {MAX_ENTRY_BITS} bits")
         out.append(tuple(vals))
     if any(len(r) != len(out[0]) for r in out):
         raise ConfigError(where, "rows have unequal lengths")
+    for i, row in enumerate(out):
+        for j, val in enumerate(row):
+            if (val.numerator * (den // val.denominator)).bit_length() > MAX_ENTRY_BITS:
+                raise ConfigError(f"{where}[{i}][{j}]", "over the common denominator, "
+                                  f"the entry exceeds {MAX_ENTRY_BITS} bits")
     return tuple(out)
 
 

@@ -10,8 +10,8 @@ from gradedq import (ChartError, DiffForm, GradedElement, Poly, Section,
                      SectionError, anchor, classical_dorfman, decode_section,
                      dorfman, embed_form, encode_section, ext_d, gauge_exp,
                      interior, kinetic_term, make_chart, master_equation,
-                     module_rank, monomial_basis, pairing, q_square_check,
-                     rho_star, theta_m5, theta_vinogradov, verify_courant,
+                     monomial_basis, monomial_count, pairing, q_apply,
+                     q_square_check, theta_m5, theta_vinogradov, verify_courant,
                      verify_leibniz)
 from gradedq import npq, symplectic
 from gradedq.randomgen import random_poly, random_section
@@ -121,28 +121,56 @@ def test_m5_lambda_prime_d_lambda_appears():
 
 
 def test_dorfman_is_not_antisymmetric_but_has_symmetric_part():
-    # L_A A need not vanish; its failure of antisymmetry is exact d of the pairing
+    # L_A A need not vanish; its failure of antisymmetry is exact d of the
+    # pairing, and on p = 2 that rho*(d eta) is 1/2 Q(eta(A, A)), also twisted
     rng = random.Random(53)
-    theta = untwisted(P2)
-    for _ in range(10):
-        sA = random_section(rng, P2)
-        A = encode_section(P2, sA)
-        LAA = dorfman(theta, A, A)
-        half = Fraction(1, 2)
-        eta_AA = pairing(A, A)
-        scalar = eta_AA.terms.get((), Poly.zero(P2.d))
-        rhs = rho_star(P2, ext_d(DiffForm.from_poly(P2.d, scalar))) * half
-        assert LAA == rhs
+    half = Fraction(1, 2)
+    beta = DiffForm.basis(3, (1, 2, 3), Poly.var(3, 2) + Poly.var(3, 1) ** 2)
+    for theta in (untwisted(P2), theta_vinogradov(P2, beta)):
+        for _ in range(10):
+            sA = random_section(rng, P2)
+            A = encode_section(P2, sA)
+            LAA = dorfman(theta, A, A)
+            eta_AA = pairing(A, A)
+            scalar = eta_AA.terms.get((), Poly.zero(P2.d))
+            rhs = embed_form(P2, ext_d(DiffForm.from_poly(P2.d, scalar))) * half
+            assert LAA == rhs
+            assert q_apply(theta, eta_AA) * half == rhs
 
 
 # ---------------------------------------------------------------------
 # anchor and pairing
 # ---------------------------------------------------------------------
 
+def _anchor_thetas():
+    """Untwisted hamiltonians on P2, P3 and M5; closed and non-closed
+    twists beta on p = 2 and p = 3 charts; (F4, F7) twists on m5 charts."""
+    x = [Poly.var(5, mu) for mu in range(1, 6)]
+    yield untwisted(P2)
+    yield untwisted(P3)
+    yield untwisted(M5)
+    for chart, beta, closed in (
+            (P2, DiffForm.basis(3, (1, 2, 3), Poly.var(3, 1) + 2), True),
+            (make_chart("vinogradov", 4, 2),
+             DiffForm.basis(4, (1, 2, 3), Poly.var(4, 4) ** 2), False),
+            (P3, DiffForm.basis(4, (1, 2, 3, 4), Poly.var(4, 1) * Poly.var(4, 3)),
+             True),
+            (make_chart("vinogradov", 5, 3),
+             DiffForm.basis(5, (1, 2, 3, 4), x[4] - x[0] * x[1])
+             + DiffForm.basis(5, (2, 3, 4, 5), x[0]), False)):
+        assert ext_d(beta).is_zero() == closed
+        yield theta_vinogradov(chart, beta)
+    yield theta_m5(M5, DiffForm.basis(6, (1, 2, 3, 4), Poly.var(6, 5)))
+    yield theta_m5(make_chart("m5", 7),
+                   DiffForm.basis(7, (2, 3, 5, 6), Poly.var(7, 1) + 1),
+                   DiffForm.basis(7, tuple(range(1, 8)), Poly.var(7, 4)))
+
+
 def test_anchor_is_vector_action():
+    # twists never contribute at degree 0, closed or not
     rng = random.Random(54)
-    for chart in (P2, P3, M5):
-        theta = untwisted(chart)
+    for theta in _anchor_thetas():
+        chart = theta.chart
         for _ in range(10):
             s = random_section(rng, chart)
             f = random_poly(rng, chart.d)
@@ -163,13 +191,6 @@ def test_p2_pairing_is_odd_metric():
         assert got.terms.get((), Poly.zero(P2.d)) == expect.terms.get((), Poly.zero(P2.d))
 
 
-def test_rho_star_restricted_to_p2():
-    lam = DiffForm.basis(3, (1,))
-    assert not rho_star(P2, lam).is_zero()
-    with pytest.raises(ChartError):
-        rho_star(P3, DiffForm.basis(4, (1,)))
-
-
 # ---------------------------------------------------------------------
 # module ranks
 # ---------------------------------------------------------------------
@@ -178,28 +199,18 @@ class TestModuleRanks:
     def test_p2_rank_is_2d(self):
         for d in (1, 2, 3, 4, 6):
             chart = make_chart("vinogradov", d, 2)
-            assert module_rank(chart, chart.p - 1) == 2 * d
+            assert monomial_count(chart, chart.p - 1) == 2 * d
 
     def test_p3_degree2_rank_10(self):
-        assert module_rank(P3, 2) == 10
+        assert monomial_count(P3, 2) == 10
 
     def test_m5_degree5_rank_27(self):
-        assert module_rank(make_chart("m5", 6), 5) == 27
+        assert monomial_count(make_chart("m5", 6), 5) == 27
 
     def test_rank_matches_basis(self):
         for chart in (P2, P3, M5):
             for n in range(chart.p):
-                assert module_rank(chart, n) == len(monomial_basis(chart, n))
-
-    def test_out_of_range(self):
-        with pytest.raises(ChartError):
-            module_rank(P2, -1)
-        with pytest.raises(ChartError):
-            module_rank(P2, P2.p + 1)
-
-    def test_top_degree_warns(self):
-        with pytest.warns(UserWarning):
-            module_rank(P2, P2.p)
+                assert monomial_count(chart, n) == len(monomial_basis(chart, n))
 
 
 # ---------------------------------------------------------------------
@@ -268,8 +279,9 @@ def test_zero_trials_raise_before_drawing(monkeypatch, suite):
 
 
 @pytest.mark.parametrize("suite, per_trial", [
-    # (Theta, A), (Theta, B), L_A B and L_A C once per trial
-    (verify_courant, 18),
+    # (Theta, A), (Theta, B), L_A B and L_A C once per trial; axiom 3
+    # brackets (Theta, A) with (B, C), and axiom 5 takes Q of (A, A)
+    (verify_courant, 20),
     (verify_leibniz, 9),
 ], ids=["courant", "leibniz"])
 def test_poisson_brackets_per_trial(monkeypatch, suite, per_trial):

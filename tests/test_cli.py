@@ -1,5 +1,6 @@
 """Config parsing, command dispatch, exit codes, and report determinism."""
 
+import decimal
 import io
 import json
 import os
@@ -282,6 +283,31 @@ class TestCommands:
         assert out.returncode == 1
         assert "witness" in out.stdout
 
+    def test_results_longer_than_the_int_digit_limit_print_exactly(self, capsys,
+                                                                  tmp_path):
+        # each literal is parsed under Python's 4,300-digit int limit, but
+        # c has 9,000 bits and L_A B = -c^3 dx3 has 8,128 digits
+        c = "*".join(["(2^1000)"] * 9)
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({
+            "chart": {"kind": "vinogradov", "d": 3, "p": 2},
+            "theta": {"type": "vinogradov",
+                      "beta": [{"indices": [1, 2, 3], "coeff": c}]},
+            "sections": {"A": {"v": [c, "0", "0"]}, "B": {"v": ["0", c, "0"]}}}))
+        with decimal.localcontext() as ctx:  # Decimal prints with no digit limit
+            ctx.prec = 10_000
+            coeff = str(-decimal.Decimal(2) ** 27000)
+        assert len(coeff) == 8129
+        limit = sys.get_int_max_str_digits()
+        assert main(["bracket", str(path), "--A", "A", "--B", "B", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["result"] == {"v": ["0", "0", "0"],
+                                 "lambda": [{"indices": [3], "coeff": coeff}]}
+        assert main(["bracket", str(path), "--A", "A", "--B", "B"]) == 0
+        assert capsys.readouterr().out == f"L_A B = v=(0, 0, 0), lambda={coeff}*dx3\n"
+        # the limit is lifted only while the command runs
+        assert sys.get_int_max_str_digits() == limit
+
     def test_genmetric_build_extract_consistency(self, capsys, tmp_path):
         assert main(["genmetric", "build", GOLDEN_PASS, "--json"]) == 0
         cfg = json.loads(pathlib.Path(GOLDEN_PASS).read_text())
@@ -448,7 +474,25 @@ class TestInputErrors:
          "matrices.H: matrix dimensions do not match"),
         ("extract", {"H": [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
          "matrices.H: generalised metric must satisfy H eta H = eta"),
-    ], ids=["build-g", "build-b", "build-b-size", "act", "extract-size", "extract-eta"])
+        # the caps on a matrix are checked while the config is parsed
+        ("build", {"g": [[int(i == j) for j in range(17)] for i in range(17)]},
+         "matrices.g: expected 1 to 16 row arrays"),
+        ("build", {"g": [[1] * 17]},
+         "matrices.g[0]: expected a row array of at most 16 cells"),
+        ("act", {"O": [[1, 0], [0, 2 ** 64]]},
+         "matrices.O[1][1]: over the common denominator, the entry exceeds 64 bits"),
+        # the common denominator 3 * 2^62 has 64 bits, -2 over it 65
+        ("extract", {"H": [["1/3", "-2"], [f"5/{2 ** 62}", "1"]]},
+         "matrices.H[0][1]: over the common denominator, the entry exceeds 64 bits"),
+        ("build", {"b": [["0", f"1/{2 ** 40}"], [f"-1/{3 ** 26}", "0"]]},
+         "matrices.b[1][0]: the common denominator exceeds 64 bits"),
+        # a 3,000-digit cell is under the int-parse limit, over the entry cap
+        ("build", {"g": [["9" * 3000, "0"], ["0", "1"]],
+                   "b": [["0", "9" * 3000], ["-" + "9" * 3000, "0"]]},
+         "matrices.g[0][0]: over the common denominator, the entry exceeds 64 bits"),
+    ], ids=["build-g", "build-b", "build-b-size", "act", "extract-size", "extract-eta",
+            "cap-rows", "cap-columns", "cap-entry", "cap-entry-over-denominator",
+            "cap-denominator", "cap-cell-3000-digits"])
     def test_genmetric_names_the_matrix(self, capsys, tmp_path, action, matrices, error):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config_with(("matrices",), matrices)))
@@ -477,6 +521,41 @@ class TestInputErrors:
         cfg = config_with(("matrices", "g"), [["2", "-3/4", "0.5"], [1, 0.25, " 7 "]])
         assert parse_config(json.dumps(cfg)).matrices["g"] == (
             (2, Fraction(-3, 4), Fraction(1, 2)), (1, Fraction(1, 4), 7))
+
+    def test_matrices_at_the_caps_are_legal(self, capsys, tmp_path):
+        n, top = config.MAX_MATRIX_SIDE, 2 ** config.MAX_ENTRY_BITS - 1
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            g[i][i] = top if i == 0 else 1
+        b = [["0"] * n for _ in range(n)]
+        b[0][1], b[1][0] = f"{top}/{top - 2}", f"-{top}/{top - 2}"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config_with(("matrices",), {"g": g, "b": b})))
+        assert main(["genmetric", "build", str(cfg), "--json"]) == 0
+        H = json.loads(capsys.readouterr().out)["H"]
+        assert len(H) == 2 * n and H[n][n] == f"1/{top}"
+
+    @pytest.mark.parametrize("command", [["q-square"], ["axioms", "--suite", "courant"]])
+    def test_gb_seed_past_the_int_digit_limit(self, capsys, monkeypatch, tmp_path,
+                                              command):
+        # GB_SEED is parsed before the digit limit is lifted for the output
+        path = tmp_path / "noseed.json"
+        path.write_text(json.dumps({"chart": {"kind": "vinogradov", "d": 3, "p": 2}}))
+        monkeypatch.setenv("GB_SEED", "1" * 5000)
+        assert main([command[0], str(path), *command[1:], "--json"]) == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "command": command[0], "status": "ERROR",
+            "error": "GB_SEED: not an integer: '" + "1" * 5000 + "'"}
+        # a seed that --seed gives first leaves GB_SEED unread
+        assert main([command[0], str(path), *command[1:], "--seed", "5", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 5
+
+    def test_payload_ints_past_the_int_digit_limit_print(self, capsys, monkeypatch):
+        big = 10 ** 5000
+        monkeypatch.setitem(cli._HANDLERS, "check-master",
+                            lambda config, args: ({"n": big}, "n", 0))
+        assert main(["check-master", GOLDEN_PASS, "--json"]) == 0
+        assert f'"n": 1{"0" * 5000}' in capsys.readouterr().out
 
     def test_json_integer_too_long(self, capsys, tmp_path):
         text = json.dumps(config_with(("harness", "seed"), 0)).replace(

@@ -9,7 +9,7 @@ import pytest
 from gradedq import (ChartError, DiffForm, FormError, GradedElement, Hamiltonian,
                      HamiltonianError, MatrixError, Poly, PolyError, Section,
                      SectionError, anchor, dorfman, embed_form, encode_section,
-                     make_chart, pairing, rho_star, theta_vinogradov)
+                     make_chart, pairing, theta_vinogradov)
 from gradedq.genmetric import as_matrix, mat_inv
 
 V32 = make_chart("vinogradov", 3, 2)
@@ -29,7 +29,6 @@ def section(chart):
 
 
 A = section(V32)
-ONE_FORM = DiffForm.basis(3, (1,))
 DEGREE_2 = "A must be homogeneous of degree p-1=1, got 2"
 
 
@@ -39,7 +38,6 @@ DEGREE_2 = "A must be homogeneous of degree p-1=1, got 2"
     (lambda: anchor(THETA, gen("p1"), Poly.var(3, 1)), SectionError, DEGREE_2),
     (lambda: dorfman(THETA, section(V42), A), ChartError, "chart mismatch on A"),
     (lambda: anchor(THETA, A, Poly.var(4, 1)), SectionError, "function on R\\^4"),
-    (lambda: rho_star(V32, DiffForm.basis(3, (1, 2))), FormError, "1-form"),
     (lambda: Hamiltonian(V32, gen("p1"), ("beta", None)), HamiltonianError,
      "degree p\\+1=3"),
     (lambda: embed_form(V32, DiffForm.basis(4, (1,))), FormError, "R\\^4"),
@@ -52,7 +50,7 @@ DEGREE_2 = "A must be homogeneous of degree p-1=1, got 2"
     (lambda: Poly.const(3, 2) == 2, None, True),
     (lambda: Poly(3, {(1, 0, 0): "1/2"}), None, Poly.var(3, 1) * Fraction(1, 2)),
 ], ids=["dorfman degree", "pairing degree", "anchor degree", "dorfman chart",
-        "anchor function", "rho_star rank", "hamiltonian degree", "embed_form d",
+        "anchor function", "hamiltonian degree", "embed_form d",
         "ragged matrix", "non-square inverse", "var index", "partial index",
         "negative power", "int minus poly", "poly equals int", "string coeff"])
 def test_input_check(call, error, match):
