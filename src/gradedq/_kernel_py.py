@@ -1,4 +1,4 @@
-"""Hot kernels: integer polynomial numerators and graded monomials.
+"""Hot kernels: integer polynomial numerators and graded products.
 
 A polynomial here is the numerator part of a `Poly`: a dict mapping
 packed exponents to nonzero `int` numerators, over a denominator that
@@ -7,15 +7,19 @@ exponent is one `int` holding FIELD bits per variable, x1 lowest; the
 top bit of each field is a guard bit that no stored exponent sets, so
 the product of two monomials is the sum of their keys, a carry out of a
 field shows as a guard bit (checked by the caller), and the x-partial
-reads a field with shift and mask.  A graded monomial is a tuple of
-(generator id, exponent) pairs sorted by generator id; odd generators
-carry exponent 1.  `mono_partial` derives a monomial in all of its
-generators in one walk.
+reads a field with shift and mask.
 
-Invariants the code relies on: monomials are canonically sorted with
-no repeated generator, no stored numerator is zero, and a derivative
-in one generator is injective on the terms it keeps, so those terms
-never collide and need no merging.
+A graded element is two-level: {super key: numerator dict}, where the
+super key packs the super monomial (see `chart`): one bit per odd
+generator in the low bits (selected by `odd_mask`), then one guarded
+field per even generator.  The product of two super monomials is zero
+when their odd bits meet, its Koszul sign is the parity of the odd-odd
+crossings (a popcount per odd letter), and its key is the sum of the
+keys; the coefficients multiply with `poly_mul`.
+
+Invariants the code relies on: no stored numerator is zero, and a
+derivative in one generator is injective on the terms it keeps, so
+those terms never collide and need no merging.
 
 Products are built row by row: a row is one term c*x^e of one factor
 times the whole other factor, and `poly_add(acc, b, e, c)` adds it
@@ -26,7 +30,7 @@ Mutation: every function leaves its arguments alone and returns new
 values, except the three accumulators.  `poly_add(a, b, shift, scale)`
 adds a scaled, shifted b into a in place; `poly_mul(a, b, weight, out)`
 adds weight*a*b into `out` in place, or into a fresh dict when `out` is
-None; and `element_mul(f, g, parity, out, weight)` adds weight*f*g, for
+None; and `element_mul(f, g, odd_mask, out, weight)` adds weight*f*g, for
 any nonzero integer weight, into the term map `out` in place, each
 product straight into its monomial's numerators, so no full product or
 negated copy is built.  The only dicts they write are `a`, `out` and
@@ -36,6 +40,14 @@ the numerator dicts `element_mul` itself made.  The numerators of a
 
 FIELD = 16
 FIELD_MASK = (1 << FIELD) - 1
+# a stored exponent stays below its field's top bit, the guard bit
+_EXP_LIMIT = 1 << (FIELD - 1)
+
+
+def _guard_bits(fields):
+    """The guard bits of `fields` packed fields from bit 0 up."""
+    # a 1 at the bottom of each field, moved up to its top bit
+    return ((1 << FIELD * fields) - 1) // FIELD_MASK << (FIELD - 1)
 
 
 def poly_add(a, b, shift=0, scale=1):
@@ -89,73 +101,31 @@ def poly_partial(a, mu):
     return out
 
 
-def mono_mul(m1, m2, parity):
-    """Multiply canonical monomials in one merge.  Returns (sign, mono);
-    sign 0 means zero.  An odd letter of m2 crosses every odd letter of
-    m1 not yet placed."""
-    if not m1:
-        return 1, m2
-    if not m2:
-        return 1, m1
-    odd1 = sum(parity[g] for g, _ in m1)  # odd letters of m1 not yet placed
-    swaps = 0
-    out = []
-    i = j = 0
-    n1, n2 = len(m1), len(m2)
-    while i < n1 and j < n2:
-        g1, e1 = m1[i]
-        g2, e2 = m2[j]
-        if g1 < g2:
-            out.append(m1[i])
-            odd1 -= parity[g1]
-            i += 1
-        elif g2 < g1:
-            out.append(m2[j])
-            if parity[g2]:
-                swaps += odd1
-            j += 1
-        elif parity[g1]:
-            return 0, None
-        else:
-            out.append((g1, e1 + e2))
-            i += 1
-            j += 1
-    out.extend(m1[i:])
-    out.extend(m2[j:])
-    return (-1 if swaps & 1 else 1), tuple(out)
-
-
-def mono_partial(m, parity, from_right):
-    """[(generator id, integer coefficient, reduced monomial)]: the graded
-    derivative of a monomial in each of its generators, in order, in one
-    walk.  An even generator's coefficient is its exponent, an odd one's
-    the Koszul sign of the odd letters the derivation crosses: those
-    before it from the left, those after it from the right."""
-    # the sign at the first odd letter; it flips at every odd letter
-    odd = sum(parity[g] for g, _ in m) - 1 if from_right else 0
-    sign = -1 if odd & 1 else 1
-    out = []
-    for pos, (g, e) in enumerate(m):
-        if parity[g]:
-            out.append((g, sign, m[:pos] + m[pos + 1:]))
-            sign = -sign
-        elif e > 1:
-            out.append((g, e, m[:pos] + ((g, e - 1),) + m[pos + 1:]))
-        else:
-            out.append((g, e, m[:pos] + m[pos + 1:]))
-    return out
-
-
-def element_mul(f, g, parity, out, weight):
+def element_mul(f, g, odd_mask, out, weight):
     """Add weight * f * g into the term map `out` in place; weight is any
     nonzero int.
 
-    f and g are term maps {mono: numerator dict}, all of f over one
+    f and g are term maps {super key: numerator dict}, all of f over one
     denominator and all of g over another; `out` is over their product
     and may keep empty numerator dicts where terms cancelled, which the
-    caller drops."""
-    for m1, p1 in f.items():
-        for m2, p2 in g.items():
-            s, mono = mono_mul(m1, m2, parity)
-            if s:
-                out[mono] = poly_mul(p1, p2, s * weight, out.get(mono))
+    caller drops.  A pair of keys whose odd parts share a bit is zero;
+    otherwise each odd letter of g's key crosses the odd letters of f's
+    key above it, and the product's key is the sum of the two."""
+    for k1, p1 in f.items():
+        o1 = k1 & odd_mask
+        for k2, p2 in g.items():
+            o2 = k2 & odd_mask
+            if o1 & o2:
+                continue
+            w = weight
+            # an odd letter of f above the lowest odd letter of g: count crossings
+            if o1 and o1 >> (o2 & -o2).bit_length():
+                crossed = 0
+                while o2:
+                    low = o2 & -o2
+                    crossed += (o1 >> low.bit_length()).bit_count()
+                    o2 ^= low
+                if crossed & 1:
+                    w = -w
+            key = k1 + k2
+            out[key] = poly_mul(p1, p2, w, out.get(key))

@@ -18,9 +18,9 @@ import random
 from fractions import Fraction
 
 from .chart import ChartError, ChartSpec, lambda_rank
-from .element import GradedElement
+from .element import GradedElement, _from_polys
 from .forms import DiffForm, Section, SectionError, vec_lie_bracket
-from .npq import Hamiltonian, embed_form, q_apply
+from .npq import Hamiltonian, _psi_key, embed_form, q_apply
 from .poly import Poly
 from .randomgen import random_poly, random_section
 from .reports import CheckReport, SuiteReport, witnesses_of
@@ -56,14 +56,15 @@ def encode_section(chart: ChartSpec, s: Section) -> GradedElement:
     elif s.sigma is not None:
         raise SectionError("sigma component only exists on the m5 chart")
     # the slots are disjoint monomial sets, so one term map unites them
-    terms = {((chart.sid("chi", mu), 1),): s.v[mu - 1] for mu in range(1, chart.d + 1)}
-    zeta = ((chart.sid("zeta", 0), 1),) if chart.kind == "m5" else ()
-    for mono, poly in embed_form(chart, s.lam).terms.items():
-        terms[mono + zeta] = poly
+    unit = chart.unit
+    terms = {unit[chart.sid("chi", mu)]: s.v[mu - 1] for mu in range(1, chart.d + 1)}
+    zeta = unit[chart.sid("zeta", 0)] if chart.kind == "m5" else 0
+    for idx, poly in s.lam.terms.items():
+        terms[_psi_key(chart, idx) + zeta] = poly
     if s.sigma is not None:
-        for mono, poly in embed_form(chart, s.sigma).terms.items():
-            terms[mono] = poly * SIGMA_EMBED
-    return GradedElement(chart, terms)
+        for idx, poly in s.sigma.terms.items():
+            terms[_psi_key(chart, idx)] = poly * SIGMA_EMBED
+    return _from_polys(chart, terms)
 
 
 def decode_section(chart: ChartSpec, A: GradedElement) -> Section:

@@ -17,13 +17,41 @@ Sign conventions (documented choices, validated by the test suite):
 `partner` maps each tag, ('x', mu) or ('s', sid), to (partner tag, constant),
 since each generator pairs with exactly one other (x^mu with p_mu, psi^mu
 with chi_mu, zeta with itself).
+
+The chart also fixes how a graded element packs its super monomials
+(see `element`).  A super key is one `int`: one bit per odd super
+generator, in the low bits, in sid order, then one FIELD-bit field per
+even super generator (p_mu when p is even, chi_mu when p is odd), whose
+top bit is a guard bit as in the x keys of `_kernel_py`.  So the product
+of two monomials with no odd letter in common is the sum of their keys,
+and an exponent that reaches the guard bit shows in `super_guard`.
+`encode` and `decode` convert between keys and the canonical tuples
+((sid, exponent), ...) sorted by sid, which the boundary still uses.
 """
 
 from __future__ import annotations
 
+from ._kernel_py import _EXP_LIMIT, FIELD, FIELD_MASK, _guard_bits
+
 
 class ChartError(ValueError):
     """Invalid chart construction or mismatched-chart operation."""
+
+
+def super_layout(parity) -> tuple[tuple, tuple, tuple]:
+    """(odd sids, even sids, unit): the super-key layout for generators of
+    the given parities, in sid order.  Odd generator i of the odd sids owns
+    bit i, even generator j of the even sids owns the field starting at bit
+    len(odd sids) + FIELD * j, and unit[sid] is the key of that generator
+    to the first power."""
+    odd = tuple(sid for sid, o in enumerate(parity) if o)
+    even = tuple(sid for sid, o in enumerate(parity) if not o)
+    unit = [0] * len(parity)
+    for bit, sid in enumerate(odd):
+        unit[sid] = 1 << bit
+    for j, sid in enumerate(even):
+        unit[sid] = 1 << (len(odd) + FIELD * j)
+    return odd, even, tuple(unit)
 
 
 class Generator:
@@ -82,6 +110,11 @@ class ChartSpec:
         self.degrees = tuple(g.degree for g in supers)
         self._sid = {g.name: i for i, g in enumerate(supers)}
         self._by_family = {(g.family, g.index): i for i, g in enumerate(supers)}
+        # the super-key layout (see the module docstring)
+        self.odd_sids, self.even_sids, self.unit = super_layout(self.parity)
+        self.odd_mask = (1 << len(self.odd_sids)) - 1
+        self.super_guard = _guard_bits(len(self.even_sids)) << len(self.odd_sids)
+        self.x_guard = _guard_bits(d)
 
         # The pairing table the Poisson bracket reads; every const is +1 or -1.
         chi_psi = 1 if p % 2 == 0 else -1
@@ -117,6 +150,35 @@ class ChartSpec:
 
     def mono_degree(self, mono) -> int:
         return sum(e * self.degrees[g] for g, e in mono)
+
+    def encode(self, mono) -> int:
+        """The super key of a canonical monomial ((sid, exponent), ...)."""
+        key = 0
+        for sid, e in mono:
+            if not 0 < e < (2 if self.parity[sid] else _EXP_LIMIT):
+                raise ChartError(f"exponent {e!r} of {self.supers[sid].name} is out "
+                                 f"of range for a graded monomial")
+            key += e * self.unit[sid]
+        return key
+
+    def decode(self, key: int) -> tuple:
+        """The canonical monomial ((sid, exponent), ...) of a super key."""
+        odd_sids = self.odd_sids
+        mono = []
+        odd = key & self.odd_mask
+        while odd:
+            low = odd & -odd
+            mono.append((odd_sids[low.bit_length() - 1], 1))
+            odd ^= low
+        even = key >> len(odd_sids)
+        for sid in self.even_sids:
+            if not even:
+                break
+            if even & FIELD_MASK:
+                mono.append((sid, even & FIELD_MASK))
+            even >>= FIELD
+        mono.sort()
+        return tuple(mono)
 
     def __eq__(self, other):
         return (isinstance(other, ChartSpec)

@@ -40,6 +40,11 @@ _INPUT_ERRORS = (ConfigError, ChartError, FormError, SectionError,
                  HamiltonianError, PolyError, MatrixError, OSError)
 
 
+# a bad GB_SEED is echoed in full up to this many characters, else cut
+# there and followed by its length
+_ECHO_CHARS = 32
+
+
 def _resolve_seed(args, config: Config) -> int:
     if args.seed is not None:
         return args.seed
@@ -50,7 +55,9 @@ def _resolve_seed(args, config: Config) -> int:
         try:
             return int(env)
         except ValueError:
-            raise ConfigError("GB_SEED", f"not an integer: {env!r}") from None
+            shown = repr(env) if len(env) <= _ECHO_CHARS else \
+                f"{env[:_ECHO_CHARS] + '…'!r} ({len(env)} characters)"
+            raise ConfigError("GB_SEED", f"not an integer: {shown}") from None
     return 0
 
 

@@ -1,51 +1,76 @@
 """Graded supercommutative function algebra on a chart.
 
-Elements are finite sums of canonical graded monomials with exact
-polynomial coefficients.  The constructor takes a dict keyed by canonical
-monomials and drops zero coefficients; products and sums canonicalize
-(Koszul signs, annihilation of odd squares, merging).  All operations are
+Elements are finite sums of graded monomials with exact polynomial
+coefficients, stored two-level and fraction-free like `Poly`: one
+positive denominator `den` over `nums` = {super key: {packed x key: int
+numerator}}.  The super key packs the super monomial (odd generators
+one bit each, even generators one guarded field each; see `chart`), and
+each inner map is the numerator dict of a `Poly` coefficient, so the
+coefficient arithmetic stays on the kernel's `poly_mul`/`poly_add`.
+The form is canonical: the gcd of den and every numerator is 1, no
+inner map is empty, and zero has den 1, so `==` and `hash` compare ints
+and dicts.
+
+The constructor takes {canonical monomial tuple: Poly} and drops zero
+coefficients; `terms` is the read-only view in that form (`Terms`),
+which decodes a key or builds a `Poly` only where one is read, for
+rendering and other boundaries; arithmetic never reads it.  Products canonicalize through `product_sum` (Koszul signs from the
+odd bits, annihilation of odd squares, merging).  All operations are
 pure and return new values, except `generator`: it returns the chart's
-shared element for that name, built once per chart, which is safe because
-no operation changes an element's terms (the bracket's derivative memo on
-it is then built once per chart, too).  The x-free monomials of degree n
-are counted, unranked and listed from one count table per (chart, n),
-never stored.
+shared element for that name, built once per chart, which is safe
+because no operation changes an element's numerators (the bracket's
+derivative memo on it is then built once per chart, too).  The x-free
+monomials of degree n are counted, unranked and listed as tuples from
+one count table per (chart, n), never stored.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 
 from .chart import ChartError, ChartSpec
-from ._kernel_py import element_mul
-from .poly import Poly, _product, render_product, render_sum
+from ._kernel_py import element_mul, poly_add, poly_scale
+from .poly import (Poly, PolyError, _check_guard, _normal, render_product,
+                   render_sum)
 
 INHOMOGENEOUS = "inhomogeneous"
 
 
 class GradedElement:
-    """Map from canonical graded monomial to nonzero Poly coefficient.
+    """One denominator over {super key: numerator dict}; see the module
+    docstring.
 
     `_derivs` is the bracket's memo of this element's [left, right]
     derivatives, None until `symplectic._derivatives` fills it; it stays
-    valid because no operation changes an element's terms."""
+    valid because no operation changes an element's numerators."""
 
-    __slots__ = ("chart", "terms", "_derivs")
+    __slots__ = ("chart", "den", "nums", "_derivs")
 
     def __init__(self, chart: ChartSpec, terms=None):
+        encode = chart.encode
         self.chart = chart
-        self.terms = {m: p for m, p in terms.items() if p} if terms else {}
+        self.den, self.nums = _over_lcm(
+            {encode(m): p for m, p in terms.items()} if terms else {})
         self._derivs = None
+
+    @property
+    def terms(self) -> "Terms":
+        """The read-only view {canonical monomial tuple: Poly}."""
+        return Terms(self)
 
     # constructors ----------------------------------------------------
     @classmethod
     def zero(cls, chart: ChartSpec) -> "GradedElement":
-        return cls(chart)
+        return _element(chart, 1, {})
 
     @classmethod
     def from_poly(cls, chart: ChartSpec, poly: Poly) -> "GradedElement":
-        return cls(chart, {(): poly})
+        if poly.d != chart.d:
+            raise PolyError(f"dimension mismatch: {poly.d} vs {chart.d}")
+        return _element(chart, poly.den, {0: poly.nums} if poly else {})
 
     @classmethod
     def generator(cls, chart: ChartSpec, name: str) -> "GradedElement":
@@ -55,8 +80,7 @@ class GradedElement:
         if found is not None:
             return found
         if not name.startswith("x"):
-            sid = chart.sid_of_name(name)
-            found = cls(chart, {((sid, 1),): Poly.const(chart.d, 1)})
+            found = _element(chart, 1, {chart.unit[chart.sid_of_name(name)]: {0: 1}})
         else:
             mu = next((g.index for g in chart.xs if g.name == name), None)
             if mu is None:
@@ -70,35 +94,63 @@ class GradedElement:
         if self.chart != other.chart:
             raise ChartError(f"chart mismatch: {self.chart} vs {other.chart}")
 
+    def _plus(self, other: "GradedElement", sign: int) -> "GradedElement":
+        """self + sign * other, over the lcm of the two denominators."""
+        self._check(other)
+        den = lcm(self.den, other.den)
+        c1, c2 = den // self.den, den // other.den * sign
+        # an inner map of self is written only after it is copied
+        out = (dict(self.nums) if c1 == 1
+               else {k: poly_scale(v, c1) for k, v in self.nums.items()})
+        for k, v in other.nums.items():
+            cur = out.get(k)
+            if cur is None:
+                out[k] = v if c2 == 1 else poly_scale(v, c2)
+                continue
+            if c1 == 1:
+                cur = dict(cur)
+            cur = poly_add(cur, v, 0, c2)
+            if cur:
+                out[k] = cur
+            else:
+                del out[k]
+        return _reduced(self.chart, den, out)
+
     def __add__(self, other: "GradedElement") -> "GradedElement":
         if not isinstance(other, GradedElement):
             return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for mono, poly in other.terms.items():
-            cur = out.get(mono)
-            s = poly if cur is None else cur + poly
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        return GradedElement(self.chart, out)
+        return self._plus(other, 1)
 
     def __neg__(self) -> "GradedElement":
-        return GradedElement(self.chart, {m: -p for m, p in self.terms.items()})
+        return _element(self.chart, self.den,
+                        {k: poly_scale(v, -1) for k, v in self.nums.items()})
 
     def __sub__(self, other: "GradedElement") -> "GradedElement":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            return GradedElement(self.chart, {m: p * other for m, p in self.terms.items()})
         if not isinstance(other, GradedElement):
             return NotImplemented
-        self._check(other)
-        da, fa = _numerators(self.terms)
-        db, fb = _numerators(other.terms)
-        return product_sum(self.chart, da * db, [(fa, fb, 1)])
+        return self._plus(other, -1)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # gcd(den, *nums) == 1, so only gcd(den, num) can cancel
+            num, q = other.numerator, other.denominator
+            if not num:
+                return GradedElement.zero(self.chart)
+            g = gcd(self.den, num)
+            c = num // g
+            nums = self.nums if c == 1 else {k: poly_scale(v, c)
+                                             for k, v in self.nums.items()}
+            if q == 1:
+                return _element(self.chart, self.den // g, nums)
+            return _reduced(self.chart, self.den // g * q, nums)
+        if isinstance(other, Poly):
+            other = GradedElement.from_poly(self.chart, other)
+        elif isinstance(other, GradedElement):
+            self._check(other)
+        else:
+            return NotImplemented
+        return product_sum(self.chart, self.den * other.den,
+                           [(self.nums, other.nums, 1)])
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, Poly)):
@@ -107,31 +159,36 @@ class GradedElement:
 
     # degree bookkeeping ---------------------------------------------
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def euler_degree(self):
         """Common total degree, 0 for zero, or INHOMOGENEOUS."""
-        if not self.terms:
+        if not self.nums:
             return 0
-        degs = {self.chart.mono_degree(m) for m in self.terms}
+        degree, decode = self.chart.mono_degree, self.chart.decode
+        degs = {degree(decode(k)) for k in self.nums}
         if len(degs) == 1:
             return degs.pop()
         return INHOMOGENEOUS
 
     # structure -------------------------------------------------------
     def monomials(self):
-        degree = self.chart.mono_degree
-        return sorted(self.terms, key=lambda m: (degree(m), m))
+        """The monomial tuples, ordered by (degree, tuple)."""
+        return _ordered(self.chart, map(self.chart.decode, self.nums))
 
     def __eq__(self, other):
-        return (isinstance(other, GradedElement)
-                and self.chart == other.chart and self.terms == other.terms)
+        return (isinstance(other, GradedElement) and self.chart == other.chart
+                and self.den == other.den and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self.chart, frozenset((m, p) for m, p in self.terms.items())))
+        # an int hashes modulo 2^61 - 1, so a super key past bit 61 would
+        # alias a lower one (on m5 at d=8, p4's field with psi5's bit)
+        return hash((self.chart, self.den, frozenset(
+            (k.to_bytes((k.bit_length() + 7) // 8, "little"), frozenset(v.items()))
+            for k, v in self.nums.items())))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.nums)
 
     # rendering -------------------------------------------------------
     def render_mono(self, mono) -> str:
@@ -139,36 +196,104 @@ class GradedElement:
                               for sid, e in mono) or "1"
 
     def __str__(self):
-        return render_sum((str(self.terms[m]), self.render_mono(m) if m else "")
-                          for m in self.monomials())
+        terms = dict(self.terms)
+        return render_sum((str(terms[m]), self.render_mono(m) if m else "")
+                          for m in _ordered(self.chart, terms))
 
     def __repr__(self):
         return f"GradedElement({self})"
 
 
-def _numerators(terms: dict) -> tuple[int, dict]:
-    """A common denominator of the Poly values and {mono: numerators over it}."""
-    dens = {p.den for p in terms.values()}
-    if dens == {1}:
-        return 1, {m: p.nums for m, p in terms.items()}
-    den = lcm(*dens)
-    return den, {m: p._over(den) for m, p in terms.items()}
+class Terms(Mapping):
+    """An element's terms as {canonical monomial tuple: Poly}, read-only.
+
+    Each lookup decodes a key or builds its `Poly`; the length is the
+    number of monomials, read without decoding, so a caller that only
+    counts terms (the benchmark's tracer does, on every traced return)
+    pays nothing."""
+
+    __slots__ = ("_element",)
+
+    def __init__(self, element: GradedElement):
+        self._element = element
+
+    def __len__(self):
+        return len(self._element.nums)
+
+    def __iter__(self):
+        return map(self._element.chart.decode, self._element.nums)
+
+    def __getitem__(self, mono):
+        e = self._element
+        key = e.chart.encode(mono)
+        # only the canonical tuple of a key names it
+        if key not in e.nums or e.chart.decode(key) != mono:
+            raise KeyError(mono)
+        return _normal(e.chart.d, e.den, e.nums[key])
+
+
+def _ordered(chart: ChartSpec, monos) -> list:
+    degree = chart.mono_degree
+    return sorted(monos, key=lambda m: (degree(m), m))
+
+
+def _element(chart: ChartSpec, den: int, nums: dict) -> GradedElement:
+    """An element of numerators already in canonical form over den."""
+    e = object.__new__(GradedElement)
+    e.chart = chart
+    e.den = den
+    e.nums = nums
+    e._derivs = None
+    return e
+
+
+def _reduced(chart: ChartSpec, den: int, nums: dict) -> GradedElement:
+    """An element of nonempty numerator maps over den > 0, reduced to
+    canonical form by one gcd over all of them."""
+    if not nums:
+        return _element(chart, 1, nums)
+    if den != 1:
+        g = den
+        for v in nums.values():
+            g = gcd(g, *v.values())
+            if g == 1:
+                break
+        if g != 1:
+            den //= g
+            nums = {k: {x: n // g for x, n in v.items()} for k, v in nums.items()}
+    return _element(chart, den, nums)
+
+
+def _over_lcm(polys: dict) -> tuple[int, dict]:
+    """(den, {key: numerators over den}) for {super key: Poly}: the lcm of
+    the nonzero Polys' denominators and their numerators over it.  Each
+    Poly is canonical, so the result is too."""
+    polys = {k: p for k, p in polys.items() if p}
+    den = lcm(*(p.den for p in polys.values()))
+    return den, {k: p._over(den) for k, p in polys.items()}
+
+
+def _from_polys(chart: ChartSpec, polys: dict) -> GradedElement:
+    """The element sum of each Poly times its super key's monomial."""
+    return _element(chart, *_over_lcm(polys))
 
 
 def product_sum(chart: ChartSpec, den: int, pairs) -> GradedElement:
     """The sum of weight * f * g over the (f, g, weight) in `pairs`: f and
-    g are term maps {mono: numerators}, weight is a nonzero int, and every
-    weighted product is over the one denominator den.  All products
-    accumulate in one map of integer numerators, so each surviving
-    monomial becomes a canonical Poly once, and a monomial whose terms
-    cancel is dropped."""
-    parity = chart.parity
+    g are term maps {super key: numerators}, weight is a nonzero int, and
+    every weighted product is over the one denominator den.  All products
+    accumulate in one map of integer numerators; a monomial whose terms
+    cancel is dropped, both guards are checked, and one gcd makes the
+    result canonical."""
     out: dict = {}
+    odd_mask = chart.odd_mask
     for f, g, weight in pairs:
-        element_mul(f, g, parity, out, weight)
-    d = chart.d
-    return GradedElement(chart, {m: _product(d, den, nums)
-                                 for m, nums in out.items() if nums})
+        element_mul(f, g, odd_mask, out, weight)
+    out = {k: v for k, v in out.items() if v}
+    if out:
+        _check_guard(out, chart.super_guard)
+        _check_guard(chain.from_iterable(out.values()), chart.x_guard)
+    return _reduced(chart, den, out)
 
 
 def _count_table(chart: ChartSpec, n: int) -> list[list[int]]:

@@ -92,6 +92,15 @@ def eta_matrix(d: int) -> tuple:
     return assemble(mat_zero(d), mat_identity(d), mat_identity(d), mat_zero(d))
 
 
+def mat_mul_eta(a) -> tuple:
+    """a * eta without a product: eta = ((0, I), (I, 0)) swaps the two
+    column blocks of a, which must have an even number of columns."""
+    d, odd = divmod(len(a[0]), 2)
+    if odd:
+        raise MatrixError("matrix dimensions do not match")
+    return tuple(row[d:] + row[:d] for row in a)
+
+
 # ---------------------------------------------------------------------
 # backgrounds and generalised metrics
 # ---------------------------------------------------------------------
@@ -123,8 +132,7 @@ class GenMetric:
         self.H = H = as_matrix(H)
         if not mat_symmetric(H):
             raise MatrixError("generalised metric must be symmetric")
-        eta = eta_matrix(self.d)
-        if mat_mul(mat_mul(H, eta), H) != eta:  # eta is its own inverse
+        if mat_mul(mat_mul_eta(H), H) != eta_matrix(self.d):  # eta is its own inverse
             raise MatrixError("generalised metric must satisfy H eta H = eta")
 
     @property
@@ -147,8 +155,7 @@ def odd_check(O) -> bool:
     n = len(O)
     if n % 2 or len(O[0]) != n:
         return False
-    eta = eta_matrix(n // 2)
-    return mat_mul(mat_mul(mat_t(O), eta), O) == eta
+    return mat_mul(mat_mul_eta(mat_t(O)), O) == eta_matrix(n // 2)
 
 
 def act(O, H: GenMetric) -> GenMetric:

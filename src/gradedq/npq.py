@@ -14,9 +14,8 @@ from __future__ import annotations
 import random
 
 from .chart import ChartSpec
-from .element import GradedElement
+from .element import GradedElement, _element, _from_polys
 from .forms import DiffForm, FormError
-from .poly import Poly
 from .reports import CheckReport, SuiteReport, witnesses_of
 from .symplectic import poisson
 
@@ -29,11 +28,14 @@ def embed_form(chart: ChartSpec, omega: DiffForm) -> GradedElement:
     """Sorted form components -> identical sorted psi-monomials, coefficient 1."""
     if omega.d != chart.d:
         raise FormError(f"form lives on R^{omega.d}, chart on R^{chart.d}")
-    out = {}
-    for idx, poly in omega.terms.items():
-        mono = tuple((chart.sid("psi", i), 1) for i in idx)
-        out[mono] = poly
-    return GradedElement(chart, out)
+    return _from_polys(chart, {_psi_key(chart, idx): poly
+                               for idx, poly in omega.terms.items()})
+
+
+def _psi_key(chart: ChartSpec, idx) -> int:
+    """The super key of psi^{i1} ... psi^{ik}."""
+    unit = chart.unit
+    return sum(unit[chart.sid("psi", i)] for i in idx)
 
 
 _KINETIC = ("kinetic",)  # the kinetic term's key in a chart's elements
@@ -44,9 +46,9 @@ def kinetic_term(chart: ChartSpec) -> GradedElement:
     shared like a generator (see `ChartSpec`)."""
     found = chart._elements.get(_KINETIC)
     if found is None:
-        one = Poly.const(chart.d, 1)
-        found = chart._elements[_KINETIC] = GradedElement(chart, {
-            ((chart.sid("psi", mu), 1), (chart.sid("p", mu), 1)): one
+        unit = chart.unit
+        found = chart._elements[_KINETIC] = _element(chart, 1, {
+            unit[chart.sid("psi", mu)] + unit[chart.sid("p", mu)]: {0: 1}
             for mu in range(1, chart.d + 1)})
     return found
 

@@ -11,8 +11,8 @@ from functools import reduce
 from math import comb, gcd, lcm
 from operator import or_
 
-from ._kernel_py import (FIELD, FIELD_MASK, poly_add, poly_mul, poly_partial,
-                         poly_scale)
+from ._kernel_py import (_EXP_LIMIT, FIELD, FIELD_MASK, _guard_bits, poly_add,
+                         poly_mul, poly_partial, poly_scale)
 
 
 class PolyError(ValueError):
@@ -32,7 +32,6 @@ def _as_rational(c) -> int | Fraction:
 
 # exponents are packed into one int, FIELD bits per variable; the top bit
 # of each field is the guard bit, so an exponent stays below _EXP_LIMIT
-_EXP_LIMIT = 1 << (FIELD - 1)
 
 
 class ExponentOverflowError(OverflowError):
@@ -125,15 +124,7 @@ class Poly:
 
     def variables(self) -> list[int]:
         """The variables (1-based) that occur, in increasing order."""
-        used = reduce(or_, self.nums, 0)
-        out = []
-        mu = 1
-        while used:
-            if used & FIELD_MASK:
-                out.append(mu)
-            used >>= FIELD
-            mu += 1
-        return out
+        return _variables(self.nums)
 
     def _max_exponents(self) -> list[int]:
         """The largest exponent of each variable; [] for zero."""
@@ -257,6 +248,20 @@ def render_sum(parts) -> str:
                               for t in terms[1:])
 
 
+def _variables(nums: dict) -> list[int]:
+    """The variables (1-based) that numerators keyed by packed exponents
+    use, in increasing order."""
+    used = reduce(or_, nums, 0)
+    out = []
+    mu = 1
+    while used:
+        if used & FIELD_MASK:
+            out.append(mu)
+        used >>= FIELD
+        mu += 1
+    return out
+
+
 def _raw(d: int, den: int, nums: dict) -> Poly:
     """A Poly of numerators already in canonical form over den."""
     p = object.__new__(Poly)
@@ -279,14 +284,17 @@ def _normal(d: int, den: int, nums: dict) -> Poly:
     return _raw(d, den, nums)
 
 
+def _check_guard(keys, guard: int):
+    """Raise if a packed key of a product carried into a guard bit."""
+    if reduce(or_, keys, 0) & guard:
+        raise ExponentOverflowError(
+            f"an exponent reached {_EXP_LIMIT}, the packed field limit")
+
+
 def _product(d: int, den: int, nums: dict) -> Poly:
     """`_normal` for the numerators of a product, after checking that no
     exponent carried into a guard bit."""
-    # a 1 at the bottom of each of the d fields, moved up to the guard bit
-    guard = ((1 << FIELD * d) - 1) // FIELD_MASK << (FIELD - 1)
-    if reduce(or_, nums, 0) & guard:
-        raise ExponentOverflowError(
-            f"an exponent reached {_EXP_LIMIT}, the packed field limit")
+    _check_guard(nums, _guard_bits(d))
     return _normal(d, den, nums)
 
 

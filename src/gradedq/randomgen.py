@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 
 from .chart import ChartSpec, lambda_rank
-from .element import GradedElement, monomial_at, monomial_count
+from .element import GradedElement, _element, monomial_at, monomial_count
 from .forms import DiffForm, Section
 from ._kernel_py import FIELD
 from .poly import _EXP_LIMIT, Poly, PolyError, _raw
@@ -75,6 +75,8 @@ def random_homogeneous(rng: random.Random, chart: ChartSpec, n: int,
     if not count:
         return GradedElement.zero(chart)
     picks = rng.sample(range(count), min(count, rng.randint(1, terms)))
-    # distinct picks are distinct monomials, so their terms never merge
-    return GradedElement(chart, {monomial_at(chart, n, i):
-                                 random_poly(rng, chart.d, max_degree) for i in picks})
+    # distinct picks are distinct monomials, so their terms never merge;
+    # every draw is over denominator 1
+    return _element(chart, 1, {chart.encode(monomial_at(chart, n, i)):
+                               random_poly(rng, chart.d, max_degree).nums
+                               for i in picks})

@@ -9,13 +9,15 @@ derivative on the left argument and a left graded derivative on the
 right argument.  Graded symmetry, Leibniz and Jacobi follow from the
 table's symmetry and are pinned by the test suite.
 
-A bracket works in numerator space: a derivative is a term map {mono:
-integer numerators} over its argument's common denominator, built by
-scaling or x-deriving the numerators, with no gcd and no `Poly`, and
-each derivative of g meets the one derivative of f it pairs with
-(`ChartSpec.partner`).  `element.product_sum` multiplies every pair into
-one integer accumulator and makes one canonical `Poly` per surviving
-monomial.
+A bracket works in numerator space, on the two-level form of
+`element`: a derivative is a term map {super key: integer numerators}
+over its argument's denominator.  A super derivative is a bit operation
+on the key (an odd letter flips its bit, an even field loses one) with
+the numerators shared or scaled, an x-partial derives the numerators,
+and no gcd runs and no `Poly` is built.  Each derivative of g meets the
+one derivative of f it pairs with (`ChartSpec.partner`), and
+`element.product_sum` multiplies every pair into one integer
+accumulator and makes the result canonical with one gcd.
 
 An element is derived at most once per side.  The first bracket that
 needs f's right (or left) derivatives builds them in one pass over f's
@@ -32,9 +34,9 @@ the derivatives it reads, so a memo stays valid for its element's life.
 such as the commutator L_A(L_B C) - L_B(L_A C) of the Leibniz identity,
 in one accumulator: the derivative pairs of every bracket are products
 over the lcm of the brackets' denominators, each weighted by its sign
-times lcm / its own denominator, so the sum makes one canonical `Poly`
-per surviving monomial.  `poisson` stages its pairs through the same
-helper and skips the lcm, so one bracket costs what it did alone.
+times lcm / its own denominator, so the sum is made canonical once.
+`poisson` stages its pairs through the same helper and skips the lcm,
+so one bracket costs what it did alone.
 """
 
 from __future__ import annotations
@@ -43,8 +45,9 @@ from fractions import Fraction
 from math import lcm
 
 from .chart import ChartError, ChartSpec
-from ._kernel_py import mono_partial, poly_partial, poly_scale
-from .element import GradedElement, _numerators, product_sum
+from ._kernel_py import FIELD, FIELD_MASK, poly_partial, poly_scale
+from .element import GradedElement, product_sum
+from .poly import _variables
 
 DEFAULT_ADJOINT_BUDGET = 16
 
@@ -54,33 +57,55 @@ class GaugeError(ValueError):
 
 
 def _derivatives(f: GradedElement, from_right: bool) -> tuple[int, dict]:
-    """(den, {tag: {mono: numerators over den}}): f's right (or left)
-    derivatives, memoised on f.  One pass over f's terms builds the graded
-    derivative in every super generator a monomial contains (one kernel
-    walk per monomial) and, on the left only, the x-partial in every
-    variable a coefficient uses; den is f's common denominator.  A
-    derivative in one generator is injective on the terms it keeps, so
-    no two terms land on the same key.  A numerator dict scaled by 1 is
-    f's own, shared and never written."""
+    """(den, {tag: {super key: numerators over den}}): f's right (or left)
+    derivatives, memoised on f; den is f's denominator."""
     memo = f._derivs
     if memo is None:
         memo = f._derivs = [None, None]
     found = memo[from_right]
-    if found is not None:
-        return found
-    parity = f.chart.parity
-    den, numerators = _numerators(f.terms)
-    out: dict[tuple, dict] = {}
-    for mono, poly in f.terms.items():
-        nums = numerators[mono]
-        for sid, coeff, reduced in mono_partial(mono, parity, from_right):
-            out.setdefault(("s", sid), {})[reduced] = \
-                nums if coeff == 1 else poly_scale(nums, coeff)
-        if not from_right:
-            for mu in poly.variables():
-                out.setdefault(("x", mu), {})[mono] = poly_partial(nums, mu - 1)
-    found = memo[from_right] = (den, out)
+    if found is None:
+        found = memo[from_right] = (f.den, _derive(f, from_right))
     return found
+
+
+def _derive(f: GradedElement, from_right: bool) -> dict:
+    """One pass over f's terms: the graded derivative in every super
+    generator a key contains, by bit operations, and, on the left only,
+    the x-partial in every variable a coefficient uses.  An odd letter
+    flips its bit, with the sign of the odd letters it crosses (those
+    before it from the left, those after it from the right); an even
+    field loses one, with its exponent as the coefficient.  A derivative
+    in one generator is injective on the terms it keeps, so no two terms
+    land on the same key.  A numerator dict scaled by 1 is f's own,
+    shared and never written."""
+    chart = f.chart
+    odd_mask, odd_sids, even_sids = chart.odd_mask, chart.odd_sids, chart.even_sids
+    n_odd = len(odd_sids)
+    out: dict[tuple, dict] = {}
+    for key, nums in f.nums.items():
+        odd = key & odd_mask
+        # the sign at the lowest odd letter; it flips at every odd letter
+        sign = -1 if from_right and not odd.bit_count() & 1 else 1
+        while odd:
+            low = odd & -odd
+            out.setdefault(("s", odd_sids[low.bit_length() - 1]), {})[key ^ low] = \
+                nums if sign == 1 else poly_scale(nums, -1)
+            sign = -sign
+            odd ^= low
+        even, unit = key >> n_odd, 1 << n_odd
+        for sid in even_sids:
+            if not even:
+                break
+            e = even & FIELD_MASK
+            if e:
+                out.setdefault(("s", sid), {})[key - unit] = \
+                    nums if e == 1 else poly_scale(nums, e)
+            even >>= FIELD
+            unit <<= FIELD
+        if not from_right:
+            for mu in _variables(nums):
+                out.setdefault(("x", mu), {})[key] = poly_partial(nums, mu - 1)
+    return out
 
 
 def _bracket_pairs(f: GradedElement, g: GradedElement, sign: int) -> tuple[int, list]:
@@ -89,17 +114,17 @@ def _bracket_pairs(f: GradedElement, g: GradedElement, sign: int) -> tuple[int, 
     `product_sum`, and den the denominator of their products."""
     if f.chart is not g.chart and f.chart != g.chart:
         raise ChartError(f"chart mismatch: {f.chart} vs {g.chart}")
-    den_g, dg = _derivatives(g, from_right=False)
+    den_g, dg = _derivatives(g, False)
     if not dg:
         return 1, []
-    den_f, df = _derivatives(f, from_right=True)
+    den_f, df = _derivatives(f, True)
     partner = f.chart.partner
     pairs = []
     # from g's side: g mostly depends on few generators, f (Theta) on all
     for b, gb in dg.items():
         a = partner[b][0]  # partner is an involution: partner[a][0] == b
         # x-partials are the same on both sides; only f's left memo has them
-        fa = (_derivatives(f, from_right=False)[1] if a[0] == "x" else df).get(a)
+        fa = (_derivatives(f, False)[1] if a[0] == "x" else df).get(a)
         if fa is not None:
             pairs.append((fa, gb, sign * partner[a][1]))
     return den_f * den_g, pairs
@@ -162,6 +187,6 @@ def gauge_exp(R: GradedElement, f: GradedElement) -> GradedElement:
 
 
 def _momentum_weight(f: GradedElement) -> int:
-    momentum = f.chart.momentum
-    return max((sum(e for sid, e in mono if momentum[sid]) for mono in f.terms),
+    momentum, decode = f.chart.momentum, f.chart.decode
+    return max((sum(e for sid, e in decode(k) if momentum[sid]) for k in f.nums),
                default=0)

@@ -543,9 +543,15 @@ class TestInputErrors:
         path.write_text(json.dumps({"chart": {"kind": "vinogradov", "d": 3, "p": 2}}))
         monkeypatch.setenv("GB_SEED", "1" * 5000)
         assert main([command[0], str(path), *command[1:], "--json"]) == 2
+        # the diagnostic echoes the first 32 characters and the length
         assert json.loads(capsys.readouterr().out) == {
             "command": command[0], "status": "ERROR",
-            "error": "GB_SEED: not an integer: '" + "1" * 5000 + "'"}
+            "error": "GB_SEED: not an integer: '" + "1" * 32 + "…' (5000 characters)"}
+        # a short bad value is echoed whole, in text mode too
+        monkeypatch.setenv("GB_SEED", "x" * 32)
+        assert main([command[0], str(path), *command[1:]]) == 2
+        assert capsys.readouterr().err == \
+            "error: GB_SEED: not an integer: '" + "x" * 32 + "'\n"
         # a seed that --seed gives first leaves GB_SEED unread
         assert main([command[0], str(path), *command[1:], "--seed", "5", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["seed"] == 5

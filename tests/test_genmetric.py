@@ -4,12 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedq import (Background, GenMetric, MatrixError, act, b_shift,
                      block_swap, build_gen_metric, eta_matrix, extract,
                      gl_embed, odd_check)
 from gradedq.genmetric import (as_matrix, mat_identity, mat_inv, mat_mul,
-                               mat_neg, mat_t, mat_zero)
+                               mat_mul_eta, mat_neg, mat_t, mat_zero)
 
 
 def rational_background(rng: random.Random, d: int) -> Background:
@@ -67,6 +69,19 @@ class TestMatrixHelpers:
         for d in (1, 2, 4):
             eta = eta_matrix(d)
             assert mat_mul(eta, eta) == mat_identity(2 * d)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda d: st.tuples(st.just(d), st.lists(
+        st.lists(st.fractions(max_denominator=7).filter(lambda c: abs(c) < 50),
+                 min_size=2 * d, max_size=2 * d),
+        min_size=1, max_size=2 * d + 1))))
+    def test_eta_block_swap_is_the_product(self, case):
+        d, rows = case
+        a = as_matrix(rows)
+        assert mat_mul_eta(a) == mat_mul(a, eta_matrix(d))
+        # an odd column count matches no eta, as in the product
+        with pytest.raises(MatrixError, match="dimensions do not match"):
+            mat_mul_eta(tuple(row[1:] for row in a))
 
 
 class TestBackground:

@@ -1,9 +1,12 @@
 """The coefficient kernel: polynomial and graded-monomial primitives.
 
 `Poly` keeps integer numerators over one denominator, keyed by packed
-exponents.  The `ref_*` functions below are the earlier kernel, on
-exponent tuples and `int`/`Fraction` coefficients, kept here only as the
-reference the packed, fraction-free arithmetic must agree with.
+exponents, and a graded element keeps one denominator over {super key:
+numerators}, with super monomials packed as bitmask keys.  The `ref_*`
+functions and `tuple_mul`/`tuple_partial` below are the earlier kernels,
+on exponent tuples, (generator, exponent) tuples and `int`/`Fraction`
+coefficients, kept here only as references the packed, fraction-free
+arithmetic must agree with.
 """
 
 import ast
@@ -18,6 +21,7 @@ from hypothesis import strategies as st
 
 from gradedq import (ChartError, GradedElement, Poly, PolyError, _kernel_py,
                      make_chart, parse_poly)
+from gradedq.chart import super_layout
 from gradedq.poly import ExponentOverflowError, _pack, _unpack
 from gradedq.randomgen import random_homogeneous
 from gradedq.symplectic import _derivatives, bracket_sum, poisson
@@ -171,12 +175,77 @@ def reference_partial(mono, gid, parity, from_right):
     return (-1) ** sum(parity[g] for g in crossed), mono_of(rest)
 
 
+def tuple_mul(m1, m2, parity):
+    """Multiply canonical (generator, exponent) tuples in one merge.
+    Returns (sign, mono); sign 0 means zero.  An odd letter of m2 crosses
+    every odd letter of m1 not yet placed."""
+    if not m1:
+        return 1, m2
+    if not m2:
+        return 1, m1
+    odd1 = sum(parity[g] for g, _ in m1)  # odd letters of m1 not yet placed
+    swaps = 0
+    out = []
+    i = j = 0
+    n1, n2 = len(m1), len(m2)
+    while i < n1 and j < n2:
+        g1, e1 = m1[i]
+        g2, e2 = m2[j]
+        if g1 < g2:
+            out.append(m1[i])
+            odd1 -= parity[g1]
+            i += 1
+        elif g2 < g1:
+            out.append(m2[j])
+            if parity[g2]:
+                swaps += odd1
+            j += 1
+        elif parity[g1]:
+            return 0, None
+        else:
+            out.append((g1, e1 + e2))
+            i += 1
+            j += 1
+    out.extend(m1[i:])
+    out.extend(m2[j:])
+    return (-1 if swaps & 1 else 1), tuple(out)
+
+
+def tuple_partial(m, parity, from_right):
+    """[(generator, integer coefficient, reduced monomial)]: the graded
+    derivative of a tuple monomial in each of its generators, in order, in
+    one walk; an odd letter's sign flips at every odd letter."""
+    odd = sum(parity[g] for g, _ in m) - 1 if from_right else 0
+    sign = -1 if odd & 1 else 1
+    out = []
+    for pos, (g, e) in enumerate(m):
+        if parity[g]:
+            out.append((g, sign, m[:pos] + m[pos + 1:]))
+            sign = -sign
+        elif e > 1:
+            out.append((g, e, m[:pos] + ((g, e - 1),) + m[pos + 1:]))
+        else:
+            out.append((g, e, m[:pos] + m[pos + 1:]))
+    return out
+
+
 def packed(d, a):
     return {_pack(d, e): c for e, c in a.items()}
 
 
-def packed_terms(d, terms):
-    return {m: packed(d, p) for m, p in terms.items()}
+def layout(parity):
+    """(odd mask, unit per generator) of the super keys for `parity`."""
+    odd, _, unit = super_layout(parity)
+    return (1 << len(odd)) - 1, unit
+
+
+def key_of(unit, mono):
+    return sum(e * unit[g] for g, e in mono)
+
+
+def packed_terms(d, terms, unit):
+    """{super key: packed numerators} of {tuple monomial: {exponent: int}}."""
+    return {key_of(unit, m): packed(d, p) for m, p in terms.items()}
 
 
 def nonzero(terms):
@@ -208,32 +277,51 @@ class TestPythonKernel:
         assert _kernel_py.poly_mul(a, b) == {_pack(3, (1, 4, 3)): 6,
                                               _pack(3, (0, 4, 1)): -2}
 
-    def test_mono_mul_odd_square_is_zero(self):
-        parity = (1, 1)
-        assert _kernel_py.mono_mul(((0, 1),), ((0, 1),), parity) == (0, None)
+    def test_super_layout(self):
+        # odd bits low, in generator order; then one 16-bit field per even one
+        assert super_layout((1, 0, 1, 0)) == ((0, 2), (1, 3), (1, 4, 2, 1 << 18))
 
-    def test_mono_mul_koszul_sign(self):
-        parity = (1, 1)
-        sign, mono = _kernel_py.mono_mul(((1, 1),), ((0, 1),), parity)
-        assert (sign, mono) == (-1, ((0, 1), (1, 1)))
+    def test_packed_odd_square_is_zero(self):
+        mask, unit = layout((1, 1))
+        out = {}
+        _kernel_py.element_mul({unit[0]: {0: 1}}, {unit[0]: {0: 1}}, mask, out, 1)
+        assert out == {}
 
-    def test_mono_partial_signs(self):
-        parity = (1, 0, 1)
-        m = ((0, 1), (1, 2), (2, 1))
+    def test_packed_koszul_sign(self):
+        # psi2 * (psi1 y^1) = -psi1 y psi2: psi2 crosses psi1, never y
+        mask, unit = layout((1, 0, 1))
+        out = {}
+        _kernel_py.element_mul({unit[2]: {0: 1}}, {unit[0] + unit[1]: {0: 3}}, mask, out, 1)
+        assert out == {unit[0] + unit[1] + unit[2]: {0: -3}}
+
+    def test_packed_derivative_signs(self):
+        chart = make_chart("vinogradov", 4, 3)  # psi odd, chi even, p odd
+        psi1, chi1, p1 = (chart.sid_of_name(n) for n in ("psi1", "chi1", "p1"))
+        f = GradedElement(chart, {((psi1, 1), (chi1, 2), (p1, 1)): Poly.const(4, 1)})
+
+        def walk(from_right):
+            _, out = _derivatives(f, from_right)
+            return {tag[1]: {chart.decode(k): nums[0] for k, nums in d.items()}
+                    for tag, d in out.items()}
         # from the left an odd letter crosses the odd letters before it
-        assert _kernel_py.mono_partial(m, parity, False) == [
-            (0, 1, ((1, 2), (2, 1))), (1, 2, ((0, 1), (1, 1), (2, 1))),
-            (2, -1, ((0, 1), (1, 2)))]
+        assert walk(False) == {psi1: {((chi1, 2), (p1, 1)): 1},
+                               chi1: {((psi1, 1), (chi1, 1), (p1, 1)): 2},
+                               p1: {((psi1, 1), (chi1, 2)): -1}}
         # from the right, the odd letters after it
-        assert _kernel_py.mono_partial(m, parity, True) == [
-            (0, -1, ((1, 2), (2, 1))), (1, 2, ((0, 1), (1, 1), (2, 1))),
-            (2, 1, ((0, 1), (1, 2)))]
+        assert walk(True) == {psi1: {((chi1, 2), (p1, 1)): -1},
+                              chi1: {((psi1, 1), (chi1, 1), (p1, 1)): 2},
+                              p1: {((psi1, 1), (chi1, 2)): 1}}
 
     def test_even_partial_brings_down_exponent(self):
-        parity = (0,)
-        assert _kernel_py.mono_partial(((0, 3),), parity, False) == [(0, 3, ((0, 2),))]
-        assert _kernel_py.mono_partial(((0, 1),), parity, True) == [(0, 1, ())]
-        assert _kernel_py.mono_partial((), parity, False) == []
+        chart = make_chart("vinogradov", 2, 2)  # p even
+        p1 = chart.sid_of_name("p1")
+        for e, rest in ((3, ((p1, 2),)), (1, ())):
+            for from_right in (False, True):
+                f = GradedElement(chart, {((p1, e),): Poly.const(2, 1)})
+                assert _derivatives(f, from_right)[1] == \
+                    {("s", p1): {chart.encode(rest): {0: e}}}
+        const = GradedElement.from_poly(chart, Poly.const(2, 5))
+        assert _derivatives(const, False) == (1, {})
 
     def test_kernel_imports_no_fractions(self):
         tree = ast.parse(inspect.getsource(_kernel_py))
@@ -259,16 +347,23 @@ def term_maps(draw):
 class TestKernelAgainstReference:
     @settings(max_examples=300, deadline=None)
     @given(parity_and_monos(2))
-    def test_mono_mul_matches_bubble_sort(self, case):
+    def test_packed_product_matches_bubble_sort(self, case):
         parity, (m1, m2) = case
-        assert _kernel_py.mono_mul(m1, m2, parity) == reference_mul(m1, m2, parity)
+        mask, unit = layout(parity)
+        out = {}
+        _kernel_py.element_mul({key_of(unit, m1): {0: 1}}, {key_of(unit, m2): {0: 1}},
+                               mask, out, 1)
+        sign, mono = reference_mul(m1, m2, parity)
+        assert out == ({key_of(unit, mono): {0: sign}} if sign else {})
+        # the earlier tuple merge agrees with the bubble sort too
+        assert tuple_mul(m1, m2, parity) == (sign, mono)
 
     @settings(max_examples=300, deadline=None)
     @given(parity_and_monos(1))
-    def test_mono_partial_matches_letter_strike(self, case):
+    def test_tuple_partial_matches_letter_strike(self, case):
         parity, (m,) = case
         for from_right in (False, True):
-            walk = _kernel_py.mono_partial(m, parity, from_right)
+            walk = tuple_partial(m, parity, from_right)
             # every generator of m, in order, each struck as the reference does
             assert [g for g, _, _ in walk] == [g for g, _ in m]
             for g, coeff, reduced in walk:
@@ -355,37 +450,41 @@ class TestKernelAgainstReference:
     @given(term_maps(), st.sampled_from([1, -1, 2, -2, 3]))
     def test_element_mul_weight(self, case, weight):
         parity, d, f, g = case
-        pf, pg = packed_terms(d, f), packed_terms(d, g)
+        mask, unit = layout(parity)
+        pf, pg = packed_terms(d, f, unit), packed_terms(d, g, unit)
         out = {}
-        _kernel_py.element_mul(pf, pg, parity, out, weight)
-        assert nonzero(out) == packed_terms(d, reference_element_mul(f, g, parity, weight))
+        _kernel_py.element_mul(pf, pg, mask, out, weight)
+        assert nonzero(out) == packed_terms(
+            d, reference_element_mul(f, g, parity, weight), unit)
         # a second pair lands on the monomials of the first: rows add in place
-        _kernel_py.element_mul(pf, pg, parity, out, -2 * weight)
-        assert nonzero(out) == packed_terms(d, reference_element_mul(f, g, parity, -weight))
-        assert (pf, pg) == (packed_terms(d, f), packed_terms(d, g))
+        _kernel_py.element_mul(pf, pg, mask, out, -2 * weight)
+        assert nonzero(out) == packed_terms(
+            d, reference_element_mul(f, g, parity, -weight), unit)
+        assert (pf, pg) == (packed_terms(d, f, unit), packed_terms(d, g, unit))
 
     @settings(max_examples=100, deadline=None)
     @given(term_maps(), st.sampled_from([1, -1]))
     def test_element_mul_accumulates_the_pair_sum(self, case, sign):
         parity, d, f, g = case
-        pf, pg = packed_terms(d, f), packed_terms(d, g)
+        mask, unit = layout(parity)
+        pf, pg = packed_terms(d, f, unit), packed_terms(d, g, unit)
         out = {}
-        _kernel_py.element_mul(pf, pg, parity, out, sign)
+        _kernel_py.element_mul(pf, pg, mask, out, sign)
         first = reference_element_mul(f, g, parity, sign)
-        assert nonzero(out) == packed_terms(d, first)
+        assert nonzero(out) == packed_terms(d, first, unit)
         # a second pair adds into the same map
-        _kernel_py.element_mul(pg, pf, parity, out, 1)
+        _kernel_py.element_mul(pg, pf, mask, out, 1)
         both = dict(first)
         for m, p in reference_element_mul(g, f, parity, 1).items():
             both[m] = ref_add(both.get(m, {}), p)
-        assert nonzero(out) == packed_terms(d, nonzero(both))
+        assert nonzero(out) == packed_terms(d, nonzero(both), unit)
         # the same pair with both signs cancels term by term
         out = {}
-        _kernel_py.element_mul(pf, pg, parity, out, sign)
-        _kernel_py.element_mul(pf, pg, parity, out, -sign)
+        _kernel_py.element_mul(pf, pg, mask, out, sign)
+        _kernel_py.element_mul(pf, pg, mask, out, -sign)
         assert nonzero(out) == {}
         # the factors' numerator dicts were read, never written
-        assert (pf, pg) == (packed_terms(d, f), packed_terms(d, g))
+        assert (pf, pg) == (packed_terms(d, f, unit), packed_terms(d, g, unit))
 
 
 BRACKET_CHARTS = [make_chart("vinogradov", 3, 2), make_chart("vinogradov", 2, 3),
@@ -630,3 +729,110 @@ class TestPackedExponents:
         with pytest.raises(PolyError):
             Poly(2, {(-1, 0): 1})
         assert Poly.var(3, 3, self.LIMIT - 1).terms == {(0, 0, self.LIMIT - 1): 1}
+
+    def test_carry_in_super_field_raises(self):
+        chart = make_chart("vinogradov", 3, 2)
+        p1, p2 = chart.sid_of_name("p1"), chart.sid_of_name("p2")
+        one = Poly.const(3, 1)
+        high = GradedElement(chart, {((p1, self.LIMIT - 1),): one})
+        with pytest.raises(ExponentOverflowError) as err:
+            high * GradedElement.generator(chart, "p1")
+        assert not isinstance(err.value, PolyError)
+        # a carry in one field, not a neighbour's exponent
+        assert (high * GradedElement.generator(chart, "p2")).terms \
+            == {((p1, self.LIMIT - 1), (p2, 1)): one}
+        # the constructor takes no exponent a field cannot hold
+        with pytest.raises(ChartError):
+            GradedElement(chart, {((p1, self.LIMIT),): one})
+        with pytest.raises(ChartError):
+            GradedElement(chart, {((chart.sid_of_name("psi1"), 2),): one})
+
+    def test_carry_in_bracket_coefficient_raises(self):
+        # (psi1, chi1) = 1, so the bracket multiplies the two coefficients
+        chart = make_chart("vinogradov", 3, 2)
+        f = GradedElement.generator(chart, "psi1") * Poly.var(3, 1, self.LIMIT - 1)
+        g = GradedElement.generator(chart, "chi1") * Poly.var(3, 1)
+        with pytest.raises(ExponentOverflowError):
+            poisson(f, g)
+        assert poisson(f, GradedElement.generator(chart, "chi1") * Poly.var(3, 2)) \
+            == GradedElement.from_poly(chart, Poly(3, {(self.LIMIT - 1, 1, 0): 1}))
+
+
+# the charts of the packed-form properties: p even, p odd (chi even, p
+# odd), and the m5 chart with its odd zeta
+PACKED_CHARTS = [make_chart("vinogradov", 3, 2), make_chart("vinogradov", 4, 3),
+                 make_chart("m5", 6)]
+
+
+@st.composite
+def chart_monos(draw, count):
+    """A chart of PACKED_CHARTS and `count` canonical monomials on it."""
+    chart = draw(st.sampled_from(PACKED_CHARTS))
+    parity = chart.parity
+    monos = []
+    for _ in range(count):
+        sids = draw(st.lists(st.integers(0, len(parity) - 1), unique=True, max_size=7))
+        monos.append(tuple(sorted(
+            (s, 1 if parity[s] else draw(st.integers(1, 4))) for s in sids)))
+    return chart, monos
+
+
+@st.composite
+def chart_term_maps(draw):
+    """A chart of PACKED_CHARTS and two term maps {mono: {exponent tuple:
+    int}} on it."""
+    chart, monos = draw(chart_monos(6))
+    polys = [draw(int_polys(chart.d).filter(bool)) for _ in monos]
+    return chart, dict(zip(monos[:3], polys[:3])), dict(zip(monos[3:], polys[3:]))
+
+
+class TestPackedOnCharts:
+    """The packed kernel on real chart layouts agrees with the word
+    references: bubble sort for products, letter strike for derivatives."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(chart_monos(2))
+    def test_product_matches_reference(self, case):
+        chart, (m1, m2) = case
+        out = {}
+        _kernel_py.element_mul({chart.encode(m1): {0: 1}}, {chart.encode(m2): {0: 1}},
+                               chart.odd_mask, out, 1)
+        sign, mono = reference_mul(m1, m2, chart.parity)
+        # zero on a shared odd letter, else the sign and the key of the product
+        assert out == ({chart.encode(mono): {0: sign}} if sign else {})
+        if sign:
+            assert chart.decode(next(iter(out))) == mono
+
+    @settings(max_examples=300, deadline=None)
+    @given(chart_monos(1))
+    def test_derivative_walk_matches_reference(self, case):
+        chart, (m,) = case
+        f = GradedElement(chart, {m: Poly.const(chart.d, 1)})
+        for from_right in (False, True):
+            expected = {}
+            for sid, _ in m:
+                coeff, reduced = reference_partial(m, sid, chart.parity, from_right)
+                expected[("s", sid)] = {chart.encode(reduced): {0: coeff}}
+            assert _derivatives(f, from_right) == (1, expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(chart_term_maps(), st.sampled_from([1, -1, 2, -3]))
+    def test_element_mul_matches_reference(self, case, weight):
+        chart, f, g = case
+        d, unit = chart.d, chart.unit
+        out = {}
+        _kernel_py.element_mul(packed_terms(d, f, unit), packed_terms(d, g, unit),
+                               chart.odd_mask, out, weight)
+        assert nonzero(out) == packed_terms(
+            d, reference_element_mul(f, g, chart.parity, weight), unit)
+
+    @settings(max_examples=100, deadline=None)
+    @given(chart_term_maps(), st.integers(1, 6))
+    def test_terms_round_trip(self, case, k):
+        chart, f, _ = case
+        terms = {m: Poly(chart.d, p) * Fraction(1, k) for m, p in f.items()}
+        e = GradedElement(chart, terms)
+        assert e.terms == terms
+        assert GradedElement(chart, e.terms) == e
+        assert all(canonical(p) for p in e.terms.values())
+        assert e.monomials() == sorted(terms, key=lambda m: (chart.mono_degree(m), m))

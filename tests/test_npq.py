@@ -284,11 +284,11 @@ class TestThetaDerivatives:
         assert q_apply(theta, f) == symplectic.poisson(fresh(theta.element), fresh(f))
 
     def test_theta_derived_once_per_side(self, monkeypatch):
-        # every derivation takes its element's numerators once
+        # every derivation walks its element's terms once
         derived = []
-        numerators = symplectic._numerators
-        monkeypatch.setattr(symplectic, "_numerators",
-                            lambda terms: derived.append(terms) or numerators(terms))
+        derive = symplectic._derive
+        monkeypatch.setattr(symplectic, "_derive",
+                            lambda f, side: derived.append(f) or derive(f, side))
         for name in ("v(4,2) non-closed", "m5(8) closed"):
             theta = THETAS[name]
             new = npq.Hamiltonian(theta.chart, fresh(theta.element), theta.twist)
@@ -296,7 +296,7 @@ class TestThetaDerivatives:
             bracket, ok = master_equation(new)
             assert suite.passed == ok
             # right for every Q, left once for (Theta, Theta)
-            assert sum(terms is new.element.terms for terms in derived) == 2
+            assert sum(f is new.element for f in derived) == 2
             assert new.element._derivs[0] is not None
             assert new.element._derivs[1] is not None
 
