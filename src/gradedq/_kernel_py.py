@@ -50,6 +50,13 @@ def _guard_bits(fields):
     return ((1 << FIELD * fields) - 1) // FIELD_MASK << (FIELD - 1)
 
 
+def key_bytes(key):
+    """A packed key as bytes, for hashing: an int hashes modulo 2^61 - 1,
+    so keys past bit 61 can alias lower ones (x5, at bit 64, hashes as
+    x1^8), and their bytes do not."""
+    return key.to_bytes((key.bit_length() + 7) // 8, "little")
+
+
 def poly_add(a, b, shift=0, scale=1):
     """Add scale * x^shift * b into a in place, dropping the terms that
     cancel; returns a.  x^shift is the monomial with packed exponent

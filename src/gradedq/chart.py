@@ -152,14 +152,30 @@ class ChartSpec:
         return sum(e * self.degrees[g] for g, e in mono)
 
     def encode(self, mono) -> int:
-        """The super key of a canonical monomial ((sid, exponent), ...)."""
-        key = 0
-        for sid, e in mono:
-            if not 0 < e < (2 if self.parity[sid] else _EXP_LIMIT):
-                raise ChartError(f"exponent {e!r} of {self.supers[sid].name} is out "
-                                 f"of range for a graded monomial")
-            key += e * self.unit[sid]
-        return key
+        """The super key of a canonical monomial ((sid, exponent), ...):
+        int sids strictly ascending in 0..len(supers)-1, int exponents 1
+        for an odd generator and in 1.._EXP_LIMIT-1 for an even one.
+        Anything else raises `ChartError`, so encode is injective on what
+        it accepts."""
+        key, last = 0, -1
+        # a term that is not a pair of numbers raises on unpacking or on
+        # comparing, and a non-int sid or one past the last on indexing
+        try:
+            for sid, e in mono:
+                limit = 2 if self.parity[sid] else _EXP_LIMIT
+                if not last < sid or not 0 < e < limit:
+                    break
+                key += e * self.unit[sid]
+                last = sid
+            else:
+                # a float or Fraction exponent makes a key that is no int
+                if isinstance(key, int) and isinstance(mono, tuple):
+                    return key
+        except (TypeError, ValueError, IndexError):
+            pass
+        raise ChartError(f"{mono!r} is not a canonical monomial of {self!r}: "
+                         f"(sid, exponent) pairs, sids strictly ascending, "
+                         f"exponents in range")
 
     def decode(self, key: int) -> tuple:
         """The canonical monomial ((sid, exponent), ...) of a super key."""

@@ -11,11 +11,14 @@ The form is canonical: the gcd of den and every numerator is 1, no
 inner map is empty, and zero has den 1, so `==` and `hash` compare ints
 and dicts.
 
-The constructor takes {canonical monomial tuple: Poly} and drops zero
-coefficients; `terms` is the read-only view in that form (`Terms`),
+Polys enter an element only through `_from_polys`, which checks their
+dimension and drops zeros; the constructor takes {canonical monomial
+tuple: Poly} (`ChartSpec.encode` rejects any other tuple) and goes
+through it.  `terms` is the read-only view in that form (`Terms`),
 which decodes a key or builds a `Poly` only where one is read, for
-rendering and other boundaries; arithmetic never reads it.  Products canonicalize through `product_sum` (Koszul signs from the
-odd bits, annihilation of odd squares, merging).  All operations are
+rendering and other boundaries; arithmetic never reads it.  Products
+canonicalize through `product_sum` (Koszul signs from the odd bits,
+annihilation of odd squares, merging).  All operations are
 pure and return new values, except `generator`: it returns the chart's
 shared element for that name, built once per chart, which is safe
 because no operation changes an element's numerators (the bracket's
@@ -32,7 +35,7 @@ from itertools import chain
 from math import gcd, lcm
 
 from .chart import ChartError, ChartSpec
-from ._kernel_py import element_mul, poly_add, poly_scale
+from ._kernel_py import element_mul, key_bytes, poly_add, poly_scale
 from .poly import (Poly, PolyError, _check_guard, _normal, render_product,
                    render_sum)
 
@@ -51,9 +54,8 @@ class GradedElement:
 
     def __init__(self, chart: ChartSpec, terms=None):
         encode = chart.encode
-        self.chart = chart
-        self.den, self.nums = _over_lcm(
-            {encode(m): p for m, p in terms.items()} if terms else {})
+        built = _from_polys(chart, {encode(m): p for m, p in (terms or {}).items()})
+        self.chart, self.den, self.nums = chart, built.den, built.nums
         self._derivs = None
 
     @property
@@ -68,9 +70,7 @@ class GradedElement:
 
     @classmethod
     def from_poly(cls, chart: ChartSpec, poly: Poly) -> "GradedElement":
-        if poly.d != chart.d:
-            raise PolyError(f"dimension mismatch: {poly.d} vs {chart.d}")
-        return _element(chart, poly.den, {0: poly.nums} if poly else {})
+        return _from_polys(chart, {0: poly})
 
     @classmethod
     def generator(cls, chart: ChartSpec, name: str) -> "GradedElement":
@@ -181,10 +181,8 @@ class GradedElement:
                 and self.den == other.den and self.nums == other.nums)
 
     def __hash__(self):
-        # an int hashes modulo 2^61 - 1, so a super key past bit 61 would
-        # alias a lower one (on m5 at d=8, p4's field with psi5's bit)
         return hash((self.chart, self.den, frozenset(
-            (k.to_bytes((k.bit_length() + 7) // 8, "little"), frozenset(v.items()))
+            (key_bytes(k), frozenset((key_bytes(x), n) for x, n in v.items()))
             for k, v in self.nums.items())))
 
     def __bool__(self):
@@ -225,11 +223,11 @@ class Terms(Mapping):
 
     def __getitem__(self, mono):
         e = self._element
-        key = e.chart.encode(mono)
-        # only the canonical tuple of a key names it
-        if key not in e.nums or e.chart.decode(key) != mono:
-            raise KeyError(mono)
-        return _normal(e.chart.d, e.den, e.nums[key])
+        try:
+            nums = e.nums[e.chart.encode(mono)]
+        except (ChartError, KeyError):
+            raise KeyError(mono) from None
+        return _normal(e.chart.d, e.den, nums)
 
 
 def _ordered(chart: ChartSpec, monos) -> list:
@@ -264,18 +262,16 @@ def _reduced(chart: ChartSpec, den: int, nums: dict) -> GradedElement:
     return _element(chart, den, nums)
 
 
-def _over_lcm(polys: dict) -> tuple[int, dict]:
-    """(den, {key: numerators over den}) for {super key: Poly}: the lcm of
-    the nonzero Polys' denominators and their numerators over it.  Each
-    Poly is canonical, so the result is too."""
-    polys = {k: p for k, p in polys.items() if p}
-    den = lcm(*(p.den for p in polys.values()))
-    return den, {k: p._over(den) for k, p in polys.items()}
-
-
 def _from_polys(chart: ChartSpec, polys: dict) -> GradedElement:
-    """The element sum of each Poly times its super key's monomial."""
-    return _element(chart, *_over_lcm(polys))
+    """The element sum of each Poly times its super key's monomial, over
+    the lcm of the Polys' denominators (a zero Poly's is 1); canonical, as
+    each Poly is.  A Poly on another R^d raises `PolyError`."""
+    d = chart.d
+    for p in polys.values():
+        if p.d != d:
+            raise PolyError(f"dimension mismatch: {p.d} vs {d}")
+    den = lcm(*(p.den for p in polys.values()))
+    return _element(chart, den, {k: p._over(den) for k, p in polys.items() if p})
 
 
 def product_sum(chart: ChartSpec, den: int, pairs) -> GradedElement:

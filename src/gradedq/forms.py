@@ -3,12 +3,15 @@
 Differential forms are stored on strictly increasing index tuples only;
 antisymmetry is resolved at construction with inversion-count signs,
 the same normalization the graded engine uses, so cross-checks are
-coefficient-exact.
+coefficient-exact.  `DiffForm.add_term` is the one routine that stores
+a term: it checks the index tuple and the coefficient's dimension, sorts
+the indices and merges; every constructor and operation goes through it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from .poly import Poly, render_sum
 
@@ -24,20 +27,14 @@ class SectionError(ValueError):
 
 
 def sort_indices(indices):
-    """Sort an index tuple, returning (sign, sorted tuple); sign 0 on repeats."""
-    idx = list(indices)
-    sign = 1
-    # insertion sort with transposition counting; fine at rank <= 8
-    for i in range(1, len(idx)):
-        j = i
-        while j > 0 and idx[j - 1] > idx[j]:
-            idx[j - 1], idx[j] = idx[j], idx[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(idx, idx[1:]):
-        if a == b:
-            return 0, None
-    return sign, tuple(idx)
+    """(sign, sorted tuple) of an index tuple: the sign is (-1) to the
+    number of out-of-order pairs; a repeated index gives (0, None)."""
+    indices = tuple(indices)
+    idx = tuple(sorted(indices))
+    if len(set(idx)) < len(idx):
+        return 0, None
+    inversions = sum(a > b for a, b in combinations(indices, 2))
+    return (-1 if inversions % 2 else 1), idx
 
 
 class DiffForm:
@@ -61,10 +58,7 @@ class DiffForm:
 
     @classmethod
     def from_poly(cls, d: int, poly: Poly) -> "DiffForm":
-        f = cls(d, 0)
-        if poly:
-            f.terms[()] = poly
-        return f
+        return cls(d, 0, {(): poly})
 
     @classmethod
     def basis(cls, d: int, indices, coeff=None) -> "DiffForm":
@@ -78,13 +72,15 @@ class DiffForm:
         return f
 
     def add_term(self, indices, poly: Poly):
-        """Accumulate one (possibly unsorted) component.  Mutates self; used
-        only during construction."""
+        """Accumulate one (possibly unsorted) component; the one routine
+        that stores a term.  Mutates self; used only during construction."""
         if len(indices) != self.rank:
             raise FormError(f"index tuple {tuple(indices)} has length "
                             f"{len(indices)}, expected rank {self.rank}")
         if any(not 1 <= i <= self.d for i in indices):
             raise FormError(f"index out of range 1..{self.d} in {tuple(indices)}")
+        if poly.d != self.d:
+            raise FormError(f"coefficient on R^{poly.d}, form on R^{self.d}")
         sign, idx = sort_indices(indices)
         if sign == 0 or poly.is_zero():
             return
@@ -107,33 +103,21 @@ class DiffForm:
         if not isinstance(other, DiffForm):
             return NotImplemented
         self._check(other)
-        out = DiffForm(self.d, self.rank)
-        out.terms = dict(self.terms)
+        out = DiffForm(self.d, self.rank, self.terms)
         for idx, poly in other.terms.items():
-            cur = out.terms.get(idx)
-            s = poly if cur is None else cur + poly
-            if s:
-                out.terms[idx] = s
-            else:
-                out.terms.pop(idx, None)
+            out.add_term(idx, poly)
         return out
 
     def __neg__(self) -> "DiffForm":
-        out = DiffForm(self.d, self.rank)
-        out.terms = {i: -p for i, p in self.terms.items()}
-        return out
+        return self * -1
 
     def __sub__(self, other: "DiffForm") -> "DiffForm":
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Poly)):
-            out = DiffForm(self.d, self.rank)
-            for i, p in self.terms.items():
-                q = p * other
-                if q:
-                    out.terms[i] = q
-            return out
+            return DiffForm(self.d, self.rank,
+                            {i: p * other for i, p in self.terms.items()})
         return NotImplemented
 
     __rmul__ = __mul__

@@ -106,9 +106,10 @@ def mat_mul_eta(a) -> tuple:
 # ---------------------------------------------------------------------
 
 class Background:
-    """Symmetric invertible g and antisymmetric b, exact rational."""
+    """Symmetric invertible g and antisymmetric b, exact rational; ginv
+    is the inverse of g."""
 
-    __slots__ = ("g", "b")
+    __slots__ = ("g", "b", "ginv")
 
     def __init__(self, g, b):
         self.g = g = as_matrix(g)
@@ -120,7 +121,7 @@ class Background:
             raise MatrixError("g must be symmetric")
         if not mat_antisymmetric(b):
             raise MatrixError("b must be antisymmetric")
-        mat_inv(g)  # raises if singular
+        self.ginv = mat_inv(g)  # raises if singular
 
 
 class GenMetric:
@@ -141,12 +142,11 @@ class GenMetric:
 
 
 def build_gen_metric(bg: Background) -> GenMetric:
-    """H = ((g - b g^-1 b, b g^-1), (-g^-1 b, g^-1)), evaluated exactly."""
-    ginv = mat_inv(bg.g)
-    ul = mat_sub(bg.g, mat_mul(mat_mul(bg.b, ginv), bg.b))
-    ur = mat_mul(bg.b, ginv)
-    ll = mat_neg(mat_mul(ginv, bg.b))
-    return GenMetric(assemble(ul, ur, ll, ginv))
+    """H = ((g - b g^-1 b, b g^-1), (-g^-1 b, g^-1)), evaluated exactly.
+    g is symmetric and b antisymmetric, so -g^-1 b = (b g^-1)^t."""
+    ur = mat_mul(bg.b, bg.ginv)
+    ul = mat_sub(bg.g, mat_mul(ur, bg.b))
+    return GenMetric(assemble(ul, ur, mat_t(ur), bg.ginv))
 
 
 def odd_check(O) -> bool:

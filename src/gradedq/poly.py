@@ -11,8 +11,8 @@ from functools import reduce
 from math import comb, gcd, lcm
 from operator import or_
 
-from ._kernel_py import (_EXP_LIMIT, FIELD, FIELD_MASK, _guard_bits, poly_add,
-                         poly_mul, poly_partial, poly_scale)
+from ._kernel_py import (_EXP_LIMIT, FIELD, FIELD_MASK, _guard_bits, key_bytes,
+                         poly_add, poly_mul, poly_partial, poly_scale)
 
 
 class PolyError(ValueError):
@@ -203,7 +203,8 @@ class Poly:
                 and self.den == other.den and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self.d, self.den, frozenset(self.nums.items())))
+        return hash((self.d, self.den,
+                     frozenset((key_bytes(k), n) for k, n in self.nums.items())))
 
     def __bool__(self):
         return bool(self.nums)

@@ -606,3 +606,12 @@ class TestRandomPoly:
             assert rng.getstate() == state
         # one below the limit is a legal degree bound
         assert random_poly(random.Random(0), 3, 2**15 - 1)
+
+
+def test_packed_keys_past_bit_61_hash_apart():
+    # x5's key is 2^64 and x1^8's is 8; as ints both hash to 8
+    x5, x1_8 = Poly.var(8, 5), Poly.var(8, 1, 8)
+    assert x5 != x1_8 and hash(x5) != hash(x1_8)
+    chart = make_chart("vinogradov", 8, 2)
+    e5, e1_8 = (GradedElement.from_poly(chart, p) for p in (x5, x1_8))
+    assert e5 != e1_8 and hash(e5) != hash(e1_8)

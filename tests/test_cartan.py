@@ -1,5 +1,6 @@
 """Exterior-calculus oracle: d, wedge, interior, Lie derivative, homotopy."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -205,3 +206,28 @@ class TestClassicalDorfman:
                     DiffForm.zero(d, 5))
         with pytest.raises(FormError):
             classical_dorfman("vinogradov", A, B)
+
+
+def cycle_sign(t) -> int:
+    """The sign of the permutation that sorts t (distinct entries), from
+    the lengths of its cycles."""
+    perm = sorted(range(len(t)), key=t.__getitem__)
+    sign, seen = 1, set()
+    for start in range(len(perm)):
+        length, j = 0, start
+        while j not in seen:
+            seen.add(j)
+            j = perm[j]
+            length += 1
+        if length and length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def test_sort_indices_matches_permutation_sign():
+    for n in range(6):
+        for t in itertools.product(range(1, 5), repeat=n):
+            if len(set(t)) < n:
+                assert sort_indices(t) == (0, None), t
+            else:
+                assert sort_indices(t) == (cycle_sign(t), tuple(sorted(t))), t

@@ -1,5 +1,6 @@
 """Exact generalised metrics and the O(d,d) action."""
 
+import pathlib
 import random
 from fractions import Fraction
 
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from gradedq import (Background, GenMetric, MatrixError, act, b_shift,
                      block_swap, build_gen_metric, eta_matrix, extract,
-                     gl_embed, odd_check)
+                     gl_embed, genmetric, odd_check)
+from gradedq.cli import main
 from gradedq.genmetric import (as_matrix, mat_identity, mat_inv, mat_mul,
                                mat_mul_eta, mat_neg, mat_t, mat_zero)
 
@@ -196,3 +198,32 @@ class TestAction:
     def test_b_shift_requires_antisymmetric(self):
         with pytest.raises(MatrixError):
             b_shift([[0, 1], [1, 0]])
+
+
+class TestInverseOnce:
+    def test_genmetric_build_inverts_twice(self, monkeypatch):
+        # cli._background builds Background(g, 0) and Background(g, b),
+        # each inverting g once; build_gen_metric reuses the second ginv
+        calls = []
+
+        def counted(a):
+            calls.append(a)
+            return mat_inv(a)
+
+        monkeypatch.setattr(genmetric, "mat_inv", counted)
+        golden = pathlib.Path(__file__).parent / "data" / "golden_pass.json"
+        assert main(["genmetric", "build", str(golden), "--json"]) == 0
+        assert len(calls) == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32), d=st.integers(1, 4))
+    def test_build_equals_block_formula(self, seed, d):
+        bg = rational_background(random.Random(seed), d)
+        g, b = bg.g, bg.b
+        ginv = mat_inv(g)
+        assert bg.ginv == ginv
+        ul = tuple(tuple(x - y for x, y in zip(r1, r2))
+                   for r1, r2 in zip(g, mat_mul(mat_mul(b, ginv), b)))
+        top = tuple(r1 + r2 for r1, r2 in zip(ul, mat_mul(b, ginv)))
+        bottom = tuple(r1 + r2 for r1, r2 in zip(mat_neg(mat_mul(ginv, b)), ginv))
+        assert build_gen_metric(bg).H == top + bottom

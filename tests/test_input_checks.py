@@ -59,3 +59,48 @@ def test_input_check(call, error, match):
     else:
         with pytest.raises(error, match=match):
             call()
+
+
+# ---------------------------------------------------------------------
+# one checked way in: monomial tuples, element coefficients, form terms
+# ---------------------------------------------------------------------
+
+ONE = Poly.const(3, 1)
+CHI1 = V32.sid("chi", 1)
+
+
+@pytest.mark.parametrize("mono", [
+    ((0, 1), (0, 1)), ((1, 1), (0, 1)), ((-1, 1),), ((99, 1),), ((9, 1),),
+    ((0, 2),), ("junk",), ((0, 1, 2),), (("0", 1),), ((CHI1, 1.0),), [(0, 1)],
+], ids=["repeated sid", "descending sids", "negative sid", "sid far out",
+        "sid one past", "odd square", "not a pair", "triple", "str sid",
+        "float exponent", "list"])
+def test_non_canonical_monomial_raises(mono):
+    with pytest.raises(ChartError):
+        V32.encode(mono)
+    if isinstance(mono, tuple):
+        with pytest.raises(ChartError):
+            GradedElement(V32, {mono: ONE})
+        # a Mapping query answers instead of raising
+        assert mono not in gen("psi1").terms
+        assert gen("psi1").terms.get(mono) is None
+
+
+def test_canonical_monomial_still_encodes():
+    psi12 = GradedElement(V32, {((0, 1), (1, 1)): ONE})
+    assert psi12 == gen("psi1") * gen("psi2")
+    assert psi12.terms[((0, 1), (1, 1))] == ONE
+    assert ((0, 1),) in gen("psi1").terms
+
+
+def test_wrong_dimension_coefficient_raises():
+    with pytest.raises(PolyError, match="dimension mismatch: 5 vs 3"):
+        GradedElement(V32, {((CHI1, 1),): Poly.var(5, 5)})
+    with pytest.raises(PolyError, match="dimension mismatch: 4 vs 3"):
+        GradedElement.from_poly(V32, Poly.var(4, 1))
+    with pytest.raises(FormError, match="R\\^4, form on R\\^3"):
+        DiffForm.from_poly(3, Poly.var(4, 1))
+    with pytest.raises(FormError, match="R\\^4, form on R\\^3"):
+        DiffForm(3, 1).add_term((1,), Poly.var(4, 1))
+    with pytest.raises(FormError, match="R\\^2, form on R\\^3"):
+        DiffForm.basis(3, (2, 1), Poly.var(2, 1))
