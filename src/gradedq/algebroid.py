@@ -227,13 +227,13 @@ def verify_courant(theta: Hamiltonian, trials: int = 100, seed: int = 0,
     for t in range(trials):
         (sA, sB, _), (A, B, C), (QA, LAB, LAC) = _trial(theta, rng, max_degree)
         f = random_poly(rng, chart.d, max_degree)
+        fe = GradedElement.from_poly(chart, f)
         defects = []
 
         # 1. anchored Leibniz: L_A(f B) = f L_A B + (rho(A).f) B; rho(A).f
         # is anchor()'s body on the QA at hand, which anchor() would rebracket
-        rho_A_f = _scalar_of(_derived(QA, GradedElement.from_poly(chart, f)))
-        defects.append(_derived(QA, B * f)
-                       - (LAB * f + B * rho_A_f))
+        defects.append(_derived(QA, B * fe)
+                       - (LAB * fe + B * _derived(QA, fe)))
 
         # 2. anchor morphism: rho(L_A B) = [rho(A), rho(B)]
         vL = decode_section(chart, LAB).v

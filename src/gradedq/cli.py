@@ -103,10 +103,13 @@ def _blame(name: str):
 def _background(config: Config):
     from . import genmetric as gm
     g, b = _named_matrix(config, "g"), _named_matrix(config, "b")
+    try:
+        return gm.Background(g, b)
+    except MatrixError as exc:
+        error = str(exc)
     with _blame("g"):  # g is at fault if it fails even with b = 0
         gm.Background(g, gm.mat_zero(len(g)))
-    with _blame("b"):
-        return gm.Background(g, b)
+    raise ConfigError("matrices.b", error)
 
 
 @contextmanager

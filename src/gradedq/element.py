@@ -9,7 +9,9 @@ each inner map is the numerator dict of a `Poly` coefficient, so the
 coefficient arithmetic stays on the kernel's `poly_mul`/`poly_add`.
 The form is canonical: the gcd of den and every numerator is 1, no
 inner map is empty, and zero has den 1, so `==` and `hash` compare ints
-and dicts.
+and dicts.  `_reduced` is the one routine that restores it by a gcd;
+sums reach it through `_plus`, and products, scalings by an `int` or
+`Fraction` among them, through `product_sum`.
 
 Polys enter an element only through `_from_polys`, which checks their
 dimension and drops zeros; the constructor takes {canonical monomial
@@ -122,8 +124,7 @@ class GradedElement:
         return self._plus(other, 1)
 
     def __neg__(self) -> "GradedElement":
-        return _element(self.chart, self.den,
-                        {k: poly_scale(v, -1) for k, v in self.nums.items()})
+        return self * -1
 
     def __sub__(self, other: "GradedElement") -> "GradedElement":
         if not isinstance(other, GradedElement):
@@ -131,18 +132,11 @@ class GradedElement:
         return self._plus(other, -1)
 
     def __mul__(self, other):
+        """The product; an `int` or `Fraction` is promoted to a constant
+        `Poly`, and a `Poly` to a degree-0 element, so every factor takes
+        the one `product_sum` path."""
         if isinstance(other, (int, Fraction)):
-            # gcd(den, *nums) == 1, so only gcd(den, num) can cancel
-            num, q = other.numerator, other.denominator
-            if not num:
-                return GradedElement.zero(self.chart)
-            g = gcd(self.den, num)
-            c = num // g
-            nums = self.nums if c == 1 else {k: poly_scale(v, c)
-                                             for k, v in self.nums.items()}
-            if q == 1:
-                return _element(self.chart, self.den // g, nums)
-            return _reduced(self.chart, self.den // g * q, nums)
+            other = Poly.const(self.chart.d, other)
         if isinstance(other, Poly):
             other = GradedElement.from_poly(self.chart, other)
         elif isinstance(other, GradedElement):

@@ -122,10 +122,6 @@ class Poly:
             return self.nums
         return poly_scale(self.nums, den // self.den)
 
-    def variables(self) -> list[int]:
-        """The variables (1-based) that occur, in increasing order."""
-        return _variables(self.nums)
-
     def _max_exponents(self) -> list[int]:
         """The largest exponent of each variable; [] for zero."""
         return [max(col) for col in zip(*(_unpack(self.d, k) for k in self.nums))]
@@ -161,15 +157,11 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
+        """The product; an `int` or `Fraction` is promoted to a constant
+        and multiplied like any other `Poly`."""
         if isinstance(other, (int, Fraction)):
-            # gcd(den, *nums) == 1, so only gcd(den, num) can cancel
-            num, q = other.numerator, other.denominator
-            g = gcd(self.den, num)
-            nums = poly_scale(self.nums, num // g)
-            if q == 1:
-                return _raw(self.d, self.den // g, nums)
-            return _normal(self.d, self.den // g * q, nums)
-        if not isinstance(other, Poly):
+            other = Poly.const(self.d, other)
+        elif not isinstance(other, Poly):
             return NotImplemented  # a GradedElement or DiffForm scales by its __rmul__
         self._check(other)
         return _product(self.d, self.den * other.den, poly_mul(self.nums, other.nums))
@@ -203,6 +195,8 @@ class Poly:
                 and self.den == other.den and self.nums == other.nums)
 
     def __hash__(self):
+        if self.nums.keys() <= {0}:  # a constant equals its int or Fraction
+            return hash(Fraction(self.nums.get(0, 0), self.den))
         return hash((self.d, self.den,
                      frozenset((key_bytes(k), n) for k, n in self.nums.items())))
 

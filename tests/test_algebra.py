@@ -615,3 +615,12 @@ def test_packed_keys_past_bit_61_hash_apart():
     chart = make_chart("vinogradov", 8, 2)
     e5, e1_8 = (GradedElement.from_poly(chart, p) for p in (x5, x1_8))
     assert e5 != e1_8 and hash(e5) != hash(e1_8)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("c", [0, 3, -2, Fraction(3, 4)])
+def test_constant_poly_hashes_as_its_value(d, c):
+    # == treats an int or Fraction as a constant, so hash must agree
+    p = Poly.const(d, c)
+    assert p == c and hash(p) == hash(c)
+    assert c in {p} and p in {c}

@@ -10,6 +10,7 @@ arithmetic must agree with.
 """
 
 import ast
+import copy
 import inspect
 import random
 from fractions import Fraction
@@ -836,3 +837,53 @@ class TestPackedOnCharts:
         assert GradedElement(chart, e.terms) == e
         assert all(canonical(p) for p in e.terms.values())
         assert e.monomials() == sorted(terms, key=lambda m: (chart.mono_degree(m), m))
+
+
+def element_canonical(e):
+    """The element's stored form is canonical: a positive denominator
+    sharing no factor with every numerator, no empty inner map, and zero
+    over 1."""
+    assert type(e.den) is int and e.den > 0
+    assert all(e.nums.values())
+    assert gcd(e.den, *(n for v in e.nums.values() for n in v.values())) == 1
+    return True
+
+
+@st.composite
+def rational_elements(draw):
+    """An element on a chart of PACKED_CHARTS with 0 to 3 terms whose
+    coefficients have denominators up to 12."""
+    chart, f, _ = draw(chart_term_maps())
+    terms = {m: Poly(chart.d, {e: Fraction(n, draw(st.integers(1, 12)))
+                               for e, n in p.items()})
+             for m, p in list(f.items())[:draw(st.integers(0, 3))]}
+    return GradedElement(chart, terms)
+
+
+scalars = (st.sampled_from([0, 1, -1, Fraction(1), Fraction(-1)])
+           | st.integers(-60, 60)
+           | st.builds(Fraction, st.integers(-60, 60), st.integers(1, 30)))
+
+
+class TestElementScaling:
+    """Scaling by an int or Fraction, on either side, and negation agree
+    with scaling each coefficient by the Fraction reference, give a
+    canonical element, and leave the operand and its derivative memo as
+    they were."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rational_elements(), scalars)
+    def test_scaling_matches_per_monomial_reference(self, e, c):
+        for from_right in (False, True):
+            _derivatives(e, from_right)
+        nums, memo = copy.deepcopy(e.nums), e._derivs
+        before = copy.deepcopy(memo)
+        terms = dict(e.terms)
+        for out, k in ((e * c, c), (c * e, c), (-e, -1)):
+            reference = GradedElement(e.chart, {
+                m: Poly(e.chart.d, {exp: v * Fraction(k) for exp, v in p.terms.items()})
+                for m, p in terms.items()})
+            assert out == reference
+            assert element_canonical(out)
+        assert e.nums == nums
+        assert e._derivs is memo and memo == before
