@@ -14,9 +14,11 @@ Sign conventions (documented choices, validated by the test suite):
   bracket then forces (chi_mu, psi^mu) = (-1)^p.
 * (zeta, zeta) = +1 on the m5 chart.
 
-`partner` maps each tag, ('x', mu) or ('s', sid), to (partner tag, constant),
-since each generator pairs with exactly one other (x^mu with p_mu, psi^mu
-with chi_mu, zeta with itself).
+A derivative is tagged by an `int`: the sid for a super generator and
+-mu for x^mu.  `partner` maps each tag to (partner tag, constant), since
+each generator pairs with exactly one other (x^mu with p_mu, psi^mu with
+chi_mu, zeta with itself), and `partner_bit` maps it to the super-key bit
+of its partner when that partner is odd, else 0.
 
 The chart also fixes how a graded element packs its super monomials
 (see `element`).  A super key is one `int`: one bit per odd super
@@ -115,20 +117,27 @@ class ChartSpec:
         self.odd_mask = (1 << len(self.odd_sids)) - 1
         self.super_guard = _guard_bits(len(self.even_sids)) << len(self.odd_sids)
         self.x_guard = _guard_bits(d)
+        # key_degree's tables: the odd bits of each odd degree, the even degrees
+        self._odd_degree_bits = tuple(
+            (deg, sum(self.unit[sid] for sid in self.odd_sids if self.degrees[sid] == deg))
+            for deg in sorted({self.degrees[sid] for sid in self.odd_sids}))
+        self._even_degrees = tuple(self.degrees[sid] for sid in self.even_sids)
 
         # The pairing table the Poisson bracket reads; every const is +1 or -1.
         chi_psi = 1 if p % 2 == 0 else -1
-        partner: dict[tuple, tuple] = {}
+        partner: dict[int, tuple] = {}
         for mu in range(1, d + 1):
-            sp, spsi, schi = (("s", self.sid(f, mu)) for f in ("p", "psi", "chi"))
-            partner[sp] = (("x", mu), 1)
-            partner[("x", mu)] = (sp, -1)
+            sp, spsi, schi = (self.sid(f, mu) for f in ("p", "psi", "chi"))
+            partner[sp] = (-mu, 1)
+            partner[-mu] = (sp, -1)
             partner[spsi] = (schi, 1)
             partner[schi] = (spsi, chi_psi)
         if kind == "m5":
-            sz = ("s", self.sid("zeta", 0))
+            sz = self.sid("zeta", 0)
             partner[sz] = (sz, 1)
         self.partner = partner
+        self.partner_bit = {a: self.unit[b] if b >= 0 and self.parity[b] else 0
+                            for a, (b, _) in partner.items()}
         # Generators that count towards gauge_exp's momentum weight.
         self.momentum = tuple(g.family in ("p", "chi", "zeta") for g in supers)
         # element's count tables: degree n -> T[sid][r] for r <= n, built once
@@ -150,6 +159,19 @@ class ChartSpec:
 
     def mono_degree(self, mono) -> int:
         return sum(e * self.degrees[g] for g, e in mono)
+
+    def key_degree(self, key: int) -> int:
+        """The degree of the monomial with super key `key`, read off its
+        bits: each odd degree times the odd bits of that degree set, plus
+        each even field times its generator's degree."""
+        deg = sum(n * (key & bits).bit_count() for n, bits in self._odd_degree_bits)
+        even = key >> len(self.odd_sids)
+        for n in self._even_degrees:
+            if not even:
+                break
+            deg += n * (even & FIELD_MASK)
+            even >>= FIELD
+        return deg
 
     def encode(self, mono) -> int:
         """The super key of a canonical monomial ((sid, exponent), ...):

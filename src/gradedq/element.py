@@ -48,9 +48,13 @@ class GradedElement:
     """One denominator over {super key: numerator dict}; see the module
     docstring.
 
-    `_derivs` is the bracket's memo of this element's [left, right]
-    derivatives, None until `symplectic._derivatives` fills it; it stays
-    valid because no operation changes an element's numerators."""
+    `_derivs` is the bracket's memo of this element's derivatives, None
+    until `symplectic` first derives it: [left, right, held, pairs], the
+    left and right derivatives as {tag: term map} (a tag as in `chart`:
+    the sid of a super generator, -mu for x^mu), the odd letters the left
+    map holds and the odd letters a right argument pairs with, as super-key
+    bits.  It stays valid because no operation changes an element's
+    numerators."""
 
     __slots__ = ("chart", "den", "nums", "_derivs")
 
@@ -159,8 +163,7 @@ class GradedElement:
         """Common total degree, 0 for zero, or INHOMOGENEOUS."""
         if not self.nums:
             return 0
-        degree, decode = self.chart.mono_degree, self.chart.decode
-        degs = {degree(decode(k)) for k in self.nums}
+        degs = set(map(self.chart.key_degree, self.nums))
         if len(degs) == 1:
             return degs.pop()
         return INHOMOGENEOUS

@@ -19,14 +19,22 @@ one derivative of f it pairs with (`ChartSpec.partner`), and
 `element.product_sum` multiplies every pair into one integer
 accumulator and makes the result canonical with one gcd.
 
-An element is derived at most once per side.  The first bracket that
-needs f's right (or left) derivatives builds them in one pass over f's
-terms and keeps them on f (`GradedElement` slot `_derivs`); every later
-bracket with f on that side reuses them.  The x-partials are the same
-on both sides, so only the left pass builds them: a bracket (f, g) whose
-g carries a momentum reads f's x-partials from f's left memo.  So Theta
-in Q = (Theta, -), (Theta, A) in a suite trial and a section bracketed
-several times are each derived once per side.
+An element is derived in each letter at most once per side, and as a
+right argument only in the letters that pair.  A bracket (f, g) first
+derives f on the right, in every letter, in one pass over f's terms,
+and records the odd letters a right argument pairs with: the odd
+partners of f's letters and, at odd p, the (odd) momenta of the
+variables f's coefficients use.  It then derives g on the left in those
+odd letters only, with every even letter and x-partial.  Each map is
+kept on its element (`GradedElement` slot `_derivs`) and reused by every
+later bracket with it on that side; one that needs more odd letters of
+a left map widens it in place by a pass in the missing letters only.
+The x-partials are the same on both sides, so only the left pass builds
+them: a bracket (f, g) whose g carries a momentum reads f's x-partials
+from f's left memo, in no odd letter, so a self-bracket such as (Theta,
+Theta) never widens the map it walks.  So Theta in Q = (Theta, -) is
+derived once per side, and as Theta holds no chi, no Q(z) is derived
+in a psi.
 Elements are never changed after construction, and no bracket writes
 the derivatives it reads, so a memo stays valid for its element's life.
 
@@ -42,6 +50,7 @@ so one bracket costs what it did alone.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
 from .chart import ChartError, ChartSpec
@@ -56,55 +65,91 @@ class GaugeError(ValueError):
     pass
 
 
-def _derivatives(f: GradedElement, from_right: bool) -> tuple[int, dict]:
-    """(den, {tag: {super key: numerators over den}}): f's right (or left)
-    derivatives, memoised on f; den is f's denominator."""
+def _memo(f: GradedElement) -> list:
+    """f's derivative memo [left, right, held, pairs] (see `GradedElement`),
+    made empty on first use."""
     memo = f._derivs
     if memo is None:
-        memo = f._derivs = [None, None]
-    found = memo[from_right]
-    if found is None:
-        found = memo[from_right] = (f.den, _derive(f, from_right))
-    return found
+        memo = f._derivs = [None, None, 0, 0]
+    return memo
 
 
-def _derive(f: GradedElement, from_right: bool) -> dict:
-    """One pass over f's terms: the graded derivative in every super
-    generator a key contains, by bit operations, and, on the left only,
-    the x-partial in every variable a coefficient uses.  An odd letter
-    flips its bit, with the sign of the odd letters it crosses (those
-    before it from the left, those after it from the right); an even
-    field loses one, with its exponent as the coefficient.  A derivative
-    in one generator is injective on the terms it keeps, so no two terms
-    land on the same key.  A numerator dict scaled by 1 is f's own,
-    shared and never written."""
+def _right(f: GradedElement) -> tuple[dict, int]:
+    """(f's right derivatives, in every letter, and the odd letters a right
+    argument pairs with): the odd partners of f's letters, and the momenta
+    of the variables f's coefficients use when momenta are odd (odd p),
+    since those pair with f's x-partials."""
+    memo = _memo(f)
+    if memo[1] is None:
+        chart = f.chart
+        right = memo[1] = _derive(f, True, chart.odd_mask, True)
+        partner_bit = chart.partner_bit
+        paired = 0
+        for tag in right:
+            paired |= partner_bit[tag]
+        if chart.p % 2:
+            for mu in _variables(chain.from_iterable(f.nums.values())):
+                paired |= partner_bit[-mu]
+        memo[3] = paired
+    return memo[1], memo[3]
+
+
+def _left(f: GradedElement, odd_letters: int) -> dict:
+    """f's left derivatives, holding at least the odd letters in
+    `odd_letters`: the first call derives them with every even letter and
+    x-partial, and a later one that needs more odd letters adds only the
+    missing ones."""
+    memo = _memo(f)
+    left = memo[0]
+    if left is None:
+        left = memo[0] = _derive(f, False, odd_letters, True)
+        memo[2] = odd_letters
+    elif odd_letters & ~memo[2]:
+        left.update(_derive(f, False, odd_letters & ~memo[2], False))
+        memo[2] |= odd_letters
+    return left
+
+
+def _derive(f: GradedElement, from_right: bool, odd_letters: int, first: bool) -> dict:
+    """One pass over f's terms: {tag: {super key: numerators over f.den}},
+    the graded derivative in each odd letter of `odd_letters` (super-key
+    bits) a key contains, by bit operations, and, on a first pass, in
+    every even letter and, on the left, every x-partial a coefficient
+    uses.  An odd letter flips its bit, with the sign of the odd letters
+    it crosses (those before it from the left, those after it from the
+    right); an even field loses one, with its exponent as the
+    coefficient.  A derivative in one generator is injective on the terms
+    it keeps, so no two terms land on the same key.  A numerator dict
+    scaled by 1 is f's own, shared and never written."""
     chart = f.chart
     odd_mask, odd_sids, even_sids = chart.odd_mask, chart.odd_sids, chart.even_sids
     n_odd = len(odd_sids)
-    out: dict[tuple, dict] = {}
+    out: dict[int, dict] = {}
     for key, nums in f.nums.items():
         odd = key & odd_mask
-        # the sign at the lowest odd letter; it flips at every odd letter
-        sign = -1 if from_right and not odd.bit_count() & 1 else 1
-        while odd:
-            low = odd & -odd
-            out.setdefault(("s", odd_sids[low.bit_length() - 1]), {})[key ^ low] = \
-                nums if sign == 1 else poly_scale(nums, -1)
-            sign = -sign
-            odd ^= low
+        letters = odd & odd_letters
+        while letters:
+            low = letters & -letters
+            bit = low.bit_length()
+            crossed = odd >> bit if from_right else odd & (low - 1)
+            out.setdefault(odd_sids[bit - 1], {})[key ^ low] = \
+                poly_scale(nums, -1) if crossed.bit_count() & 1 else nums
+            letters ^= low
+        if not first:
+            continue
         even, unit = key >> n_odd, 1 << n_odd
         for sid in even_sids:
             if not even:
                 break
             e = even & FIELD_MASK
             if e:
-                out.setdefault(("s", sid), {})[key - unit] = \
+                out.setdefault(sid, {})[key - unit] = \
                     nums if e == 1 else poly_scale(nums, e)
             even >>= FIELD
             unit <<= FIELD
         if not from_right:
             for mu in _variables(nums):
-                out.setdefault(("x", mu), {})[key] = poly_partial(nums, mu - 1)
+                out.setdefault(-mu, {})[key] = poly_partial(nums, mu - 1)
     return out
 
 
@@ -114,20 +159,21 @@ def _bracket_pairs(f: GradedElement, g: GradedElement, sign: int) -> tuple[int, 
     `product_sum`, and den the denominator of their products."""
     if f.chart is not g.chart and f.chart != g.chart:
         raise ChartError(f"chart mismatch: {f.chart} vs {g.chart}")
-    den_g, dg = _derivatives(g, False)
+    df, paired = _right(f)
+    dg = _left(g, paired)
     if not dg:
         return 1, []
-    den_f, df = _derivatives(f, True)
     partner = f.chart.partner
     pairs = []
     # from g's side: g mostly depends on few generators, f (Theta) on all
     for b, gb in dg.items():
         a = partner[b][0]  # partner is an involution: partner[a][0] == b
-        # x-partials are the same on both sides; only f's left memo has them
-        fa = (_derivatives(f, False)[1] if a[0] == "x" else df).get(a)
+        # x-partials are the same on both sides; only f's left memo has them,
+        # read in no odd letter so that (f, f) never widens the map it walks
+        fa = (_left(f, 0) if a < 0 else df).get(a)
         if fa is not None:
             pairs.append((fa, gb, sign * partner[a][1]))
-    return den_f * den_g, pairs
+    return f.den * g.den, pairs
 
 
 def poisson(f: GradedElement, g: GradedElement, sign: int = 1) -> GradedElement:

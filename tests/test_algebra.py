@@ -67,30 +67,46 @@ class TestChart:
 
     def test_pairing_table_entries(self):
         chart = make_chart("vinogradov", 2, 3)
-        p1, psi2, chi2 = (("s", chart.sid(f, i)) for f, i in
+        p1, psi2, chi2 = (chart.sid(f, i) for f, i in
                           (("p", 1), ("psi", 2), ("chi", 2)))
-        assert chart.partner[p1] == (("x", 1), 1)
-        assert chart.partner[("x", 1)] == (p1, -1)
+        # a tag is the sid of a super generator and -mu for x^mu
+        assert chart.partner[p1] == (-1, 1)
+        assert chart.partner[-1] == (p1, -1)
         assert chart.partner[psi2] == (chi2, 1)
         # graded symmetry of the degree-(-p) bracket at odd p
         assert chart.partner[chi2] == (psi2, -1)
 
     def test_m5_zeta_self_pairing(self):
         chart = make_chart("m5", 2)
-        sz = ("s", chart.sid("zeta", 0))
+        sz = chart.sid("zeta", 0)
         assert chart.partner[sz] == (sz, 1)
+        assert chart.partner_bit[sz] == chart.unit[sz]
 
     @pytest.mark.parametrize("chart", [make_chart("vinogradov", 3, p) for p in (2, 3, 5)]
                              + [make_chart("m5", 3)], ids=repr)
     def test_partner_is_the_pairing_table_as_an_involution(self, chart):
-        tags = [("x", mu) for mu in range(1, chart.d + 1)] \
-            + [("s", sid) for sid in range(len(chart.supers))]
+        tags = [-mu for mu in range(1, chart.d + 1)] + list(range(len(chart.supers)))
         assert sorted(chart.partner) == sorted(tags)
         for a, (b, const) in chart.partner.items():
             assert chart.partner[b][0] == a
             # (a, b) = (-1)^(|a| |b| + 1) (b, a) for a degree-(-p) bracket
-            deg_a, deg_b = (0 if t[0] == "x" else chart.degrees[t[1]] for t in (a, b))
+            deg_a, deg_b = (0 if t < 0 else chart.degrees[t] for t in (a, b))
             assert chart.partner[b][1] == const * (-1) ** (deg_a * deg_b + 1)
+            # the key bit of an odd partner; x and the even generators have none
+            assert chart.partner_bit[a] == (chart.unit[b] if deg_b % 2 else 0)
+
+    # the charts of test_symplectic.REFERENCE_CHARTS
+    @pytest.mark.parametrize("chart", [make_chart("vinogradov", 3, 2),
+                                       make_chart("vinogradov", 4, 3),
+                                       make_chart("vinogradov", 2, 5),
+                                       make_chart("m5", 6)], ids=repr)
+    def test_key_degree_matches_the_decoded_monomial(self, chart):
+        rng = random.Random(chart.d * 10 + chart.p)
+        for _ in range(200):
+            key = 0
+            for sid in rng.sample(range(len(chart.supers)), rng.randint(0, 6)):
+                key += chart.unit[sid] * (1 if chart.parity[sid] else rng.randint(1, 40))
+            assert chart.key_degree(key) == chart.mono_degree(chart.decode(key))
 
 
 # ---------------------------------------------------------------------

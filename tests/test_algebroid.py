@@ -15,6 +15,7 @@ from gradedq import (ChartError, DiffForm, GradedElement, Poly, Section,
                      verify_leibniz)
 from gradedq import npq, symplectic
 from gradedq.randomgen import random_poly, random_section
+from test_kernel import rederived
 
 P2 = make_chart("vinogradov", 3, 2)
 P3 = make_chart("vinogradov", 4, 3)
@@ -308,7 +309,8 @@ def test_poisson_brackets_per_trial(monkeypatch, suite, per_trial):
 ], ids=["courant", "leibniz-m5"])
 def test_brackets_leave_the_memo_as_derived(monkeypatch, suite, theta):
     """Every argument of a trial's brackets keeps its coefficients, and
-    its memoised derivatives equal a fresh derivation of a copy."""
+    its memoised derivatives equal a fresh derivation of a copy in the
+    same letters."""
     args = {}
     stage = symplectic._bracket_pairs
 
@@ -321,21 +323,18 @@ def test_brackets_leave_the_memo_as_derived(monkeypatch, suite, theta):
 
     monkeypatch.setattr(symplectic, "_bracket_pairs", recording)
     assert suite(theta, trials=1, seed=5).passed
-    memos = 0
     for e, copy in args.values():
         assert e.terms == copy.terms
-        for side, memo in enumerate(e._derivs or (None, None)):
-            if memo is not None:
-                memos += 1
-                assert memo == symplectic._derivatives(copy, bool(side))
-    assert memos >= len(args)  # every argument here was derived on a side
+        # every argument here was derived on a side
+        assert e._derivs is not None
+        assert e._derivs == rederived(copy, e._derivs)
 
 
 @pytest.mark.parametrize("kind", ["vinogradov", "m5"])
 def test_suites_leave_the_chart_elements_intact(kind):
     """Every suite run on one chart shares its generators and kinetic term;
     afterwards each keeps the terms it was built with, and each memo equals
-    a fresh derivation of a copy."""
+    a fresh derivation of a copy in the same letters."""
     gen = GradedElement.generator
     if kind == "vinogradov":
         chart = make_chart("vinogradov", 3, 2)
@@ -354,15 +353,13 @@ def test_suites_leave_the_chart_elements_intact(kind):
     names = [g.name for g in chart.xs + chart.supers]
     assert set(chart._elements) == set(names) | {npq._KINETIC}
     other = make_chart(kind, chart.d, chart.p)  # an equal, new chart
-    memos = 0
     for key, e in chart._elements.items():
         built = kinetic_term(other) if key == npq._KINETIC else gen(other, key)
         assert e.terms == built.terms
-        for side, memo in enumerate(e._derivs or (None, None)):
-            if memo is not None:
-                memos += 1
-                assert memo == symplectic._derivatives(built, bool(side))
-    assert memos >= len(names)  # every probe was derived on the left
+        if key != npq._KINETIC:
+            assert e._derivs[0] is not None  # every probe was derived on the left
+        if e._derivs is not None:
+            assert e._derivs == rederived(built, e._derivs)
 
 
 def test_right_passes_build_no_x_partials(monkeypatch):
@@ -370,13 +367,13 @@ def test_right_passes_build_no_x_partials(monkeypatch):
     pass builds them: after a Courant trial, a Leibniz trial and a gauge
     transformation, no right memo holds one."""
     derived = {}
-    derive = symplectic._derivatives
+    derive = symplectic._derive
 
-    def recording(f, from_right):
+    def recording(f, *args):
         derived[id(f)] = f
-        return derive(f, from_right)
+        return derive(f, *args)
 
-    monkeypatch.setattr(symplectic, "_derivatives", recording)
+    monkeypatch.setattr(symplectic, "_derive", recording)
     beta = DiffForm.basis(3, (1, 2, 3), Poly.var(3, 2))
     assert verify_courant(theta_vinogradov(P2, beta), trials=1, seed=5).passed
     x = [Poly.var(4, mu) for mu in range(1, 5)]
@@ -387,7 +384,30 @@ def test_right_passes_build_no_x_partials(monkeypatch):
     rho = DiffForm.basis(4, (1, 2, 4), x[0] * x[2] + x[3])
     assert gauge_exp(embed_form(P3, rho), theta.element) \
         == theta_vinogradov(P3, hflux + ext_d(rho)).element
-    left = [e._derivs[0][1] for e in derived.values() if e._derivs[0]]
-    right = [e._derivs[1][1] for e in derived.values() if e._derivs[1]]
-    assert right and any(tag[0] == "x" for memo in left for tag in memo)
-    assert [tag for memo in right for tag in memo if tag[0] == "x"] == []
+    left = [e._derivs[0] for e in derived.values() if e._derivs[0]]
+    right = [e._derivs[1] for e in derived.values() if e._derivs[1]]
+    assert right and any(tag < 0 for memo in left for tag in memo)
+    assert [tag for memo in right for tag in memo if tag < 0] == []
+
+
+def test_no_letter_is_derived_twice(monkeypatch):
+    """Across a Courant trial and an m5 Leibniz trial, each element is
+    derived at most once per side in each letter: a left map that needs
+    more letters is widened by the missing ones only."""
+    derived, passes = [], []
+    derive = symplectic._derive
+
+    def recording(f, from_right, odd, first):
+        out = derive(f, from_right, odd, first)
+        passes.append((f, from_right))  # keeps f alive, so no id is reused
+        derived.extend((id(f), from_right, tag) for tag in out)
+        return out
+
+    monkeypatch.setattr(symplectic, "_derive", recording)
+    beta = DiffForm.basis(3, (1, 2, 3), Poly.var(3, 2))
+    assert verify_courant(theta_vinogradov(P2, beta), trials=1, seed=5).passed
+    assert verify_leibniz(untwisted(make_chart("m5", 6)), trials=1, seed=5).passed
+    assert len(derived) == len(set(derived))
+    # the trials widen left maps: some element is derived by a second pass
+    sides = [(id(f), side) for f, side in passes]
+    assert len(set(sides)) < len(sides)

@@ -25,7 +25,7 @@ from gradedq import (ChartError, GradedElement, Poly, PolyError, _kernel_py,
 from gradedq.chart import super_layout
 from gradedq.poly import ExponentOverflowError, _pack, _unpack
 from gradedq.randomgen import random_homogeneous
-from gradedq.symplectic import _derivatives, bracket_sum, poisson
+from gradedq.symplectic import _derive, _left, _right, bracket_sum, poisson
 
 # up to 33 generators: the m5 chart at d=8
 MAX_GENERATORS = 33
@@ -301,8 +301,8 @@ class TestPythonKernel:
         f = GradedElement(chart, {((psi1, 1), (chi1, 2), (p1, 1)): Poly.const(4, 1)})
 
         def walk(from_right):
-            _, out = _derivatives(f, from_right)
-            return {tag[1]: {chart.decode(k): nums[0] for k, nums in d.items()}
+            out = _derive(f, from_right, chart.odd_mask, True)
+            return {tag: {chart.decode(k): nums[0] for k, nums in d.items()}
                     for tag, d in out.items()}
         # from the left an odd letter crosses the odd letters before it
         assert walk(False) == {psi1: {((chi1, 2), (p1, 1)): 1},
@@ -319,10 +319,11 @@ class TestPythonKernel:
         for e, rest in ((3, ((p1, 2),)), (1, ())):
             for from_right in (False, True):
                 f = GradedElement(chart, {((p1, e),): Poly.const(2, 1)})
-                assert _derivatives(f, from_right)[1] == \
-                    {("s", p1): {chart.encode(rest): {0: e}}}
+                # an even letter is derived on a first pass in no odd letter
+                assert _derive(f, from_right, 0, True) == \
+                    {p1: {chart.encode(rest): {0: e}}}
         const = GradedElement.from_poly(chart, Poly.const(2, 5))
-        assert _derivatives(const, False) == (1, {})
+        assert _left(const, chart.odd_mask) == {}
 
     def test_kernel_imports_no_fractions(self):
         tree = ast.parse(inspect.getsource(_kernel_py))
@@ -497,6 +498,18 @@ def fresh(f):
     return GradedElement(f.chart, dict(f.terms))
 
 
+def rederived(twin, memo):
+    """The memo of `twin`, a copy of an element, derived afresh in the
+    letters `memo` holds, each side in one first pass: what the memo of
+    the element copied must equal, however often its left map widened."""
+    twin._derivs = None
+    if memo[1] is not None:
+        _right(twin)
+    if memo[0] is not None:
+        _left(twin, memo[2])
+    return twin._derivs
+
+
 @st.composite
 def signed_brackets(draw):
     """A chart and 2-3 brackets (f, g, sign) whose arguments have
@@ -554,9 +567,8 @@ class TestBracketSum:
         bracket_sum(chart, [(g, f, sign) for f, g, sign in brackets])
         for e, copy in copies:
             assert e.terms == copy.terms
-            for side, memo in enumerate(e._derivs or (None, None)):
-                if memo is not None:
-                    assert memo == _derivatives(copy, bool(side))
+            if e._derivs is not None:
+                assert e._derivs == rederived(copy, e._derivs)
 
 
 # coefficients as inputs arrive: int, Fraction (integral ones included)
@@ -813,8 +825,16 @@ class TestPackedOnCharts:
             expected = {}
             for sid, _ in m:
                 coeff, reduced = reference_partial(m, sid, chart.parity, from_right)
-                expected[("s", sid)] = {chart.encode(reduced): {0: coeff}}
-            assert _derivatives(f, from_right) == (1, expected)
+                expected[sid] = {chart.encode(reduced): {0: coeff}}
+            assert _derive(f, from_right, chart.odd_mask, True) == expected
+            # in some odd letters: those, and every even one, with the same
+            # signs; the rest of the odd letters are what widening adds
+            some = sum(chart.unit[sid] for sid in chart.odd_sids[::2])
+            part = _derive(f, from_right, some, True)
+            assert part == {sid: d for sid, d in expected.items()
+                            if not chart.parity[sid] or chart.unit[sid] & some}
+            part.update(_derive(f, from_right, chart.odd_mask & ~some, False))
+            assert part == expected
 
     @settings(max_examples=100, deadline=None)
     @given(chart_term_maps(), st.sampled_from([1, -1, 2, -3]))
@@ -874,8 +894,8 @@ class TestElementScaling:
     @settings(max_examples=200, deadline=None)
     @given(rational_elements(), scalars)
     def test_scaling_matches_per_monomial_reference(self, e, c):
-        for from_right in (False, True):
-            _derivatives(e, from_right)
+        _right(e)
+        _left(e, e.chart.odd_mask)
         nums, memo = copy.deepcopy(e.nums), e._derivs
         before = copy.deepcopy(memo)
         terms = dict(e.terms)

@@ -283,22 +283,41 @@ class TestThetaDerivatives:
         f = f + random_homogeneous(rng, theta.chart, degree) * Poly.var(theta.chart.d, 1)
         assert q_apply(theta, f) == symplectic.poisson(fresh(theta.element), fresh(f))
 
-    def test_theta_derived_once_per_side(self, monkeypatch):
-        # every derivation walks its element's terms once
+    def test_theta_derived_once_per_letter(self, monkeypatch):
+        # every (side, letter) of Theta is derived by one pass: the right
+        # pass of the first Q, and on the left the pass that first reads
+        # its x-partials plus the widening that (Theta, Theta) needs
         derived = []
         derive = symplectic._derive
-        monkeypatch.setattr(symplectic, "_derive",
-                            lambda f, side: derived.append(f) or derive(f, side))
-        for name in ("v(4,2) non-closed", "m5(8) closed"):
+
+        def recording(f, from_right, odd, first):
+            out = derive(f, from_right, odd, first)
+            derived.extend((f, from_right, tag) for tag in out)
+            return out
+
+        monkeypatch.setattr(symplectic, "_derive", recording)
+        for name in ("v(4,2) non-closed", "v(5,3) non-closed", "m5(8) closed"):
             theta = THETAS[name]
             new = npq.Hamiltonian(theta.chart, fresh(theta.element), theta.twist)
             suite = q_square_check(new, samples=8, seed=3)
             bracket, ok = master_equation(new)
             assert suite.passed == ok
-            # right for every Q, left once for (Theta, Theta)
-            assert sum(f is new.element for f in derived) == 2
+            letters = [(side, tag) for f, side, tag in derived if f is new.element]
+            assert len(letters) == len(set(letters))
             assert new.element._derivs[0] is not None
             assert new.element._derivs[1] is not None
+
+    def test_m5_probes_are_not_derived_in_psi(self):
+        # Theta holds no chi, so Q = (Theta, -) never reads a psi-derivative
+        # of its argument, and no probe is derived in a psi on the left
+        theta = theta_m5(make_chart("m5", 8),
+                         DiffForm.basis(8, (1, 2, 3, 4), Poly.var(8, 5)))
+        chart = theta.chart
+        assert not q_square_check(theta, samples=8, seed=3).passed
+        psi = {chart.sid("psi", mu) for mu in range(1, chart.d + 1)}
+        probes = [gen(chart, g.name) for g in chart.xs + chart.supers]
+        assert all(z._derivs is not None for z in probes)
+        assert [tag for z in probes for tag in z._derivs[0] if tag in psi] == []
 
 
 class TestGaugeCovariance:

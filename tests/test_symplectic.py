@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradedq import (DiffForm, GaugeError, GradedElement, Poly, encode_section,
-                     gauge_exp, make_chart, master_equation, monomial_basis,
-                     parse_config, poisson, q_apply, theta_vinogradov)
+                     gauge_exp, kinetic_term, make_chart, master_equation,
+                     monomial_basis, parse_config, poisson, q_apply,
+                     theta_vinogradov)
 from gradedq.randomgen import random_homogeneous, random_section
 from test_kernel import reference_partial as strike_letter
 
@@ -123,19 +124,18 @@ class TestPoissonLaws:
 # ---------------------------------------------------------------------
 
 def reference_partial(f, tag, from_right):
-    """The derivative of f in one tagged generator, term by term; a
-    monomial by striking one letter, so the reference shares no
-    derivative code with `poisson`."""
+    """The derivative of f in one tagged generator (a sid, or -mu for
+    x^mu), term by term; a monomial by striking one letter, so the
+    reference shares no derivative code with `poisson`."""
     chart = f.chart
-    kind, idx = tag
     terms = {}
     for mono, poly in f.terms.items():
-        if kind == "x":
-            i = idx - 1
+        if tag < 0:
+            i = -tag - 1
             terms[mono] = Poly(chart.d, {exp[:i] + (exp[i] - 1,) + exp[i + 1:]: c * exp[i]
                                          for exp, c in poly.terms.items() if exp[i]})
         else:
-            coeff, reduced = strike_letter(mono, idx, chart.parity, from_right)
+            coeff, reduced = strike_letter(mono, tag, chart.parity, from_right)
             if coeff:
                 terms[reduced] = poly * coeff
     return GradedElement(chart, terms)
@@ -184,6 +184,54 @@ def test_poisson_matches_reference(chart, data):
     f = data.draw(elements(chart), label="f")
     g = data.draw(elements(chart), label="g")
     assert poisson(f, g) == reference_poisson(f, g)
+
+
+def fresh(f):
+    """A copy of f with no memoised derivatives."""
+    return GradedElement(f.chart, dict(f.terms))
+
+
+@st.composite
+def theta_like(draw, chart):
+    """A chi-free element like the Theta this code builds: the kinetic
+    term, a drawn element with its chi-terms dropped, and x1 psi1, so its
+    coefficients use x."""
+    chi = {chart.sid("chi", mu) for mu in range(1, chart.d + 1)}
+    e = draw(elements(chart))
+    return (kinetic_term(chart) + gen(chart, "x1") * gen(chart, "psi1")
+            + GradedElement(chart, {m: p for m, p in e.terms.items()
+                                    if not any(sid in chi for sid, _ in m)}))
+
+
+@pytest.mark.parametrize("chart", REFERENCE_CHARTS, ids=repr)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_narrowed_and_widened_memos_match_reference(chart, data):
+    """A right argument is derived on the left only in the odd letters its
+    left argument pairs with; a later bracket that needs more widens that
+    map, and a self-bracket reads its x-partials without widening the map
+    it walks.  Every bracket matches the reference on fresh copies."""
+    f = data.draw(theta_like(chart), label="f")
+    g = fresh(data.draw(elements(chart), label="g"))  # a generator is shared
+    h = data.draw(elements(chart), label="h")
+    # a bracket that needs every letter: its letters pair with every odd
+    # one, and at odd p its x^mu with every (odd) momentum
+    full = sum((gen(chart, n.name) for n in chart.xs + chart.supers),
+               GradedElement.zero(chart))
+    psi = sum(chart.unit[chart.sid("psi", mu)] for mu in range(1, chart.d + 1))
+
+    def check(*brackets):
+        for a, b in brackets:
+            assert poisson(a, b) == reference_poisson(fresh(a), fresh(b))
+
+    check((f, g))
+    # f holds no chi, so no psi of g pairs with it
+    assert g._derivs[2] == f._derivs[3] and not f._derivs[3] & psi
+    check((f, gen(chart, "p1")), (f, f))
+    assert f._derivs[2] == f._derivs[3]
+    check((g, g), (full, g), (full, full), (g, f))
+    assert full._derivs[3] == chart.odd_mask == g._derivs[2]
+    check((full + h, h), (h, full + h), (h, h))
 
 
 def canonical_coefficients(e):
@@ -239,7 +287,8 @@ class TestXPartialsFromTheLeftMemo:
         assert QA._derivs[0] is None and QA._derivs[1] is not None
         p1 = gen(chart, "p1")
         assert poisson(QA, p1) == reference_poisson(QA, p1)
-        assert QA._derivs[0] is not None
+        # read in no odd letter: even letters and x-partials only
+        assert QA._derivs[0] is not None and QA._derivs[2] == 0
 
 
 # ---------------------------------------------------------------------
