@@ -79,13 +79,16 @@ class ChartSpec:
     ("super") generators label graded monomials and are numbered by a
     super id (sid) in canonical order.
 
-    A chart also owns two caches, each entry built on first use and never
-    changed after: `_counts` (degree n -> element's monomial count table)
-    and `_elements`, its constant elements (each generator element of
+    A chart also owns three caches, each entry built on first use and
+    never changed after: `_counts` (degree n -> element's monomial count
+    table), `_elements`, its constant elements (each generator element of
     `GradedElement.generator` under its name, and `npq.kinetic_term` under
-    a tuple key, which no name equals).  They belong to the instance, so
-    an equal but distinct chart builds its own; equality and hashing
-    ignore them.
+    a tuple key, which no name equals), and `_slots`, the section-basis
+    table of `algebroid.decode_section` (super key -> the slot of a
+    section it fills), filled key by key as decoding meets them, since
+    the basis has C(d, p-1) keys.  They belong to the instance, so an
+    equal but distinct chart builds its own; equality and hashing ignore
+    them.
     """
 
     def __init__(self, kind: str, d: int, p: int):
@@ -144,6 +147,8 @@ class ChartSpec:
         self._counts: dict[int, list] = {}
         # shared constant elements, each built once (see the class docstring)
         self._elements: dict = {}
+        # decode_section's table: section-basis key -> slot, one key at a time
+        self._slots: dict[int, int | tuple] = {}
 
     def sid(self, family: str, index: int) -> int:
         return self._by_family[(family, index)]

@@ -5,15 +5,18 @@ antisymmetry is resolved at construction with inversion-count signs,
 the same normalization the graded engine uses, so cross-checks are
 coefficient-exact.  `DiffForm.add_term` is the one routine that stores
 a term: it checks the index tuple and the coefficient's dimension, sorts
-the indices and merges; every constructor and operation goes through it.
+the indices (unless they already increase strictly) and merges; every
+constructor and operation goes through it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from operator import lt
 
-from .poly import Poly, render_sum
+from ._kernel_py import poly_partial
+from .poly import Poly, PolyError, products_sum, render_sum
 
 
 class FormError(ValueError):
@@ -73,15 +76,21 @@ class DiffForm:
 
     def add_term(self, indices, poly: Poly):
         """Accumulate one (possibly unsorted) component; the one routine
-        that stores a term.  Mutates self; used only during construction."""
+        that stores a term.  Mutates self; used only during construction.
+        A strictly increasing index tuple is stored as it is, with sign +1,
+        without `sort_indices`."""
+        indices = tuple(indices)
         if len(indices) != self.rank:
-            raise FormError(f"index tuple {tuple(indices)} has length "
+            raise FormError(f"index tuple {indices} has length "
                             f"{len(indices)}, expected rank {self.rank}")
         if any(not 1 <= i <= self.d for i in indices):
-            raise FormError(f"index out of range 1..{self.d} in {tuple(indices)}")
+            raise FormError(f"index out of range 1..{self.d} in {indices}")
         if poly.d != self.d:
             raise FormError(f"coefficient on R^{poly.d}, form on R^{self.d}")
-        sign, idx = sort_indices(indices)
+        if all(map(lt, indices, indices[1:])):
+            sign, idx = 1, indices
+        else:
+            sign, idx = sort_indices(indices)
         if sign == 0 or poly.is_zero():
             return
         add = poly if sign > 0 else -poly
@@ -192,14 +201,24 @@ def lie_deriv(v, omega: DiffForm) -> DiffForm:
 
 
 def vec_lie_bracket(v, w, d: int):
-    """[v, w]^mu = v^nu d_nu w^mu - w^nu d_nu v^mu."""
+    """[v, w]^mu = v^nu d_nu w^mu - w^nu d_nu v^mu.  Each component is one
+    signed sum of products (`products_sum`) of numerators and x-partials
+    of numerators, made canonical once."""
+    for c in (*v, *w):
+        if c.d != d:
+            raise PolyError(f"dimension mismatch: {c.d} vs {d}")
     out = []
-    for mu in range(1, d + 1):
-        acc = Poly.zero(d)
-        for nu in range(1, d + 1):
-            acc = acc + v[nu - 1] * w[mu - 1].partial(nu) \
-                      - w[nu - 1] * v[mu - 1].partial(nu)
-        out.append(acc)
+    for mu in range(d):
+        products = []
+        for nu in range(d):
+            for a, b, sign in ((v, w, 1), (w, v, -1)):
+                coeff, target = a[nu], b[mu]
+                if coeff:
+                    partial = poly_partial(target.nums, nu)
+                    if partial:
+                        products.append((coeff.den * target.den, coeff.nums,
+                                         partial, sign))
+        out.append(products_sum(d, products))
     return tuple(out)
 
 

@@ -293,6 +293,18 @@ def _product(d: int, den: int, nums: dict) -> Poly:
     return _normal(d, den, nums)
 
 
+def products_sum(d: int, products) -> Poly:
+    """The sum of weight * a * b / den over the (den, a, b, weight) in the
+    list `products`: a and b numerator dicts on R^d, den > 0 and weight a
+    nonzero int.  Every product accumulates in one numerator map over the
+    lcm of the dens, so one `_product` makes the sum canonical."""
+    den = lcm(*(p[0] for p in products))
+    out: dict = {}
+    for pden, a, b, weight in products:
+        poly_mul(a, b, weight * (den // pden), out)
+    return _product(d, den, out)
+
+
 # ---------------------------------------------------------------------
 # polynomial expression parser: rationals, x1..xd, + - * ^ ( )
 # ---------------------------------------------------------------------

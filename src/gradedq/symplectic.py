@@ -38,11 +38,15 @@ in a psi.
 Elements are never changed after construction, and no bracket writes
 the derivatives it reads, so a memo stays valid for its element's life.
 
-`bracket_sum(chart, brackets)` is the sum of several signed brackets,
-such as the commutator L_A(L_B C) - L_B(L_A C) of the Leibniz identity,
-in one accumulator: the derivative pairs of every bracket are products
-over the lcm of the brackets' denominators, each weighted by its sign
-times lcm / its own denominator, so the sum is made canonical once.
+`bracket_sum(chart, brackets, products)` is the sum of several weighted
+brackets and element products, such as the commutator L_A(L_B C) -
+L_B(L_A C) of the Leibniz identity or a whole Courant defect, in one
+accumulator.  A weight is an `int` or a `Fraction`: its numerator
+multiplies a term's pairs (a bracket's derivative pairs, or a product's
+one pair of term maps) and its denominator multiplies the term's
+denominator.  Every pair is then a product over the lcm of those
+denominators, weighted by its numerator times lcm / its own
+denominator, so the sum is the exact value, made canonical once.
 `poisson` stages its pairs through the same helper and skips the lcm,
 so one bracket costs what it did alone.
 """
@@ -153,9 +157,9 @@ def _derive(f: GradedElement, from_right: bool, odd_letters: int, first: bool) -
     return out
 
 
-def _bracket_pairs(f: GradedElement, g: GradedElement, sign: int) -> tuple[int, list]:
+def _bracket_pairs(f: GradedElement, g: GradedElement, weight: int) -> tuple[int, list]:
     """(den, pairs): the derivative pairs (d_r f / dz^a, d_l g / dz^b,
-    sign * pi^{ab}) of the bracket (f, g) times `sign`, for
+    weight * pi^{ab}) of the bracket (f, g) times the int `weight`, for
     `product_sum`, and den the denominator of their products."""
     if f.chart is not g.chart and f.chart != g.chart:
         raise ChartError(f"chart mismatch: {f.chart} vs {g.chart}")
@@ -172,7 +176,7 @@ def _bracket_pairs(f: GradedElement, g: GradedElement, sign: int) -> tuple[int, 
         # read in no odd letter so that (f, f) never widens the map it walks
         fa = (_left(f, 0) if a < 0 else df).get(a)
         if fa is not None:
-            pairs.append((fa, gb, sign * partner[a][1]))
+            pairs.append((fa, gb, weight * partner[a][1]))
     return f.den * g.den, pairs
 
 
@@ -183,14 +187,24 @@ def poisson(f: GradedElement, g: GradedElement, sign: int = 1) -> GradedElement:
     return product_sum(f.chart, den, pairs)
 
 
-def bracket_sum(chart: ChartSpec, brackets) -> GradedElement:
-    """The sum of sign * (f, g) over the (f, g, sign) in `brackets`, in one
-    accumulator over the lcm of the brackets' denominators."""
+def bracket_sum(chart: ChartSpec, brackets, products=()) -> GradedElement:
+    """The sum of weight * (f, g) over the (f, g, weight) in `brackets`
+    plus weight * f * g over the (f, g, weight) in `products`, in one
+    accumulator over the lcm of every term's denominator, its weight's
+    denominator included; a weight is a nonzero `int` or `Fraction`, so
+    the sum is exact.  An element on another chart raises `ChartError`."""
     staged = []
-    for f, g, sign in brackets:
+    for f, g, weight in brackets:
         if f.chart != chart:
             raise ChartError(f"chart mismatch: {f.chart} vs {chart}")
-        staged.append(_bracket_pairs(f, g, sign))
+        den, pairs = _bracket_pairs(f, g, weight.numerator)
+        staged.append((den * weight.denominator, pairs))
+    for f, g, weight in products:
+        for e in (f, g):
+            if e.chart != chart:
+                raise ChartError(f"chart mismatch: {e.chart} vs {chart}")
+        staged.append((f.den * g.den * weight.denominator,
+                       [(f.nums, g.nums, weight.numerator)]))
     den = lcm(*(d for d, _ in staged))
     return product_sum(chart, den, [(fa, gb, w * (den // d))
                                     for d, pairs in staged

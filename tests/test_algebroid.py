@@ -5,6 +5,8 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedq import (ChartError, DiffForm, GradedElement, Poly, Section,
                      SectionError, anchor, classical_dorfman, decode_section,
@@ -50,6 +52,77 @@ class TestEncodeDecode:
             + GradedElement.generator(chart, "p1")
         with pytest.raises(SectionError):
             decode_section(chart, mixed)
+
+
+def _rational_section(rng, chart):
+    """A random section with every coefficient scaled by a random
+    rational, so that the element's denominator is rarely 1."""
+    def scaled(p):
+        return p * Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+
+    def form(f):
+        return None if f is None else DiffForm(f.d, f.rank, {
+            idx: scaled(p) for idx, p in f.terms.items()})
+
+    s = random_section(rng, chart)
+    return Section(tuple(map(scaled, s.v)), form(s.lam), form(s.sigma))
+
+
+SLOT_CHARTS = [make_chart("vinogradov", 3, 2), make_chart("vinogradov", 4, 3),
+               make_chart("vinogradov", 5, 4), make_chart("m5", 6),
+               make_chart("m5", 7)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SLOT_CHARTS), st.integers(0, 2 ** 32))
+def test_decode_inverts_encode_on_rational_sections(chart, seed):
+    rng = random.Random(seed)
+    for _ in range(3):
+        s = _rational_section(rng, chart)
+        assert decode_section(chart, encode_section(chart, s)) == s
+
+
+@pytest.mark.parametrize("chart, names, degree_message, basis_message", [
+    (P2, ["p1"], "got degree 2", "p1"),
+    (P3, ["x1", "p2"], "got degree 3", "p2"),
+    (P3, ["psi1"], "got degree 1", "psi1"),
+    (M5, ["psi1", "psi2", "psi3"], "got degree 3", "psi1*psi2*psi3"),
+    (P2, ["chi1", "psi2"], "got degree 2", "psi2*chi1"),
+    (M5, ["chi1", "psi2"], "got degree 6", "psi2*chi1"),
+    (M5, ["psi1", "psi2"], "got degree 2", "psi1*psi2"),
+], ids=["p", "x-p", "psi-rank", "psi-rank-m5", "chi-psi", "chi-psi-m5",
+        "psi-psi-no-zeta"])
+def test_stray_monomials_keep_their_message(monkeypatch, chart, names,
+                                            degree_message, basis_message):
+    """Each stray class fails the degree check first; past it (the check
+    patched away), the first stray key names its monomial, and no stray
+    key enters the chart's slot table."""
+    stray = GradedElement.generator(chart, names[0])
+    for name in names[1:]:
+        stray = stray * GradedElement.generator(chart, name)
+    with pytest.raises(SectionError) as info:
+        decode_section(chart, stray)
+    assert str(info.value) == (f"sections are homogeneous of degree "
+                               f"p-1={chart.p - 1}, {degree_message}")
+    # a section term first, so the stray key is met second
+    e = GradedElement.generator(chart, "chi1") + stray
+    monkeypatch.setattr(GradedElement, "euler_degree", lambda self: chart.p - 1)
+    with pytest.raises(SectionError) as info:
+        decode_section(chart, e)
+    assert str(info.value) == f"monomial {basis_message} is not in the section basis"
+    key, = stray.nums
+    assert chart.unit[chart.sid("chi", 1)] in chart._slots
+    assert key not in chart._slots
+
+
+def test_equal_charts_build_their_own_slot_table():
+    a, b = make_chart("vinogradov", 4, 3), make_chart("vinogradov", 4, 3)
+    s = random_section(random.Random(3), a)
+    assert decode_section(a, encode_section(a, s)) == s
+    assert a._slots and not b._slots
+    assert decode_section(b, encode_section(b, s)) == s
+    assert b._slots == a._slots and b._slots is not a._slots
+    assert a == b and hash(a) == hash(b)
 
 
 def test_m5_lambda_and_sigma_slots():

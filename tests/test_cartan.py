@@ -5,11 +5,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedq import (DiffForm, FormError, Poly, Section, classical_dorfman,
                      ext_d, homotopy, interior, lie_deriv, poincare_primitive,
                      sort_indices, vec_lie_bracket, wedge)
 from gradedq.randomgen import random_form, random_poly, random_vector
+from test_kernel import canonical
 
 
 def sign(k: int) -> int:
@@ -222,6 +225,64 @@ def cycle_sign(t) -> int:
         if length and length % 2 == 0:
             sign = -sign
     return sign
+
+
+@st.composite
+def index_tuples(draw):
+    """(d, indices): a strictly increasing, a shuffled or a repeating
+    index tuple in 1..d."""
+    d = draw(st.integers(1, 7))
+    distinct = draw(st.sets(st.integers(1, d), max_size=d))
+    kind = draw(st.sampled_from(["sorted", "shuffled", "repeated"]))
+    if kind == "sorted":
+        return d, tuple(sorted(distinct))
+    if kind == "shuffled":
+        return d, tuple(draw(st.permutations(sorted(distinct))))
+    return d, tuple(draw(st.lists(st.integers(1, d), min_size=2, max_size=d + 2)
+                         .filter(lambda t: len(set(t)) < len(t))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(index_tuples(), st.integers(-3, 3), st.booleans())
+def test_add_term_stores_what_sort_indices_says(case, c, twice):
+    d, indices = case
+    poly = Poly.var(d, 1) * Fraction(c, 2) + 1
+    f = DiffForm(d, len(indices))
+    f.add_term(list(indices), poly)
+    if twice:
+        f.add_term(indices, poly)
+    sign, idx = sort_indices(indices)
+    assert f.terms == ({} if sign == 0 else {idx: poly * (sign * (1 + twice))})
+    assert all(type(k) is tuple for k in f.terms)
+
+
+def textbook_lie_bracket(v, w, d):
+    """[v, w]^mu from Poly +, * and partial."""
+    out = []
+    for mu in range(1, d + 1):
+        acc = Poly.zero(d)
+        for nu in range(1, d + 1):
+            acc = acc + v[nu - 1] * w[mu - 1].partial(nu) \
+                      - w[nu - 1] * v[mu - 1].partial(nu)
+        out.append(acc)
+    return tuple(out)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 2 ** 32))
+def test_vec_lie_bracket_matches_the_textbook_formula(d, seed):
+    rng = random.Random(seed)
+
+    def field():
+        return tuple(random_poly(rng, d, 2, allow_zero=True)
+                     * Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+                     for _ in range(d))
+
+    v, w = field(), field()
+    got = vec_lie_bracket(v, w, d)
+    assert got == textbook_lie_bracket(v, w, d)
+    assert vec_lie_bracket(w, v, d) == tuple(-c for c in got)
+    assert all(canonical(c) for c in got)
 
 
 def test_sort_indices_matches_permutation_sign():

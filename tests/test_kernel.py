@@ -527,6 +527,30 @@ def signed_brackets(draw):
     return chart, brackets
 
 
+PRODUCT_CHARTS = [make_chart("vinogradov", 3, 2), make_chart("vinogradov", 4, 3),
+                  make_chart("m5", 6)]
+WEIGHTS = [1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 4),
+           Fraction(-3, 4)]
+
+
+@st.composite
+def weighted_sums(draw):
+    """A chart, 0-2 weighted brackets and 0-3 weighted products of
+    homogeneous elements with denominators up to 12."""
+    chart = draw(st.sampled_from(PRODUCT_CHARTS))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+
+    def element():
+        return random_homogeneous(rng, chart, rng.randint(0, chart.p)) \
+            * Fraction(rng.randint(1, 12), rng.randint(1, 12))
+
+    def terms(most):
+        return [(element(), element(), draw(st.sampled_from(WEIGHTS)))
+                for _ in range(draw(st.integers(0, most)))]
+
+    return chart, terms(2), terms(3)
+
+
 class TestBracketSum:
     @settings(max_examples=60, deadline=None)
     @given(signed_brackets())
@@ -556,6 +580,38 @@ class TestBracketSum:
             bracket_sum(b, [(f, f, 1)])
         with pytest.raises(ChartError):
             bracket_sum(a, [(f, GradedElement.generator(b, "psi1"), 1)])
+        # a product on another chart raises, as a bracket does
+        with pytest.raises(ChartError):
+            bracket_sum(b, [], [(f, f, 1)])
+        with pytest.raises(ChartError):
+            bracket_sum(a, [], [(f, GradedElement.generator(b, "psi1"), 1)])
+
+    @settings(max_examples=80, deadline=None)
+    @given(weighted_sums())
+    def test_products_join_the_sum(self, case):
+        """Brackets and products with int and Fraction weights, summed in
+        one accumulator, equal the same terms computed apart and added."""
+        chart, brackets, products = case
+        expected = GradedElement.zero(chart)
+        for f, g, weight in brackets:
+            expected = expected + poisson(fresh(f), fresh(g)) * weight
+        for f, g, weight in products:
+            expected = expected + f * g * weight
+        got = bracket_sum(chart, brackets, products)
+        assert got == expected
+        assert all(canonical(p) for p in got.terms.values())
+
+    def test_a_weight_denominator_joins_the_lcm(self):
+        chart = BRACKET_CHARTS[0]
+        f = GradedElement.from_poly(chart, parse_poly("1/3*x1^2 + x2", 3))
+        g = GradedElement.generator(chart, "p1") * Fraction(1, 2)
+        half = poisson(f, g) * Fraction(1, 2)
+        assert bracket_sum(chart, [(f, g, Fraction(1, 2))]) == half
+        assert bracket_sum(chart, [], [(f, g, Fraction(3, 4)), (g, f, Fraction(-3, 4))]) \
+            == GradedElement.zero(chart)
+        # the exact defect, not a multiple of it
+        assert bracket_sum(chart, [(f, g, 1)], [(f, g, Fraction(-1, 2))]) \
+            == poisson(f, g) - f * g * Fraction(1, 2)
 
     @settings(max_examples=30, deadline=None)
     @given(signed_brackets())
