@@ -18,10 +18,11 @@ checked once per trial.
 
 Axiom 2 is the Courant suite's one classical check, which the
 benchmark's call-site pins still expect: rho(L_A B) is read off L_A B
-by `decode_section`, through the chart's slot table, and compared with
-`vec_lie_bracket` of the two sections' vector fields; both sides are
-canonical `Poly`s, so the defect is encoded as an element only when
-they differ, and is the zero element otherwise.
+by `decode_section`, which takes each term's slot from the psi bits of
+its super key, and compared with `vec_lie_bracket` of the two sections'
+vector fields; both sides are canonical `Poly`s, so the defect is
+encoded as an element only when they differ, and is the zero element
+otherwise.
 """
 
 from __future__ import annotations
@@ -80,52 +81,38 @@ def encode_section(chart: ChartSpec, s: Section) -> GradedElement:
     return _from_polys(chart, terms)
 
 
-def _slot(chart: ChartSpec, key: int):
-    """The slot a super key fills in a section: mu - 1 for chi_mu, the
-    psi indices of a lambda or sigma term; None outside the section
-    basis."""
-    mono = chart.decode(key)
-    gens = [chart.generator(sid) for sid, _ in mono]
-    fams = [g.family for g in gens]
-    if fams == ["chi"] and mono[0][1] == 1:
-        return gens[0].index - 1
-    if chart.kind != "m5":
-        if fams == ["psi"] * (chart.p - 1):
-            return tuple(g.index for g in gens)
-    elif fams == ["psi", "psi", "zeta"]:
-        return (gens[0].index, gens[1].index)
-    elif fams == ["psi"] * 5:
-        return tuple(g.index for g in gens)
-    return None
-
-
 def decode_section(chart: ChartSpec, A: GradedElement) -> Section:
-    """Exact inverse of encode_section; rejects stray monomials.  Each
-    key's slot comes from the chart's table (`ChartSpec._slots`), and
-    each coefficient is A's numerators made canonical over A.den."""
+    """Exact inverse of encode_section on degree-(p-1) elements.  Every
+    monomial of that degree is a section-basis term, and its slot is read
+    off its key, where psi^mu owns bit mu-1: a key with no psi bit is a
+    chi_mu, one with `lambda_rank` psi bits a lambda term (times zeta on
+    m5), any other a sigma term.  Each coefficient is A's numerators made
+    canonical over A.den."""
     p = chart.p
     deg = A.euler_degree()
     if not A.is_zero() and deg != p - 1:
         raise SectionError(f"sections are homogeneous of degree p-1={p - 1}, "
                            f"got degree {deg}")
-    d, den, slots = chart.d, A.den, chart._slots
+    d, den = chart.d, A.den
+    psi_mask = (1 << d) - 1
     v = [Poly.zero(d)] * d
     lam = DiffForm(d, lambda_rank(chart))
     sigma = DiffForm(d, 5) if chart.kind == "m5" else None
     for key, nums in A.nums.items():
-        slot = slots.get(key)
-        if slot is None:
-            slot = _slot(chart, key)
-            if slot is None:
-                raise SectionError(f"monomial {A.render_mono(chart.decode(key))} "
-                                   f"is not in the section basis")
-            slots[key] = slot
-        if type(slot) is int:
-            v[slot] = _normal(d, den, nums)
-        elif len(slot) == lam.rank:
-            lam.add_term(slot, _normal(d, den, nums))
+        psi = key & psi_mask
+        if not psi:
+            (sid, _), = chart.decode(key)
+            v[chart.generator(sid).index - 1] = _normal(d, den, nums)
+            continue
+        idx = []
+        while psi:
+            low = psi & -psi
+            idx.append(low.bit_length())
+            psi ^= low
+        if len(idx) == lam.rank:
+            lam.add_term(tuple(idx), _normal(d, den, nums))
         else:
-            sigma.add_term(slot, _normal(d, den, poly_scale(nums, SIGMA_EMBED)))
+            sigma.add_term(tuple(idx), _normal(d, den, poly_scale(nums, SIGMA_EMBED)))
     return Section(tuple(v), lam, sigma)
 
 

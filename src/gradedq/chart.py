@@ -22,11 +22,12 @@ of its partner when that partner is odd, else 0.
 
 The chart also fixes how a graded element packs its super monomials
 (see `element`).  A super key is one `int`: one bit per odd super
-generator, in the low bits, in sid order, then one FIELD-bit field per
-even super generator (p_mu when p is even, chi_mu when p is odd), whose
-top bit is a guard bit as in the x keys of `_kernel_py`.  So the product
-of two monomials with no odd letter in common is the sum of their keys,
-and an exponent that reaches the guard bit shows in `super_guard`.
+generator, in the low bits, in sid order (so psi^mu owns bit mu-1), then
+one FIELD-bit field per even super generator (p_mu when p is even, chi_mu
+when p is odd), whose top bit is a guard bit as in the x keys of
+`_kernel_py`.  So the product of two monomials with no odd letter in
+common is the sum of their keys, and an exponent that reaches the guard
+bit shows in `super_guard`.
 `encode` and `decode` convert between keys and the canonical tuples
 ((sid, exponent), ...) sorted by sid, which the boundary still uses.
 """
@@ -77,18 +78,15 @@ class ChartSpec:
 
     The x generators live in polynomial coefficients; the remaining
     ("super") generators label graded monomials and are numbered by a
-    super id (sid) in canonical order.
+    super id (sid) in canonical order; psi^mu has sid and key bit mu-1.
 
-    A chart also owns three caches, each entry built on first use and
-    never changed after: `_counts` (degree n -> element's monomial count
-    table), `_elements`, its constant elements (each generator element of
+    A chart also owns two caches, each entry built on first use and never
+    changed after: `_counts` (degree n -> element's monomial count table)
+    and `_elements`, its constant elements (each generator element of
     `GradedElement.generator` under its name, and `npq.kinetic_term` under
-    a tuple key, which no name equals), and `_slots`, the section-basis
-    table of `algebroid.decode_section` (super key -> the slot of a
-    section it fills), filled key by key as decoding meets them, since
-    the basis has C(d, p-1) keys.  They belong to the instance, so an
-    equal but distinct chart builds its own; equality and hashing ignore
-    them.
+    a tuple key, which no name equals).  They belong to the instance, so
+    an equal but distinct chart builds its own; equality and hashing
+    ignore them.
     """
 
     def __init__(self, kind: str, d: int, p: int):
@@ -147,8 +145,6 @@ class ChartSpec:
         self._counts: dict[int, list] = {}
         # shared constant elements, each built once (see the class docstring)
         self._elements: dict = {}
-        # decode_section's table: section-basis key -> slot, one key at a time
-        self._slots: dict[int, int | tuple] = {}
 
     def sid(self, family: str, index: int) -> int:
         return self._by_family[(family, index)]

@@ -1,19 +1,20 @@
 """Configuration ingestion for the CLI.
 
 The config is a single JSON document.  Forms are arrays of
-{"indices": [ascending ints], "coeff": "polynomial expression"};
+{"indices": [distinct ints], "coeff": "polynomial expression"};
 polynomial expressions use the grammar of poly.parse_poly (rationals,
 x1..xd, + - * ^, parentheses); matrices are row-major arrays of
-rational strings.  Every diagnostic names the offending field.  The
-caps below bound the work a config can ask for: chart.d and chart.p are
-checked before any chart is built, and a bad document raises only
-ConfigError.
+rational strings (`_CELL`) or JSON numbers.  Every diagnostic names the
+offending field.  The caps below bound the work a config can ask for:
+chart.d and chart.p are checked before any chart is built, and a bad
+document raises only ConfigError.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
 
 from .chart import ChartError, ChartSpec, lambda_rank, make_chart
@@ -39,6 +40,12 @@ MAX_BASIS = 500_000
 # denominators took 137 s
 MAX_MATRIX_SIDE = 16
 MAX_ENTRY_BITS = 64
+
+
+# a string matrix cell, checked before Fraction(), which also takes "1_000"
+# (from Python 3.11 on), other scripts' digits and "1e20000000" (expanding
+# its power of ten); `re` compiles it on first use, not at import
+_CELL = r"\s*[+-]?(?:\d+(?:/\d+|\.\d*)?|\.\d+)\s*"
 
 
 class ConfigError(ValueError):
@@ -111,6 +118,9 @@ def _parse_form(entries, d: int, rank: int, where: str) -> DiffForm:
                               f"expected {rank} indices, got {len(indices)}")
         if any(not isinstance(i, int) or isinstance(i, bool) for i in indices):
             raise ConfigError(f"{loc}.indices", "indices must be integers")
+        # a repeated index makes a zero term, which add_term would drop
+        if len(set(indices)) < len(indices):
+            raise ConfigError(f"{loc}.indices", "indices must be distinct")
         coeff = _expect(entry, "coeff", loc, (str, int))
         try:
             poly = parse_poly(str(coeff), d)
@@ -156,10 +166,10 @@ def _parse_matrix(rows, where: str) -> tuple:
                               f"{MAX_MATRIX_SIDE} cells")
         vals = []
         for j, cell in enumerate(row):
-            # Fraction("1e20000000") would expand the power of ten
-            if isinstance(cell, str) and ("e" in cell or "E" in cell):
+            if isinstance(cell, str) and not re.fullmatch(_CELL, cell, re.ASCII):
                 raise ConfigError(f"{where}[{i}][{j}]", "expected an integer, "
-                                  f"a/b or a decimal without exponent, got {cell!r}")
+                                  f"a/b or a decimal in ASCII digits without "
+                                  f"exponent, got {cell!r}")
             try:
                 vals.append(Fraction(str(cell)))
             except (ValueError, ZeroDivisionError) as exc:

@@ -363,9 +363,9 @@ class TestCommands:
 # inputs that must exit 2 and name the field
 # ---------------------------------------------------------------------
 
-def config_with(path, value):
-    """The golden PASS config with the field at `path` set to `value`."""
-    cfg = json.loads(pathlib.Path(GOLDEN_PASS).read_text())
+def config_with(path, value, base=GOLDEN_PASS):
+    """The config at `base` with the field at `path` set to `value`."""
+    cfg = json.loads(pathlib.Path(base).read_text())
     parent = cfg
     for key in path[:-1]:
         parent = parent[key]
@@ -423,6 +423,13 @@ class TestInputErrors:
                      id="matrix-exponent"),
         pytest.param(("matrices", "g", 1, 2), "2E3", "matrices.g[1][2]",
                      id="matrix-exponent-upper"),
+        # Fraction() takes these on some Pythons; a cell's digits are ASCII
+        pytest.param(("matrices", "g", 0, 0), "1_000", "matrices.g[0][0]",
+                     id="matrix-underscore"),
+        pytest.param(("matrices", "g", 1, 1), "1_0/3", "matrices.g[1][1]",
+                     id="matrix-underscore-ratio"),
+        pytest.param(("matrices", "g", 2, 0), "\u0663", "matrices.g[2][0]",
+                     id="matrix-arabic-indic-digit"),
         # powers are bounded before they are expanded
         pytest.param(("sections", "A", "v", 0), "x1^1001", "sections.A.v[0]",
                      id="exponent-over-1000"),
@@ -521,6 +528,30 @@ class TestInputErrors:
         cfg = config_with(("matrices", "g"), [["2", "-3/4", "0.5"], [1, 0.25, " 7 "]])
         assert parse_config(json.dumps(cfg)).matrices["g"] == (
             (2, Fraction(-3, 4), Fraction(1, 2)), (1, Fraction(1, 4), 7))
+
+    @pytest.mark.parametrize("base, path, indices", [
+        (GOLDEN_PASS, ("theta", "beta"), [1, 2, 1]),
+        (M5, ("theta", "F4"), [1, 2, 3, 2]),
+        (M5, ("sections", "A", "lambda"), [4, 4]),
+    ], ids=["beta", "F4", "lambda"])
+    def test_repeated_form_index(self, capsys, tmp_path, base, path, indices):
+        """A repeated index is refused, not dropped as a zero term."""
+        field = ".".join(path) + "[1].indices"
+        terms = [{"indices": list(range(1, len(indices) + 1)), "coeff": "1"},
+                 {"indices": indices, "coeff": "x1"}]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config_with(path, terms, base)))
+        assert main(["check-master", str(cfg), "--json"]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == (
+            f"{field}: indices must be distinct")
+
+    @pytest.mark.parametrize("indices, sign", [([3, 1, 2], 1), ([2, 1, 3], -1)])
+    def test_form_indices_in_any_order(self, indices, sign):
+        beta = [{"indices": indices, "coeff": "x2"}]
+        got = parse_config(json.dumps(config_with(("theta", "beta"), beta)))
+        want = parse_config(json.dumps(config_with(
+            ("theta", "beta"), [{"indices": [1, 2, 3], "coeff": f"{sign}*x2"}])))
+        assert got.theta.element == want.theta.element
 
     def test_matrices_at_the_caps_are_legal(self, capsys, tmp_path):
         n, top = config.MAX_MATRIX_SIDE, 2 ** config.MAX_ENTRY_BITS - 1
