@@ -1,12 +1,13 @@
 """Generalised-tangent-bundle sections, derived Dorfman brackets, and
 axiom verification suites.
 
-Sections are degree-(p-1) functions.  The derived bracket is the
-double Poisson contraction ((Theta, A), B) times a chart-level sign:
-+1 for even p, -1 for odd p.  The sign, together with the 5-form slot
-embedding constant, is the convention knob that makes the untwisted
-derived bracket reproduce the classical Dorfman/Vinogradov formulas
-verbatim; both are pinned by the oracle cross-check tests.
+Sections are degree-(p-1) functions, laid out by the chart's
+`section_forms`.  The derived bracket is the double Poisson contraction
+((Theta, A), B) times a chart-level sign: +1 for even p, -1 for odd p.
+That sign, together with the sign of the m5 layout's sigma row, is the
+convention knob that makes the untwisted derived bracket reproduce the
+classical Dorfman/Vinogradov formulas verbatim; both are pinned by the
+oracle cross-check tests.
 
 Each Courant check but axiom 2 computes its defect as one signed sum
 (`symplectic.bracket_sum`) of brackets and element products, summed in
@@ -30,20 +31,15 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .chart import ChartError, ChartSpec, lambda_rank
+from .chart import ChartError, ChartSpec, lambda_rank  # noqa: F401  (re-exported)
 from .element import GradedElement, _from_polys
 from .forms import DiffForm, Section, SectionError, vec_lie_bracket
-from .npq import Hamiltonian, _psi_key, embed_form, q_apply
+from .npq import Hamiltonian, embed_form, form_terms, q_apply
 from ._kernel_py import poly_scale
 from .poly import Poly, _normal
 from .randomgen import random_poly, random_section
 from .reports import CheckReport, SuiteReport, witnesses_of
 from . import symplectic
-
-# 5-form slot embedding constant for m5 sections; -1 reproduces the
-# -lambda' ^ d lambda term of the exceptional Dorfman bracket given the
-# (zeta, zeta) = +1 pairing.
-SIGMA_EMBED = -1
 
 
 def derived_sign(chart: ChartSpec) -> int:
@@ -55,29 +51,23 @@ def derived_sign(chart: ChartSpec) -> int:
 # ---------------------------------------------------------------------
 
 def encode_section(chart: ChartSpec, s: Section) -> GradedElement:
-    """Degree-(p-1) element: v -> chi-terms, lambda -> psi-terms
-    (psi*psi*zeta for m5), sigma -> psi^5-terms."""
+    """Degree-(p-1) element: v -> chi-terms, and each form of the chart's
+    section layout (see `ChartSpec`) -> its psi-terms."""
     if s.d != chart.d:
         raise SectionError(f"section on R^{s.d}, chart on R^{chart.d}")
-    if s.lam.rank != lambda_rank(chart):
-        raise SectionError(f"lambda must have rank {lambda_rank(chart)}, "
-                           f"got {s.lam.rank}")
-    if chart.kind == "m5":
-        if s.sigma is None:
-            raise SectionError("m5 sections need a sigma component")
-        if s.sigma.rank != 5:
-            raise SectionError(f"sigma must have rank 5, got {s.sigma.rank}")
-    elif s.sigma is not None:
+    forms = (s.lam, s.sigma)
+    for (name, rank, _, _), form in zip(chart.section_forms, forms):
+        if form is None:
+            raise SectionError(f"{chart.kind} sections need a {name} component")
+        if form.rank != rank:
+            raise SectionError(f"{name} must have rank {rank}, got {form.rank}")
+    if s.sigma is not None and len(chart.section_forms) < 2:
         raise SectionError("sigma component only exists on the m5 chart")
     # the slots are disjoint monomial sets, so one term map unites them
     unit = chart.unit
     terms = {unit[chart.sid("chi", mu)]: s.v[mu - 1] for mu in range(1, chart.d + 1)}
-    zeta = unit[chart.sid("zeta", 0)] if chart.kind == "m5" else 0
-    for idx, poly in s.lam.terms.items():
-        terms[_psi_key(chart, idx) + zeta] = poly
-    if s.sigma is not None:
-        for idx, poly in s.sigma.terms.items():
-            terms[_psi_key(chart, idx)] = poly * SIGMA_EMBED
+    for (_, _, factor, sign), form in zip(chart.section_forms, forms):
+        terms.update(form_terms(chart, form, factor, sign))
     return _from_polys(chart, terms)
 
 
@@ -85,9 +75,9 @@ def decode_section(chart: ChartSpec, A: GradedElement) -> Section:
     """Exact inverse of encode_section on degree-(p-1) elements.  Every
     monomial of that degree is a section-basis term, and its slot is read
     off its key, where psi^mu owns bit mu-1: a key with no psi bit is a
-    chi_mu, one with `lambda_rank` psi bits a lambda term (times zeta on
-    m5), any other a sigma term.  Each coefficient is A's numerators made
-    canonical over A.den."""
+    chi_mu, and one with k psi bits a term of the layout's rank-k form
+    (times its factor, which is no psi).  Each coefficient is A's
+    numerators, times the form's sign, made canonical over A.den."""
     p = chart.p
     deg = A.euler_degree()
     if not A.is_zero() and deg != p - 1:
@@ -96,8 +86,8 @@ def decode_section(chart: ChartSpec, A: GradedElement) -> Section:
     d, den = chart.d, A.den
     psi_mask = (1 << d) - 1
     v = [Poly.zero(d)] * d
-    lam = DiffForm(d, lambda_rank(chart))
-    sigma = DiffForm(d, 5) if chart.kind == "m5" else None
+    by_rank = {rank: (DiffForm(d, rank), sign)
+               for _, rank, _, sign in chart.section_forms}
     for key, nums in A.nums.items():
         psi = key & psi_mask
         if not psi:
@@ -109,11 +99,10 @@ def decode_section(chart: ChartSpec, A: GradedElement) -> Section:
             low = psi & -psi
             idx.append(low.bit_length())
             psi ^= low
-        if len(idx) == lam.rank:
-            lam.add_term(tuple(idx), _normal(d, den, nums))
-        else:
-            sigma.add_term(tuple(idx), _normal(d, den, poly_scale(nums, SIGMA_EMBED)))
-    return Section(tuple(v), lam, sigma)
+        form, sign = by_rank[len(idx)]
+        form.add_term(tuple(idx), _normal(d, den, nums if sign == 1
+                                          else poly_scale(nums, sign)))
+    return Section(tuple(v), *(form for form, _ in by_rank.values()))
 
 
 # ---------------------------------------------------------------------
@@ -163,11 +152,8 @@ def pairing(A: GradedElement, B: GradedElement) -> GradedElement:
 # ---------------------------------------------------------------------
 
 def _scalar_of(e: GradedElement) -> Poly:
-    if e.is_zero():
-        return Poly.zero(e.chart.d)
-    if list(e.terms) != [()]:
-        raise SectionError("expected a degree-0 element")
-    return e.terms[()]
+    """The coefficient of a degree-0 element, whose one super key is 0."""
+    return _normal(e.chart.d, e.den, e.nums.get(0, {}))
 
 
 def _leibniz_defect(theta: Hamiltonian, QA, B, C, LAB, LAC) -> GradedElement:

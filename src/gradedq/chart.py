@@ -2,8 +2,8 @@
 
 A chart fixes the generator families, their degrees and parities, the
 canonical generator order (x-block, psi-block, zeta, chi-block, p-block,
-ascending by index) and the constant Darboux pairing table of the
-degree-(-p) Poisson bracket.
+ascending by index), the constant Darboux pairing table of the
+degree-(-p) Poisson bracket and the section and twist layouts.
 
 Sign conventions (documented choices, validated by the test suite):
 
@@ -87,6 +87,13 @@ class ChartSpec:
     a tuple key, which no name equals).  They belong to the instance, so
     an equal but distinct chart builds its own; equality and hashing
     ignore them.
+
+    `section_forms` lists a section's forms (its vector field goes to the
+    chi_mu) and `twist_forms` a hamiltonian's twist forms, each entry
+    (name, rank, factor generator or None, sign), ranks distinct; a term
+    c dx^I encodes as sign * c psi^I * factor.  So vinogradov has lambda
+    and beta, and m5 has lambda -> psi psi zeta, sigma -> -psi^5, zeta F4
+    and F7.
     """
 
     def __init__(self, kind: str, d: int, p: int):
@@ -136,6 +143,13 @@ class ChartSpec:
         if kind == "m5":
             sz = self.sid("zeta", 0)
             partner[sz] = (sz, 1)
+            # sigma's sign -1 reproduces the -lambda' ^ d lambda term of the
+            # exceptional Dorfman bracket given the (zeta, zeta) = +1 pairing
+            self.section_forms = (("lambda", 2, "zeta", 1), ("sigma", 5, None, -1))
+            self.twist_forms = (("F4", 4, "zeta", 1), ("F7", 7, None, 1))
+        else:
+            self.section_forms = (("lambda", p - 1, None, 1),)
+            self.twist_forms = (("beta", p + 1, None, 1),)
         self.partner = partner
         self.partner_bit = {a: self.unit[b] if b >= 0 and self.parity[b] else 0
                             for a, (b, _) in partner.items()}
@@ -234,7 +248,7 @@ class ChartSpec:
 
 def lambda_rank(chart: ChartSpec) -> int:
     """The rank of a section's form component lambda on `chart`."""
-    return 2 if chart.kind == "m5" else chart.p - 1
+    return chart.section_forms[0][1]
 
 
 def make_chart(kind: str, d: int, p: int | None = None) -> ChartSpec:

@@ -17,7 +17,7 @@ import math
 import re
 from fractions import Fraction
 
-from .chart import ChartError, ChartSpec, lambda_rank, make_chart
+from .chart import ChartError, ChartSpec, make_chart
 from .forms import DiffForm, Section
 from .npq import Hamiltonian, theta_m5, theta_vinogradov
 from .poly import MAX_EXPONENT, PolyError, parse_poly
@@ -146,13 +146,11 @@ def _parse_section(obj, chart: ChartSpec, where: str) -> Section:
             v.append(parse_poly(str(expr), d))
         except PolyError as exc:
             raise ConfigError(f"{where}.v[{mu}]", str(exc)) from None
-    lam = _parse_form(obj.get("lambda", []), d, lambda_rank(chart), f"{where}.lambda")
-    sigma = None
-    if chart.kind == "m5":
-        sigma = _parse_form(obj.get("sigma", []), d, 5, f"{where}.sigma")
-    elif "sigma" in obj:
+    forms = [_parse_form(obj.get(name, []), d, rank, f"{where}.{name}")
+             for name, rank, _, _ in chart.section_forms]
+    if "sigma" in obj and len(forms) < 2:
         raise ConfigError(f"{where}.sigma", "sigma only exists on the m5 chart")
-    return Section(tuple(v), lam, sigma)
+    return Section(tuple(v), *forms)
 
 
 def _parse_matrix(rows, where: str) -> tuple:
@@ -216,20 +214,16 @@ def parse_config(text: str) -> Config:
 
     theta_obj = _expect(doc, "theta", "<root>", dict, required=False, default={})
     ttype = _expect(theta_obj, "type", "theta", str, required=False, default=kind)
+    builder = {"vinogradov": theta_vinogradov, "m5": theta_m5}.get(ttype)
+    if builder is None:
+        raise ConfigError("theta.type", f"expected 'vinogradov' or 'm5', got {ttype!r}")
+    # twist forms are read at the chart's own layout, and only for a type of
+    # the chart's kind; another type fails on its builder's chart check
+    forms = [] if ttype != chart.kind else [
+        _parse_form(theta_obj.get(name, []), d, rank, f"theta.{name}")
+        for name, rank, _, _ in chart.twist_forms]
     try:
-        if ttype == "vinogradov":
-            beta = _parse_form(theta_obj.get("beta", []), d, chart.p + 1,
-                               "theta.beta")
-            theta = theta_vinogradov(chart, beta)
-        elif ttype == "m5":
-            F4 = _parse_form(theta_obj.get("F4", []), d, 4, "theta.F4")
-            F7 = _parse_form(theta_obj.get("F7", []), d, 7, "theta.F7")
-            theta = theta_m5(chart, F4, F7)
-        else:
-            raise ConfigError("theta.type",
-                              f"expected 'vinogradov' or 'm5', got {ttype!r}")
-    except ConfigError:
-        raise
+        theta = builder(chart, *forms)
     except ValueError as exc:
         raise ConfigError("theta", str(exc)) from None
 

@@ -1,12 +1,12 @@
 """Homological hamiltonians, Q = (Theta, -), and master-equation checks.
 
-Twist data is embedded factorial-free: each sorted form component maps
-to the identical sorted psi-monomial with coefficient 1, so the graded
-differential and the exterior-calculus oracle agree coefficient by
-coefficient.  The m5 hamiltonian embeds F7 and zeta*F4 with coefficient
-1; with this chart's pairing table that normalization reproduces the
-form-level identity dF7 + (1/2) F4 ^ F4 = 0 (the calibration is pinned
-by a test).
+Twist data is embedded factorial-free by the chart's twist layout
+(`ChartSpec.twist_forms`): each sorted form component maps to the
+identical sorted psi-monomial, times the layout's factor and sign, so
+the graded differential and the exterior-calculus oracle agree
+coefficient by coefficient.  On m5, zeta*F4 + F7 with coefficient 1
+reproduces, with this chart's pairing table, dF7 + (1/2) F4 ^ F4 = 0
+(the calibration is pinned by a test).
 """
 
 from __future__ import annotations
@@ -24,18 +24,24 @@ class HamiltonianError(ValueError):
     pass
 
 
-def embed_form(chart: ChartSpec, omega: DiffForm) -> GradedElement:
-    """Sorted form components -> identical sorted psi-monomials, coefficient 1."""
+def embed_form(chart: ChartSpec, omega: DiffForm, factor: str | None = None,
+               sign: int = 1) -> GradedElement:
+    """Sorted form components -> identical sorted psi-monomials, times
+    `factor` and `sign` as in `form_terms`."""
     if omega.d != chart.d:
         raise FormError(f"form lives on R^{omega.d}, chart on R^{chart.d}")
-    return _from_polys(chart, {_psi_key(chart, idx): poly
-                               for idx, poly in omega.terms.items()})
+    return _from_polys(chart, form_terms(chart, omega, factor, sign))
 
 
-def _psi_key(chart: ChartSpec, idx) -> int:
-    """The super key of psi^{i1} ... psi^{ik}."""
+def form_terms(chart: ChartSpec, form: DiffForm, factor: str | None,
+               sign: int) -> dict:
+    """{super key: Poly} of sign * c psi^I * factor for each term c dx^I of
+    `form`: one entry of a chart's section or twist layout."""
     unit = chart.unit
-    return sum(unit[chart.sid("psi", i)] for i in idx)
+    base = unit[chart.sid_of_name(factor)] if factor else 0
+    return {sum(unit[chart.sid("psi", i)] for i in idx) + base:
+            poly if sign == 1 else poly * sign
+            for idx, poly in form.terms.items()}
 
 
 _KINETIC = ("kinetic",)  # the kinetic term's key in a chart's elements
@@ -70,7 +76,22 @@ class Hamiltonian:
                 f"got {deg}")
         self.chart = chart
         self.element = element
-        self.twist = twist  # ("beta", DiffForm) | ("m5", F4, F7)
+        self.twist = twist  # (chart.kind, *twist forms in layout order)
+
+
+def theta(chart: ChartSpec, forms) -> Hamiltonian:
+    """Theta = sum psi^mu p_mu plus each twist form of the chart's layout,
+    embedded by `embed_form`; `forms` has one form or None (zero) per
+    layout entry, in layout order."""
+    element, filled = kinetic_term(chart), []
+    for (name, rank, factor, sign), form in zip(chart.twist_forms, forms, strict=True):
+        if form is None:
+            form = DiffForm.zero(chart.d, rank)
+        if form.rank != rank:
+            raise HamiltonianError(f"{name} must have rank {rank}, got {form.rank}")
+        element = element + embed_form(chart, form, factor, sign)
+        filled.append(form)
+    return Hamiltonian(chart, element, (chart.kind, *filled))
 
 
 def theta_vinogradov(chart: ChartSpec, beta: DiffForm | None = None) -> Hamiltonian:
@@ -78,32 +99,15 @@ def theta_vinogradov(chart: ChartSpec, beta: DiffForm | None = None) -> Hamilton
     if chart.kind != "vinogradov":
         raise HamiltonianError(f"vinogradov hamiltonian needs a vinogradov chart, "
                                f"got {chart.kind}")
-    if beta is None:
-        beta = DiffForm.zero(chart.d, chart.p + 1)
-    if beta.rank != chart.p + 1:
-        raise HamiltonianError(f"twist form must have rank p+1={chart.p + 1}, "
-                               f"got rank {beta.rank}")
-    element = kinetic_term(chart) + embed_form(chart, beta)
-    return Hamiltonian(chart, element, ("beta", beta))
+    return theta(chart, (beta,))
 
 
 def theta_m5(chart: ChartSpec, F4: DiffForm | None = None,
              F7: DiffForm | None = None) -> Hamiltonian:
-    """Theta = sum psi^mu p_mu + embed(F7) + zeta*embed(F4)."""
+    """Theta = sum psi^mu p_mu + zeta*embed(F4) + embed(F7)."""
     if chart.kind != "m5":
         raise HamiltonianError(f"m5 hamiltonian needs an m5 chart, got {chart.kind}")
-    if F4 is None:
-        F4 = DiffForm.zero(chart.d, 4)
-    if F7 is None:
-        F7 = DiffForm.zero(chart.d, 7)
-    if F4.rank != 4:
-        raise HamiltonianError(f"F4 must have rank 4, got {F4.rank}")
-    if F7.rank != 7:
-        raise HamiltonianError(f"F7 must have rank 7, got {F7.rank}")
-    zeta = GradedElement.generator(chart, "zeta")
-    element = (kinetic_term(chart) + embed_form(chart, F7)
-               + zeta * embed_form(chart, F4))
-    return Hamiltonian(chart, element, ("m5", F4, F7))
+    return theta(chart, (F4, F7))
 
 
 def master_equation(theta: Hamiltonian) -> tuple[GradedElement, bool]:

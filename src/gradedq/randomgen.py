@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from .chart import ChartSpec, lambda_rank
+from .chart import ChartSpec
 from .element import GradedElement, _element, monomial_at, monomial_count
 from .forms import DiffForm, Section
 from ._kernel_py import FIELD
@@ -59,11 +59,11 @@ def random_vector(rng: random.Random, d: int,
 
 def random_section(rng: random.Random, chart: ChartSpec,
                    max_degree: int = MAX_COEFF_DEGREE) -> Section:
+    """v, then each form of the chart's section layout, in that order."""
     d = chart.d
     v = random_vector(rng, d, max_degree)
-    lam = random_form(rng, d, lambda_rank(chart), max_degree)
-    sigma = random_form(rng, d, 5, max_degree) if chart.kind == "m5" else None
-    return Section(v, lam, sigma)
+    return Section(v, *[random_form(rng, d, rank, max_degree)
+                        for _, rank, _, _ in chart.section_forms])
 
 
 def random_homogeneous(rng: random.Random, chart: ChartSpec, n: int,

@@ -250,6 +250,8 @@ def test_anchor_is_vector_action():
             for mu in range(1, chart.d + 1):
                 expect = expect + s.v[mu - 1] * f.partial(mu)
             assert anchor(theta, A, f) == expect
+            # a section over a denominator keeps it in rho(A).f
+            assert anchor(theta, A * Fraction(1, 3), f) == expect * Fraction(1, 3)
 
 
 def test_p2_pairing_is_odd_metric():

@@ -453,6 +453,10 @@ class TestInputErrors:
                      id="coefficient-over-10000-bits"),
         pytest.param(("theta", "type"), "general", "theta.type", id="theta-type-unknown"),
         pytest.param(("theta", "type"), "m5", "theta", id="theta-m5-on-vinogradov"),
+        # the type is checked before any twist form of the other kind is read
+        pytest.param(("theta",), {"type": "m5", "F4": [{"indices": [1, 2, 3, 4],
+                                                        "coeff": "1"}]},
+                     "theta", id="theta-m5-with-F4-on-vinogradov"),
         pytest.param(("sections", "A", "sigma"), [], "sections.A.sigma",
                      id="sigma-on-vinogradov"),
         pytest.param(("matrices", "g"), [], "matrices.g", id="matrix-empty"),
@@ -467,6 +471,18 @@ class TestInputErrors:
         doc = json.loads(capsys.readouterr().out)
         assert code == 2 and doc["status"] == "ERROR"
         assert doc["error"].startswith(field + ":")
+
+    @pytest.mark.parametrize("base, theta, error", [
+        (GOLDEN_PASS, {"type": "m5", "F4": [{"indices": [1, 2, 3, 4], "coeff": "1"}]},
+         "theta: m5 hamiltonian needs an m5 chart, got vinogradov"),
+        (M5, {"type": "vinogradov", "beta": [{"indices": [1, 2, 3], "coeff": "1"}]},
+         "theta: vinogradov hamiltonian needs a vinogradov chart, got m5"),
+    ], ids=["m5-on-vinogradov", "vinogradov-on-m5"])
+    def test_theta_type_before_its_forms(self, capsys, tmp_path, base, theta, error):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config_with(("theta",), theta, base)))
+        assert main(["check-master", str(cfg), "--json"]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == error
 
     @pytest.mark.parametrize("action, matrices, error", [
         ("build", {"g": [[1, 2], [3, 4]], "b": [[0, 0], [0, 0]]},

@@ -71,21 +71,26 @@ class TestHamiltonianConstruction:
         chart = make_chart("vinogradov", 3, 2)
         theta = theta_vinogradov(chart, DiffForm.basis(3, (1, 2, 3)))
         assert theta.element.euler_degree() == 3
-        with pytest.raises(HamiltonianError):
+        with pytest.raises(HamiltonianError) as err:
             theta_vinogradov(chart, DiffForm.basis(3, (1, 2)))
+        assert str(err.value) == "beta must have rank 3, got 2"
 
     def test_chart_kind_validation(self):
-        with pytest.raises(HamiltonianError):
+        with pytest.raises(HamiltonianError) as err:
             theta_vinogradov(make_chart("m5", 3))
-        with pytest.raises(HamiltonianError):
+        assert str(err.value) == "vinogradov hamiltonian needs a vinogradov chart, got m5"
+        with pytest.raises(HamiltonianError) as err:
             theta_m5(make_chart("vinogradov", 3, 2))
+        assert str(err.value) == "m5 hamiltonian needs an m5 chart, got vinogradov"
 
     def test_m5_rank_validation(self):
         chart = make_chart("m5", 8)
-        with pytest.raises(HamiltonianError):
+        with pytest.raises(HamiltonianError) as err:
             theta_m5(chart, F4=DiffForm.zero(8, 3))
-        with pytest.raises(HamiltonianError):
+        assert str(err.value) == "F4 must have rank 4, got 3"
+        with pytest.raises(HamiltonianError) as err:
             theta_m5(chart, F7=DiffForm.zero(8, 6))
+        assert str(err.value) == "F7 must have rank 7, got 6"
 
     def test_f7_trivial_below_rank(self):
         # a 7-form on 6 variables embeds to zero
