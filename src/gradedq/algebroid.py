@@ -61,7 +61,7 @@ def encode_section(chart: ChartSpec, s: Section) -> GradedElement:
             raise SectionError(f"{chart.kind} sections need a {name} component")
         if form.rank != rank:
             raise SectionError(f"{name} must have rank {rank}, got {form.rank}")
-    if s.sigma is not None and len(chart.section_forms) < 2:
+    if any(form is not None for form in forms[len(chart.section_forms):]):
         raise SectionError("sigma component only exists on the m5 chart")
     # the slots are disjoint monomial sets, so one term map unites them
     unit = chart.unit

@@ -89,11 +89,11 @@ class ChartSpec:
     ignore them.
 
     `section_forms` lists a section's forms (its vector field goes to the
-    chi_mu) and `twist_forms` a hamiltonian's twist forms, each entry
-    (name, rank, factor generator or None, sign), ranks distinct; a term
-    c dx^I encodes as sign * c psi^I * factor.  So vinogradov has lambda
-    and beta, and m5 has lambda -> psi psi zeta, sigma -> -psi^5, zeta F4
-    and F7.
+    chi_mu), each entry (name, rank, factor generator or None, sign),
+    ranks distinct; a term c dx^I encodes as sign * c psi^I * factor.
+    `twist_forms` lists a hamiltonian's twist forms, each (name, rank,
+    factor) with sign 1.  So vinogradov has lambda and beta, and m5 has
+    lambda -> psi psi zeta, sigma -> -psi^5, zeta F4 and F7.
     """
 
     def __init__(self, kind: str, d: int, p: int):
@@ -146,10 +146,10 @@ class ChartSpec:
             # sigma's sign -1 reproduces the -lambda' ^ d lambda term of the
             # exceptional Dorfman bracket given the (zeta, zeta) = +1 pairing
             self.section_forms = (("lambda", 2, "zeta", 1), ("sigma", 5, None, -1))
-            self.twist_forms = (("F4", 4, "zeta", 1), ("F7", 7, None, 1))
+            self.twist_forms = (("F4", 4, "zeta"), ("F7", 7, None))
         else:
             self.section_forms = (("lambda", p - 1, None, 1),)
-            self.twist_forms = (("beta", p + 1, None, 1),)
+            self.twist_forms = (("beta", p + 1, None),)
         self.partner = partner
         self.partner_bit = {a: self.unit[b] if b >= 0 and self.parity[b] else 0
                             for a, (b, _) in partner.items()}

@@ -212,8 +212,8 @@ def cmd_classify(config: Config, args) -> tuple[dict, str, int]:
     theta = config.theta
     checks: list[CheckReport] = []
     primitives: dict[str, DiffForm] = {}
-    if chart.kind == "vinogradov":
-        _, beta = theta.twist
+    if theta.twist[0] == "beta":
+        beta = theta.twist[1]
         dbeta = ext_d(beta)
         closed = dbeta.is_zero()
         checks.append(CheckReport("twist closure (d beta = 0)", closed,

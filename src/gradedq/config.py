@@ -148,7 +148,7 @@ def _parse_section(obj, chart: ChartSpec, where: str) -> Section:
             raise ConfigError(f"{where}.v[{mu}]", str(exc)) from None
     forms = [_parse_form(obj.get(name, []), d, rank, f"{where}.{name}")
              for name, rank, _, _ in chart.section_forms]
-    if "sigma" in obj and len(forms) < 2:
+    if "sigma" in obj and all(row[0] != "sigma" for row in chart.section_forms):
         raise ConfigError(f"{where}.sigma", "sigma only exists on the m5 chart")
     return Section(tuple(v), *forms)
 
@@ -221,7 +221,7 @@ def parse_config(text: str) -> Config:
     # the chart's kind; another type fails on its builder's chart check
     forms = [] if ttype != chart.kind else [
         _parse_form(theta_obj.get(name, []), d, rank, f"theta.{name}")
-        for name, rank, _, _ in chart.twist_forms]
+        for name, rank, _ in chart.twist_forms]
     try:
         theta = builder(chart, *forms)
     except ValueError as exc:

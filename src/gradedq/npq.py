@@ -2,7 +2,7 @@
 
 Twist data is embedded factorial-free by the chart's twist layout
 (`ChartSpec.twist_forms`): each sorted form component maps to the
-identical sorted psi-monomial, times the layout's factor and sign, so
+identical sorted psi-monomial, times the layout's factor, so
 the graded differential and the exterior-calculus oracle agree
 coefficient by coefficient.  On m5, zeta*F4 + F7 with coefficient 1
 reproduces, with this chart's pairing table, dF7 + (1/2) F4 ^ F4 = 0
@@ -24,13 +24,13 @@ class HamiltonianError(ValueError):
     pass
 
 
-def embed_form(chart: ChartSpec, omega: DiffForm, factor: str | None = None,
-               sign: int = 1) -> GradedElement:
-    """Sorted form components -> identical sorted psi-monomials, times
-    `factor` and `sign` as in `form_terms`."""
+def embed_form(chart: ChartSpec, omega: DiffForm,
+               factor: str | None = None) -> GradedElement:
+    """Sorted form components -> identical sorted psi-monomials, times the
+    generator `factor` if given, coefficient 1."""
     if omega.d != chart.d:
         raise FormError(f"form lives on R^{omega.d}, chart on R^{chart.d}")
-    return _from_polys(chart, form_terms(chart, omega, factor, sign))
+    return _from_polys(chart, form_terms(chart, omega, factor, 1))
 
 
 def form_terms(chart: ChartSpec, form: DiffForm, factor: str | None,
@@ -76,22 +76,22 @@ class Hamiltonian:
                 f"got {deg}")
         self.chart = chart
         self.element = element
-        self.twist = twist  # (chart.kind, *twist forms in layout order)
+        self.twist = twist  # ("beta", DiffForm) | ("m5", F4, F7)
 
 
-def theta(chart: ChartSpec, forms) -> Hamiltonian:
+def theta(chart: ChartSpec, tag: str, forms) -> Hamiltonian:
     """Theta = sum psi^mu p_mu plus each twist form of the chart's layout,
     embedded by `embed_form`; `forms` has one form or None (zero) per
-    layout entry, in layout order."""
+    layout entry, in layout order, and the twist is (tag, *forms)."""
     element, filled = kinetic_term(chart), []
-    for (name, rank, factor, sign), form in zip(chart.twist_forms, forms, strict=True):
+    for (name, rank, factor), form in zip(chart.twist_forms, forms, strict=True):
         if form is None:
             form = DiffForm.zero(chart.d, rank)
         if form.rank != rank:
             raise HamiltonianError(f"{name} must have rank {rank}, got {form.rank}")
-        element = element + embed_form(chart, form, factor, sign)
+        element = element + embed_form(chart, form, factor)
         filled.append(form)
-    return Hamiltonian(chart, element, (chart.kind, *filled))
+    return Hamiltonian(chart, element, (tag, *filled))
 
 
 def theta_vinogradov(chart: ChartSpec, beta: DiffForm | None = None) -> Hamiltonian:
@@ -99,7 +99,7 @@ def theta_vinogradov(chart: ChartSpec, beta: DiffForm | None = None) -> Hamilton
     if chart.kind != "vinogradov":
         raise HamiltonianError(f"vinogradov hamiltonian needs a vinogradov chart, "
                                f"got {chart.kind}")
-    return theta(chart, (beta,))
+    return theta(chart, "beta", (beta,))
 
 
 def theta_m5(chart: ChartSpec, F4: DiffForm | None = None,
@@ -107,7 +107,7 @@ def theta_m5(chart: ChartSpec, F4: DiffForm | None = None,
     """Theta = sum psi^mu p_mu + zeta*embed(F4) + embed(F7)."""
     if chart.kind != "m5":
         raise HamiltonianError(f"m5 hamiltonian needs an m5 chart, got {chart.kind}")
-    return theta(chart, (F4, F7))
+    return theta(chart, "m5", (F4, F7))
 
 
 def master_equation(theta: Hamiltonian) -> tuple[GradedElement, bool]:
