@@ -1,24 +1,31 @@
 """Graded coordinate charts for T*[p]T[1]R^d, optionally times R[3].
 
-A chart fixes the generator families, their degrees and parities, the
-canonical generator order (x-block, psi-block, zeta, chi-block, p-block,
-ascending by index), the constant Darboux pairing table of the
-degree-(-p) Poisson bracket and the section and twist layouts.
+Each chart kind is a table that one builder returns (`CHART_KINDS`): the
+generators with their families and degrees in canonical order (x-block,
+psi-block, zeta, chi-block, p-block, ascending by index), the Darboux
+pairs that give the constant pairing table of the degree-(-p) Poisson
+bracket, and the section and twist layouts.  `vinogradov_table` builds
+T*[p]T[1]R^d; `m5_table` adds the odd degree-3 zeta at p = 6, with its
+own layouts.  `ChartSpec` reads the table and never the kind.
 
-Sign conventions (documented choices, validated by the test suite):
+Sign conventions (documented choices, validated by the test suite).  A
+Darboux pair (a, b, c) is a coordinate a, its momentum b and the constant
+c = (a, b):
 
-* (p_mu, x^mu) = +1 and (x^mu, p_mu) = -1, the orientation for which
-  Q = (Theta, -) acts as psi^mu d/dx^mu on p- and chi-independent
-  functions.
-* (psi^mu, chi_mu) = +1 always; graded symmetry of a degree-(-p)
-  bracket then forces (chi_mu, psi^mu) = (-1)^p.
-* (zeta, zeta) = +1 on the m5 chart.
+* (x^mu, p_mu, -1), the orientation for which Q = (Theta, -) acts as
+  psi^mu d/dx^mu on p- and chi-independent functions;
+* (psi^mu, chi_mu, +1);
+* (zeta, zeta, +1) on the m5 chart.
+
+Graded symmetry of a degree-(-p) bracket, (b, a) = (-1)^(|a||b|+1) (a, b),
+gives the other direction of each pair, so (p_mu, x^mu) = +1 and
+(chi_mu, psi^mu) = (-1)^p.
 
 A derivative is tagged by an `int`: the sid for a super generator and
--mu for x^mu.  `partner` maps each tag to (partner tag, constant), since
-each generator pairs with exactly one other (x^mu with p_mu, psi^mu with
-chi_mu, zeta with itself), and `partner_bit` maps it to the super-key bit
-of its partner when that partner is odd, else 0.
+-mu for x^mu; `tags` maps each generator name to its tag.  `partner` maps
+each tag to (partner tag, constant), since each generator pairs with
+exactly one other, and `partner_bit` maps it to the super-key bit of its
+partner when that partner is odd, else 0.
 
 The chart also fixes how a graded element packs its super monomials
 (see `element`).  A super key is one `int`: one bit per odd super
@@ -74,11 +81,14 @@ class Generator:
 
 
 class ChartSpec:
-    """Immutable description of one graded Darboux chart.
+    """Immutable description of one graded Darboux chart, read from the
+    table of its kind (see the module docstring).
 
     The x generators live in polynomial coefficients; the remaining
     ("super") generators label graded monomials and are numbered by a
     super id (sid) in canonical order; psi^mu has sid and key bit mu-1.
+    `momentum` flags the super generators that are the second member of a
+    Darboux pair (p_mu, chi_mu, zeta): gauge_exp's momentum weight.
 
     A chart also owns two caches, each entry built on first use and never
     changed after: `_counts` (degree n -> element's monomial count table)
@@ -97,28 +107,22 @@ class ChartSpec:
     """
 
     def __init__(self, kind: str, d: int, p: int):
-        if kind not in ("vinogradov", "m5"):
+        if kind not in CHART_KINDS:
             raise ChartError(f"unknown chart kind {kind!r}")
-        if kind == "m5" and p != 6:
-            raise ChartError("m5 chart has fixed symplectic degree p=6")
+        # a kind of fixed p refuses any other p here, before d and p are checked
+        table = CHART_KINDS[kind][0](d, p)
+        xs, supers, pairs, self.section_forms, self.twist_forms = table
         if d < 1:
             raise ChartError(f"base dimension d must be >= 1, got {d}")
         if p < 2:
             raise ChartError(f"symplectic degree p must be >= 2, got {p}")
-        self.kind = kind
-        self.d = d
-        self.p = p
+        self.kind, self.d, self.p = kind, d, p
 
-        supers = [Generator(f"psi{mu}", "psi", mu, 1) for mu in range(1, d + 1)]
-        if kind == "m5":
-            supers.append(Generator("zeta", "zeta", 0, 3))
-        supers += [Generator(f"chi{mu}", "chi", mu, p - 1) for mu in range(1, d + 1)]
-        supers += [Generator(f"p{mu}", "p", mu, p) for mu in range(1, d + 1)]
-        self.supers = tuple(supers)
-        self.xs = tuple(Generator(f"x{mu}", "x", mu, 0) for mu in range(1, d + 1))
+        self.xs, self.supers = tuple(xs), tuple(supers)
         self.parity = tuple(g.parity for g in supers)
         self.degrees = tuple(g.degree for g in supers)
-        self._sid = {g.name: i for i, g in enumerate(supers)}
+        self.tags = {g.name: -g.index for g in xs}
+        self.tags.update((g.name, i) for i, g in enumerate(supers))
         self._by_family = {(g.family, g.index): i for i, g in enumerate(supers)}
         # the super-key layout (see the module docstring)
         self.odd_sids, self.even_sids, self.unit = super_layout(self.parity)
@@ -131,30 +135,17 @@ class ChartSpec:
             for deg in sorted({self.degrees[sid] for sid in self.odd_sids}))
         self._even_degrees = tuple(self.degrees[sid] for sid in self.even_sids)
 
-        # The pairing table the Poisson bracket reads; every const is +1 or -1.
-        chi_psi = 1 if p % 2 == 0 else -1
-        partner: dict[int, tuple] = {}
-        for mu in range(1, d + 1):
-            sp, spsi, schi = (self.sid(f, mu) for f in ("p", "psi", "chi"))
-            partner[sp] = (-mu, 1)
-            partner[-mu] = (sp, -1)
-            partner[spsi] = (schi, 1)
-            partner[schi] = (spsi, chi_psi)
-        if kind == "m5":
-            sz = self.sid("zeta", 0)
-            partner[sz] = (sz, 1)
-            # sigma's sign -1 reproduces the -lambda' ^ d lambda term of the
-            # exceptional Dorfman bracket given the (zeta, zeta) = +1 pairing
-            self.section_forms = (("lambda", 2, "zeta", 1), ("sigma", 5, None, -1))
-            self.twist_forms = (("F4", 4, "zeta"), ("F7", 7, None))
-        else:
-            self.section_forms = (("lambda", p - 1, None, 1),)
-            self.twist_forms = (("beta", p + 1, None),)
-        self.partner = partner
+        # The pairing table the Poisson bracket reads, both directions of
+        # each Darboux pair by the one sign rule; every const is +1 or -1.
+        partner = self.partner = {}
+        for a, b, c in pairs:
+            ta, tb = self.tags[a.name], self.tags[b.name]
+            partner[ta] = (tb, c)
+            partner[tb] = (ta, c * (-1) ** (a.degree * b.degree + 1))
         self.partner_bit = {a: self.unit[b] if b >= 0 and self.parity[b] else 0
                             for a, (b, _) in partner.items()}
-        # Generators that count towards gauge_exp's momentum weight.
-        self.momentum = tuple(g.family in ("p", "chi", "zeta") for g in supers)
+        momenta = {b.name for _, b, _ in pairs}
+        self.momentum = tuple(g.name in momenta for g in supers)
         # element's count tables: degree n -> T[sid][r] for r <= n, built once
         self._counts: dict[int, list] = {}
         # shared constant elements, each built once (see the class docstring)
@@ -164,10 +155,10 @@ class ChartSpec:
         return self._by_family[(family, index)]
 
     def sid_of_name(self, name: str) -> int:
-        try:
-            return self._sid[name]
-        except KeyError:
-            raise ChartError(f"unknown generator {name!r}") from None
+        sid = self.tags.get(name, -1)
+        if sid < 0:
+            raise ChartError(f"unknown generator {name!r}")
+        return sid
 
     def generator(self, sid: int) -> Generator:
         return self.supers[sid]
@@ -241,9 +232,8 @@ class ChartSpec:
         return hash((self.kind, self.d, self.p))
 
     def __repr__(self):
-        if self.kind == "m5":
-            return f"ChartSpec(m5, d={self.d})"
-        return f"ChartSpec(vinogradov, d={self.d}, p={self.p})"
+        p = "" if CHART_KINDS[self.kind][1] else f", p={self.p}"
+        return f"ChartSpec({self.kind}, d={self.d}{p})"
 
 
 def lambda_rank(chart: ChartSpec) -> int:
@@ -251,8 +241,41 @@ def lambda_rank(chart: ChartSpec) -> int:
     return chart.section_forms[0][1]
 
 
+def vinogradov_table(d: int, p: int) -> tuple:
+    """The table of T*[p]T[1]R^d: (x generators, super generators in
+    canonical order, Darboux pairs (coordinate, momentum, c), section
+    layout, twist layout)."""
+    xs, psis, chis, ps = ([Generator(f"{family}{mu}", family, mu, deg)
+                           for mu in range(1, d + 1)] for family, deg in
+                          (("x", 0), ("psi", 1), ("chi", p - 1), ("p", p)))
+    pairs = [(x, m, -1) for x, m in zip(xs, ps)] + [(a, b, 1) for a, b in zip(psis, chis)]
+    return (xs, psis + chis + ps, pairs,
+            (("lambda", p - 1, None, 1),), (("beta", p + 1, None),))
+
+
+def m5_table(d: int, p: int) -> tuple:
+    """The table of the exceptional chart T*[6]T[1]R^d x R[3]: vinogradov's
+    at p = 6 with zeta after the psi block, the pair (zeta, zeta, +1) and
+    the m5 layouts."""
+    if p != 6:
+        raise ChartError("m5 chart has fixed symplectic degree p=6")
+    xs, supers, pairs, _, _ = vinogradov_table(d, 6)
+    zeta = Generator("zeta", "zeta", 0, 3)
+    # sigma's sign -1 reproduces the -lambda' ^ d lambda term of the
+    # exceptional Dorfman bracket given the (zeta, zeta) = +1 pairing
+    return (xs, supers[:d] + [zeta] + supers[d:], pairs + [(zeta, zeta, 1)],
+            (("lambda", 2, "zeta", 1), ("sigma", 5, None, -1)),
+            (("F4", 4, "zeta"), ("F7", 7, None)))
+
+
+# each chart kind: its table builder and its fixed p, or None if p is free
+CHART_KINDS = {"vinogradov": (vinogradov_table, None), "m5": (m5_table, 6)}
+
+
 def make_chart(kind: str, d: int, p: int | None = None) -> ChartSpec:
     """Build a chart: make_chart('vinogradov', d, p) or make_chart('m5', d)."""
-    if p is None and kind == "vinogradov":
-        raise ChartError("vinogradov chart needs a symplectic degree p")
-    return ChartSpec(kind, d, 6 if p is None else p)
+    if p is None and kind in CHART_KINDS:
+        p = CHART_KINDS[kind][1]
+        if p is None:
+            raise ChartError(f"{kind} chart needs a symplectic degree p")
+    return ChartSpec(kind, d, p)

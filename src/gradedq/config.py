@@ -102,6 +102,15 @@ def _expect(obj, key, where, kind, default=None, required=True):
     return val
 
 
+def _known_fields(obj: dict, where: str, fields: list):
+    """Refuse the first key of `obj` that is not one of `fields`, so a
+    misspelt field is not read as an absent one."""
+    for key in obj:
+        if key not in fields:
+            raise ConfigError(f"{where}.{key}", "unknown field; the known "
+                              f"fields are {', '.join(fields)}")
+
+
 def _parse_form(entries, d: int, rank: int, where: str) -> DiffForm:
     if not isinstance(entries, list):
         raise ConfigError(where, f"expected a list of form terms, "
@@ -148,8 +157,7 @@ def _parse_section(obj, chart: ChartSpec, where: str) -> Section:
             raise ConfigError(f"{where}.v[{mu}]", str(exc)) from None
     forms = [_parse_form(obj.get(name, []), d, rank, f"{where}.{name}")
              for name, rank, _, _ in chart.section_forms]
-    if "sigma" in obj and all(row[0] != "sigma" for row in chart.section_forms):
-        raise ConfigError(f"{where}.sigma", "sigma only exists on the m5 chart")
+    _known_fields(obj, where, ["v"] + [row[0] for row in chart.section_forms])
     return Section(tuple(v), *forms)
 
 
@@ -219,9 +227,12 @@ def parse_config(text: str) -> Config:
         raise ConfigError("theta.type", f"expected 'vinogradov' or 'm5', got {ttype!r}")
     # twist forms are read at the chart's own layout, and only for a type of
     # the chart's kind; another type fails on its builder's chart check
-    forms = [] if ttype != chart.kind else [
-        _parse_form(theta_obj.get(name, []), d, rank, f"theta.{name}")
-        for name, rank, _ in chart.twist_forms]
+    forms = []
+    if ttype == chart.kind:
+        forms = [_parse_form(theta_obj.get(name, []), d, rank, f"theta.{name}")
+                 for name, rank, _ in chart.twist_forms]
+        _known_fields(theta_obj, "theta",
+                      ["type"] + [row[0] for row in chart.twist_forms])
     try:
         theta = builder(chart, *forms)
     except ValueError as exc:

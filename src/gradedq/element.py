@@ -85,13 +85,11 @@ class GradedElement:
         found = chart._elements.get(name)
         if found is not None:
             return found
-        if not name.startswith("x"):
-            found = _element(chart, 1, {chart.unit[chart.sid_of_name(name)]: {0: 1}})
-        else:
-            mu = next((g.index for g in chart.xs if g.name == name), None)
-            if mu is None:
-                raise ChartError(f"unknown generator {name!r}")
-            found = cls.from_poly(chart, Poly.var(chart.d, mu))
+        tag = chart.tags.get(name)
+        if tag is None:
+            raise ChartError(f"unknown generator {name!r}")
+        found = (cls.from_poly(chart, Poly.var(chart.d, -tag)) if tag < 0
+                 else _element(chart, 1, {chart.unit[tag]: {0: 1}}))
         chart._elements[name] = found
         return found
 

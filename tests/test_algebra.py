@@ -54,16 +54,38 @@ class TestChart:
                 assert g.parity == g.degree % 2
 
     def test_bad_charts(self):
-        with pytest.raises(ChartError):
-            make_chart("vinogradov", 0, 2)
-        with pytest.raises(ChartError):
-            make_chart("vinogradov", 3, 1)
-        with pytest.raises(ChartError):
-            make_chart("m5", 3, 5)
-        with pytest.raises(ChartError):
-            make_chart("weil", 3, 2)
-        with pytest.raises(ChartError):
-            make_chart("vinogradov", 3)
+        for args, message in [
+                (("vinogradov", 0, 2), "base dimension d must be >= 1, got 0"),
+                (("vinogradov", 3, 1), "symplectic degree p must be >= 2, got 1"),
+                (("m5", 3, 5), "m5 chart has fixed symplectic degree p=6"),
+                (("weil", 3, 2), "unknown chart kind 'weil'"),
+                (("vinogradov", 3), "vinogradov chart needs a symplectic degree p")]:
+            with pytest.raises(ChartError) as exc:
+                make_chart(*args)
+            assert str(exc.value) == message
+
+    # each chart's data as literals: the momentum flags (gauge_exp's series
+    # budget reads them), repr, and the full pairing table {tag: (partner
+    # tag, constant)}, with tag -mu for x^mu and the sid for a super generator
+    @pytest.mark.parametrize("args, text, momentum, partner", [
+        (("vinogradov", 2, 2), "ChartSpec(vinogradov, d=2, p=2)",
+         (False, False, True, True, True, True),
+         {-2: (5, -1), -1: (4, -1), 0: (2, 1), 1: (3, 1), 2: (0, 1), 3: (1, 1),
+          4: (-1, 1), 5: (-2, 1)}),
+        (("vinogradov", 2, 3), "ChartSpec(vinogradov, d=2, p=3)",
+         (False, False, True, True, True, True),
+         {-2: (5, -1), -1: (4, -1), 0: (2, 1), 1: (3, 1), 2: (0, -1), 3: (1, -1),
+          4: (-1, 1), 5: (-2, 1)}),
+        (("m5", 2), "ChartSpec(m5, d=2)",
+         (False, False, True, True, True, True, True),
+         {-2: (6, -1), -1: (5, -1), 0: (3, 1), 1: (4, 1), 2: (2, 1), 3: (0, 1),
+          4: (1, 1), 5: (-1, 1), 6: (-2, 1)}),
+    ], ids=["v22", "v23", "m5_2"])
+    def test_chart_data_literals(self, args, text, momentum, partner):
+        chart = make_chart(*args)
+        assert repr(chart) == text
+        assert chart.momentum == momentum
+        assert chart.partner == partner
 
     def test_pairing_table_entries(self):
         chart = make_chart("vinogradov", 2, 3)
