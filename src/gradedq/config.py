@@ -143,8 +143,10 @@ def _parse_form(entries, d: int, rank: int, where: str) -> DiffForm:
 
 
 def _parse_section(obj, chart: ChartSpec, where: str) -> Section:
+    fields = ["v"] + [row[0] for row in chart.section_forms]
     if not isinstance(obj, dict):
-        raise ConfigError(where, "sections are objects with 'v', 'lambda', 'sigma'")
+        raise ConfigError(where, "sections are objects with "
+                          + ", ".join(f"'{name}'" for name in fields))
     d = chart.d
     v_raw = obj.get("v", [])
     if not isinstance(v_raw, list) or (v_raw and len(v_raw) != d):
@@ -157,7 +159,7 @@ def _parse_section(obj, chart: ChartSpec, where: str) -> Section:
             raise ConfigError(f"{where}.v[{mu}]", str(exc)) from None
     forms = [_parse_form(obj.get(name, []), d, rank, f"{where}.{name}")
              for name, rank, _, _ in chart.section_forms]
-    _known_fields(obj, where, ["v"] + [row[0] for row in chart.section_forms])
+    _known_fields(obj, where, fields)
     return Section(tuple(v), *forms)
 
 

@@ -49,12 +49,14 @@ class GradedElement:
     docstring.
 
     `_derivs` is the bracket's memo of this element's derivatives, None
-    until `symplectic` first derives it: [left, right, held, pairs], the
+    until `symplectic` first derives it: [left, right, held, pairs, q], the
     left and right derivatives as {tag: term map} (a tag as in `chart`:
     the sid of a super generator, -mu for x^mu), the odd letters the left
     map holds and the odd letters a right argument pairs with, as super-key
-    bits.  It stays valid because no operation changes an element's
-    numerators."""
+    bits, and q, None or (Theta element, (Theta, self)), which `algebroid`
+    sets on a section it brackets.  It stays valid because no operation
+    changes an element's numerators, and q is taken again under another
+    Theta."""
 
     __slots__ = ("chart", "den", "nums", "_derivs")
 

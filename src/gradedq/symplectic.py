@@ -28,7 +28,8 @@ variables f's coefficients use.  It then derives g on the left in those
 odd letters only, with every even letter and x-partial.  Each map is
 kept on its element (`GradedElement` slot `_derivs`) and reused by every
 later bracket with it on that side; one that needs more odd letters of
-a left map widens it in place by a pass in the missing letters only.
+a left map widens it in place by a pass in the missing letters that a
+key of the element holds, and by no pass when none does.
 The x-partials are the same on both sides, so only the left pass builds
 them: a bracket (f, g) whose g carries a momentum reads f's x-partials
 from f's left memo, in no odd letter, so a self-bracket such as (Theta,
@@ -37,6 +38,9 @@ derived once per side, and as Theta holds no chi, no Q(z) is derived
 in a psi.
 Elements are never changed after construction, and no bracket writes
 the derivatives it reads, so a memo stays valid for its element's life.
+The memo's last slot is not this module's: `algebroid` keeps a
+section's (Theta, A) there, with the Theta element it was taken under,
+so every derived bracket L_A - on one Theta takes (Theta, A) once.
 
 `bracket_sum(chart, brackets, products)` is the sum of several weighted
 brackets and element products, such as the commutator L_A(L_B C) -
@@ -54,8 +58,10 @@ so one bracket costs what it did alone.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import chain
 from math import lcm
+from operator import or_
 
 from .chart import ChartError, ChartSpec
 from ._kernel_py import FIELD, FIELD_MASK, poly_partial, poly_scale
@@ -70,11 +76,11 @@ class GaugeError(ValueError):
 
 
 def _memo(f: GradedElement) -> list:
-    """f's derivative memo [left, right, held, pairs] (see `GradedElement`),
-    made empty on first use."""
+    """f's derivative memo [left, right, held, pairs, q] (see
+    `GradedElement`), made empty on first use."""
     memo = f._derivs
     if memo is None:
-        memo = f._derivs = [None, None, 0, 0]
+        memo = f._derivs = [None, None, 0, 0, None]
     return memo
 
 
@@ -102,14 +108,17 @@ def _left(f: GradedElement, odd_letters: int) -> dict:
     """f's left derivatives, holding at least the odd letters in
     `odd_letters`: the first call derives them with every even letter and
     x-partial, and a later one that needs more odd letters adds only the
-    missing ones."""
+    missing ones that some key of f holds, so it walks f's terms again
+    only when one of them can contribute."""
     memo = _memo(f)
     left = memo[0]
     if left is None:
         left = memo[0] = _derive(f, False, odd_letters, True)
         memo[2] = odd_letters
     elif odd_letters & ~memo[2]:
-        left.update(_derive(f, False, odd_letters & ~memo[2], False))
+        missing = odd_letters & ~memo[2] & reduce(or_, f.nums, 0)
+        if missing:
+            left.update(_derive(f, False, missing, False))
         memo[2] |= odd_letters
     return left
 

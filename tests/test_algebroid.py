@@ -15,7 +15,7 @@ from gradedq import (ChartError, DiffForm, GradedElement, Poly, Section,
                      monomial_basis, monomial_count, pairing, q_apply,
                      q_square_check, theta_m5, theta_vinogradov, verify_courant,
                      verify_leibniz)
-from gradedq import npq, symplectic
+from gradedq import algebroid, npq, symplectic
 from gradedq.randomgen import random_poly, random_section
 from test_kernel import rederived
 
@@ -380,9 +380,9 @@ def test_poisson_brackets_per_trial(monkeypatch, suite, per_trial):
     (verify_leibniz, untwisted(M5)),
 ], ids=["courant", "leibniz-m5"])
 def test_brackets_leave_the_memo_as_derived(monkeypatch, suite, theta):
-    """Every argument of a trial's brackets keeps its coefficients, and
-    its memoised derivatives equal a fresh derivation of a copy in the
-    same letters."""
+    """Every argument of a trial's brackets keeps its coefficients, its
+    memoised derivatives equal a fresh derivation of a copy in the same
+    letters, and a kept (Theta, A) equals `poisson(theta.element, copy)`."""
     args = {}
     stage = symplectic._bracket_pairs
 
@@ -395,11 +395,86 @@ def test_brackets_leave_the_memo_as_derived(monkeypatch, suite, theta):
 
     monkeypatch.setattr(symplectic, "_bracket_pairs", recording)
     assert suite(theta, trials=1, seed=5).passed
+    monkeypatch.undo()  # rederived brackets again, for a kept (Theta, A)
     for e, copy in args.values():
         assert e.terms == copy.terms
         # every argument here was derived on a side
         assert e._derivs is not None
         assert e._derivs == rederived(copy, e._derivs)
+    assert all(e._derivs[4][0] is theta.element for e, _ in args.values()
+               if e._derivs[4] is not None)
+    # A and B at least (Courant's chain complex also anchors rho*(lam1))
+    assert sum(e._derivs[4] is not None for e, _ in args.values()) >= 2
+
+
+def _twists():
+    x4 = [Poly.var(4, mu) for mu in range(1, 5)]
+    x6 = Poly.var(6, 5)
+    return [
+        # closed: top-degree twists on v(3,2) and v(4,3), (x1 + 2) dx1234 on m5(6)
+        (theta_vinogradov(P2, DiffForm.basis(3, (1, 2, 3), Poly.var(3, 2))), False),
+        (theta_vinogradov(P3, DiffForm.basis(4, (1, 2, 3, 4),
+                                             (1 + x4[0] - x4[2] * Fraction(1, 2)) ** 2)),
+         False),
+        (theta_m5(M5, DiffForm.basis(6, (1, 2, 3, 4), Poly.var(6, 1) + 2)), False),
+        # not closed, so the Leibniz defect is nonzero on some triple
+        (theta_vinogradov(make_chart("vinogradov", 4, 2),
+                          DiffForm.basis(4, (1, 2, 3), x4[3] * Fraction(1, 2) + 1)), True),
+        (theta_m5(M5, DiffForm.basis(6, (1, 2, 3, 4), x6 * Fraction(2, 3))), True),
+    ]
+
+
+@pytest.mark.parametrize("theta, open_twist", _twists(),
+                         ids=["v32", "v43", "m5-closed", "v42-open", "m5-open"])
+def test_fused_leibniz_defect_is_the_commutator_minus_the_third_term(theta,
+                                                                    open_twist):
+    """The defect summed in one accumulator equals, exactly, the commutator
+    L_A(L_B C) - L_B(L_A C) as one sum minus L_{L_A B} C built on its own,
+    each taken on fresh copies of the sections."""
+    chart = theta.chart
+    sign = algebroid.derived_sign(chart)
+    rng = random.Random(2024)
+    nonzero = 0
+    for _ in range(6):
+        sections, (A, B, C), (QA, LAB, LAC) = algebroid._trial(theta, rng, 2)
+        fused = algebroid._leibniz_defect(theta, QA, B, C, LAB, LAC)
+        A, B, C = (encode_section(chart, sec) for sec in sections)
+        QA, QB = q_apply(theta, A), q_apply(theta, B)
+        LAB, LAC = symplectic.poisson(QA, B, sign), symplectic.poisson(QA, C, sign)
+        commutator = symplectic.bracket_sum(chart, (
+            (QA, symplectic.poisson(QB, C, sign), sign), (QB, LAC, -sign)))
+        assert fused == commutator - dorfman(theta, LAB, C)
+        nonzero += not fused.is_zero()
+    assert bool(nonzero) == open_twist
+
+
+def test_sections_keep_their_q_per_hamiltonian(monkeypatch):
+    """Three L_A brackets and one anchor of A take (Theta, A) once; under a
+    second hamiltonian on the chart, A's (Theta, A) is taken again, and
+    every result equals one from a fresh `q_apply`."""
+    taken = []
+    stage = symplectic._bracket_pairs
+
+    def recording(f, g, sign):
+        taken.append((f, g))
+        return stage(f, g, sign)
+
+    monkeypatch.setattr(symplectic, "_bracket_pairs", recording)
+    rng = random.Random(8)
+    A, B, C = (encode_section(P2, random_section(rng, P2)) for _ in range(3))
+    f = random_poly(rng, 3, 2)
+    sign = algebroid.derived_sign(P2)
+    thetas = [theta_vinogradov(P2, DiffForm.basis(3, (1, 2, 3), Poly.var(3, 2))),
+              theta_vinogradov(P2, DiffForm.basis(3, (1, 2, 3), Poly.var(3, 1) - 3))]
+    for theta in thetas + thetas[:1]:
+        before = len(taken)
+        got = [dorfman(theta, A, X) for X in (B, C, A)] + [anchor(theta, A, f)]
+        assert [g for f_, g in taken[before:] if f_ is theta.element] == [A]
+        QA = q_apply(theta, GradedElement(P2, dict(A.terms)))
+        fe = GradedElement.from_poly(P2, f)
+        assert got == [symplectic.poisson(QA, X, sign) for X in (B, C, A)] \
+            + [algebroid._scalar_of(symplectic.poisson(QA, fe, sign))]
+        assert A._derivs[4][0] is theta.element
 
 
 @pytest.mark.parametrize("kind", ["vinogradov", "m5"])

@@ -527,6 +527,17 @@ class TestInputErrors:
         assert main(["check-master", str(cfg), "--json"]) == 2
         assert json.loads(capsys.readouterr().out)["error"] == error
 
+    @pytest.mark.parametrize("base, error", [
+        (GOLDEN_PASS, "sections.A: sections are objects with 'v', 'lambda'"),
+        (M5, "sections.A: sections are objects with 'v', 'lambda', 'sigma'"),
+    ], ids=["vinogradov", "m5"])
+    def test_non_object_section_names_its_chart_fields(self, capsys, tmp_path,
+                                                       base, error):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config_with(("sections", "A"), [], base)))
+        assert main(["check-master", str(cfg), "--json"]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == error
+
     @pytest.mark.parametrize("action, matrices, error", [
         ("build", {"g": [[1, 2], [3, 4]], "b": [[0, 0], [0, 0]]},
          "matrices.g: g must be symmetric"),

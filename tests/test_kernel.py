@@ -501,12 +501,18 @@ def fresh(f):
 def rederived(twin, memo):
     """The memo of `twin`, a copy of an element, derived afresh in the
     letters `memo` holds, each side in one first pass: what the memo of
-    the element copied must equal, however often its left map widened."""
+    the element copied must equal, however often its left map widened.  A
+    set q entry (Theta element, (Theta, element)) is taken afresh as
+    `poisson(theta, copy)` on another copy, so the twin's own derivative
+    slots stay those of the two passes."""
     twin._derivs = None
     if memo[1] is not None:
         _right(twin)
     if memo[0] is not None:
         _left(twin, memo[2])
+    if memo[4] is not None:
+        theta = memo[4][0]
+        twin._derivs[4] = (theta, poisson(theta, fresh(twin)))
     return twin._derivs
 
 
