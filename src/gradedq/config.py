@@ -42,10 +42,12 @@ MAX_MATRIX_SIDE = 16
 MAX_ENTRY_BITS = 64
 
 
-# a string matrix cell, checked before Fraction(), which also takes "1_000"
-# (from Python 3.11 on), other scripts' digits and "1e20000000" (expanding
-# its power of ten); `re` compiles it on first use, not at import
-_CELL = r"\s*[+-]?(?:\d+(?:/\d+|\.\d*)?|\.\d+)\s*"
+# a string matrix cell: sign, integer digits, then denominator or decimal
+# digits.  Its value is built from these groups, not by Fraction(), which
+# also takes "1_000" (from Python 3.11 on), other scripts' digits and
+# "1e20000000" (expanding its power of ten); `re` compiles it on first use,
+# not at import
+_CELL = r"\s*([+-]?)(?=\.?\d)(\d*)(?:/(\d+)|\.(\d*))?\s*"
 
 
 class ConfigError(ValueError):
@@ -163,9 +165,28 @@ def _parse_section(obj, chart: ChartSpec, where: str) -> Section:
     return Section(tuple(v), *forms)
 
 
+def _cell(cell, fullmatch) -> Fraction:
+    """The value of one matrix cell, read by `fullmatch` of `_CELL` if it is
+    a string; a ValueError says what is wrong."""
+    m = isinstance(cell, str) and fullmatch(cell)
+    if m:
+        sign, num, den, dec = m.groups()
+        num, den = int(num or 0), int(den) if den else 10 ** len(dec or "")
+        if not den:
+            raise ValueError("zero denominator")
+        if dec:
+            num = num * den + int(dec)
+        return Fraction(-num if sign == "-" else num, den)
+    if type(cell) in (int, float):  # a JSON number, not a bool
+        return Fraction(str(cell))
+    raise ValueError("expected an integer, a/b or a decimal in ASCII digits "
+                     f"without exponent, got {cell!r}")
+
+
 def _parse_matrix(rows, where: str) -> tuple:
     if not isinstance(rows, list) or not 0 < len(rows) <= MAX_MATRIX_SIDE:
         raise ConfigError(where, f"expected 1 to {MAX_MATRIX_SIDE} row arrays")
+    fullmatch = re.compile(_CELL, re.ASCII).fullmatch  # cached by `re`
     out = []
     den = 1  # the common denominator of the cells so far
     for i, row in enumerate(rows):
@@ -174,13 +195,9 @@ def _parse_matrix(rows, where: str) -> tuple:
                               f"{MAX_MATRIX_SIDE} cells")
         vals = []
         for j, cell in enumerate(row):
-            if isinstance(cell, str) and not re.fullmatch(_CELL, cell, re.ASCII):
-                raise ConfigError(f"{where}[{i}][{j}]", "expected an integer, "
-                                  f"a/b or a decimal in ASCII digits without "
-                                  f"exponent, got {cell!r}")
             try:
-                vals.append(Fraction(str(cell)))
-            except (ValueError, ZeroDivisionError) as exc:
+                vals.append(_cell(cell, fullmatch))
+            except ValueError as exc:
                 raise ConfigError(f"{where}[{i}][{j}]", str(exc)) from None
             den = math.lcm(den, vals[-1].denominator)
             if den.bit_length() > MAX_ENTRY_BITS:

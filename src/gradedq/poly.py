@@ -41,17 +41,19 @@ class ExponentOverflowError(OverflowError):
     so reaching it is a defect, reported as an internal error."""
 
 
+def _field(mu: int, k) -> int:
+    """The packed key of x_mu^k (mu 1-based)."""
+    if not (isinstance(k, int) and 0 <= k < _EXP_LIMIT):
+        raise PolyError(f"exponent {k!r} of x{mu} is not an integer "
+                        f"in 0..{_EXP_LIMIT - 1}")
+    return k << FIELD * (mu - 1)
+
+
 def _pack(d: int, exp) -> int:
     exp = tuple(exp)
     if len(exp) != d:
         raise PolyError(f"exponent {exp} has {len(exp)} entries, expected {d}")
-    key = 0
-    for mu, k in enumerate(exp):
-        if not (isinstance(k, int) and 0 <= k < _EXP_LIMIT):
-            raise PolyError(f"exponent {k!r} of x{mu + 1} is not an integer "
-                            f"in 0..{_EXP_LIMIT - 1}")
-        key |= k << (FIELD * mu)
-    return key
+    return sum(_field(mu, k) for mu, k in enumerate(exp, 1))
 
 
 def _unpack(d: int, key: int) -> tuple:
@@ -112,9 +114,7 @@ class Poly:
         """x^mu (1-based)."""
         if not 1 <= mu <= d:
             raise PolyError(f"variable index {mu} out of range 1..{d}")
-        e = [0] * d
-        e[mu - 1] = power
-        return cls(d, {tuple(e): 1})
+        return _raw(d, 1, {_field(mu, power): 1})
 
     def _over(self, den: int) -> dict:
         """The numerators over den, a multiple of self.den."""
@@ -124,7 +124,15 @@ class Poly:
 
     def _max_exponents(self) -> list[int]:
         """The largest exponent of each variable; [] for zero."""
-        return [max(col) for col in zip(*(_unpack(self.d, k) for k in self.nums))]
+        out = [0] * self.d if self.nums else []
+        for k in self.nums:  # field by field, up to the key's top nonzero one
+            mu = 0
+            while k:
+                if k & FIELD_MASK > out[mu]:
+                    out[mu] = k & FIELD_MASK
+                k >>= FIELD
+                mu += 1
+        return out
 
     # arithmetic ------------------------------------------------------
     def _check(self, other: "Poly"):
@@ -365,7 +373,7 @@ def _tokenize(text: str):
                     raise PolyParseError(f"bad rational at position {i}")
                 if not den:
                     raise PolyParseError(f"zero denominator at position {i}")
-                num = _as_rational(Fraction(num, den))
+                num = Fraction(num, den)  # a Fraction even when integral
             tokens.append((("num", num), i))
             i = j
         else:
@@ -423,6 +431,7 @@ def parse_poly(text: str, d: int) -> Poly:
         if peek() == "^":
             take()
             t = peek()
+            # only an integer literal: "x1^4/2" is refused, not read as x1^2
             if not (isinstance(t, tuple) and t[0] == "num" and isinstance(t[1], int)):
                 raise PolyParseError("exponent must be a non-negative integer")
             n, at = t[1], tokens[pos][1]
@@ -467,12 +476,13 @@ def parse_poly(text: str, d: int) -> Poly:
             return inner
         if isinstance(t, tuple) and t[0] == "num":
             take()
-            return Poly.const(d, t[1])
+            c = t[1]
+            return _raw(d, c.denominator, {0: c.numerator} if c else {})
         if isinstance(t, tuple) and t[0] == "var":
             take()
             if not 1 <= t[1] <= d:
                 raise PolyParseError(f"variable x{t[1]} out of range 1..{d}")
-            return Poly.var(d, t[1])
+            return _raw(d, 1, {1 << FIELD * (t[1] - 1): 1})
         raise PolyParseError(f"unexpected token at position "
                              f"{tokens[pos][1] if pos < len(tokens) else len(text)}")
 

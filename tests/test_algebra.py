@@ -174,6 +174,32 @@ class TestPoly:
             rhs = a.partial(mu) * b + a * b.partial(mu)
             assert lhs == rhs
 
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    def test_var_matches_the_tuple_built_poly(self, d):
+        for mu in range(1, d + 1):
+            for power in range(4):
+                exp = tuple(power if nu == mu else 0 for nu in range(1, d + 1))
+                assert Poly.var(d, mu, power) == Poly(d, {exp: 1})
+        for mu, power, error in [
+                (1, -1, "exponent -1 of x1 is not an integer in 0..32767"),
+                (d, 2 ** 15, f"exponent 32768 of x{d} is not an integer in 0..32767"),
+                (1, 1.5, "exponent 1.5 of x1 is not an integer in 0..32767"),
+                (0, 1, f"variable index 0 out of range 1..{d}"),
+                (d + 1, 1, f"variable index {d + 1} out of range 1..{d}")]:
+            with pytest.raises(PolyError) as exc:
+                Poly.var(d, mu, power)
+            assert str(exc.value) == error
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda d: st.tuples(st.just(d), st.dictionaries(
+        st.tuples(*[st.integers(0, 2 ** 15 - 1)] * d), st.integers(-9, 9), max_size=5))))
+    @example((3, {}))
+    @example((2, {(0, 0): 4}))
+    def test_max_exponents_matches_the_exponent_tuples(self, case):
+        d, terms = case
+        p = Poly(d, terms)
+        assert p._max_exponents() == [max(col) for col in zip(*p.terms)]
+
     def test_power(self):
         x1, x2 = Poly.var(3, 1), Poly.var(3, 2)
         assert (x1 + x2) ** 2 == x1 * x1 + 2 * x1 * x2 + x2 * x2
@@ -200,6 +226,16 @@ class TestPoly:
         for bad in ("x0", "x4", "1 +", "x1^", "(x1", "x1 x2 @", ""):
             with pytest.raises(PolyParseError):
                 parse_poly(bad, 3)
+
+    def test_parse_exponent_is_an_integer_literal(self):
+        # "4/2" is one rational literal; as an exponent it is refused, not
+        # reduced to 2, and a ratio is written as a coefficient
+        for bad in ("x1^4/2", "x1^0/5", "2^4/2", "x1^2/1", "x1^-1", "x1^x2"):
+            with pytest.raises(PolyParseError) as exc:
+                parse_poly(bad, 2)
+            assert str(exc.value) == "exponent must be a non-negative integer"
+        assert parse_poly("x1^4*1/2", 2) == Poly.var(2, 1, 4) * Fraction(1, 2)
+        assert parse_poly("2^4 + 4/2", 2) == Poly.const(2, 18)
 
     def test_parse_zero_denominator(self):
         for bad in ("1/0", "x1 + 3/00"):

@@ -445,10 +445,29 @@ class TestInputErrors:
         pytest.param(("matrices", "g", 2, 0), "\u0663",
                      f"matrices.g[2][0]: {CELL_ERROR}'\u0663'",
                      id="matrix-arabic-indic-digit"),
+        # a cell's diagnostic names its fault, in the words of the
+        # polynomial grammar and of the string cells
+        pytest.param(("matrices", "g", 0, 0), "1/0", "matrices.g[0][0]: zero denominator",
+                     id="matrix-zero-denominator"),
+        pytest.param(("matrices", "g", 0, 1), True, f"matrices.g[0][1]: {CELL_ERROR}True",
+                     id="matrix-bool"),
+        pytest.param(("matrices", "g", 1, 0), None, f"matrices.g[1][0]: {CELL_ERROR}None",
+                     id="matrix-null"),
+        pytest.param(("matrices", "g", 1, 1), [1], f"matrices.g[1][1]: {CELL_ERROR}[1]",
+                     id="matrix-array"),
+        pytest.param(("matrices", "g", 2, 2), {"n": 1},
+                     f"matrices.g[2][2]: {CELL_ERROR}{{'n': 1}}", id="matrix-object"),
         # powers are bounded before they are expanded
         pytest.param(("sections", "A", "v", 0), "x1^1001",
                      "sections.A.v[0]: exponent 1001 exceeds 1000 at position 3",
                      id="exponent-over-1000"),
+        # an exponent is an integer literal: "4/2" is refused, not read as 2
+        pytest.param(("theta", "beta", 0, "coeff"), "x1^4/2",
+                     "theta.beta[0].coeff: exponent must be a non-negative integer",
+                     id="exponent-ratio"),
+        pytest.param(("sections", "A", "v", 0), "2^4/2",
+                     "sections.A.v[0]: exponent must be a non-negative integer",
+                     id="exponent-ratio-of-number"),
         pytest.param(("theta", "beta", 0, "coeff"), "(1+x1+x2)^400",
                      "theta.beta[0].coeff: power expands to more than 10000 terms at "
                      "position 10", id="power-over-10000-terms"),
@@ -598,6 +617,11 @@ class TestInputErrors:
         cfg = config_with(("matrices", "g"), [["2", "-3/4", "0.5"], [1, 0.25, " 7 "]])
         assert parse_config(json.dumps(cfg)).matrices["g"] == (
             (2, Fraction(-3, 4), Fraction(1, 2)), (1, Fraction(1, 4), 7))
+        # every spelling is read to the value Fraction() gives it, as a Fraction
+        cells = ["+2", " -3/6 ", "0.50", ".5", "1.", "007", 0.25, 7]
+        row = parse_config(json.dumps(config_with(("matrices", "g"), [cells])))
+        assert [(type(v), v) for v in row.matrices["g"][0]] == [
+            (Fraction, Fraction(str(cell))) for cell in cells]
 
     @pytest.mark.parametrize("base, path, indices", [
         (GOLDEN_PASS, ("theta", "beta"), [1, 2, 1]),
