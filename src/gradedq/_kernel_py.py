@@ -6,7 +6,7 @@ the `Poly` keeps.  The kernel does integer arithmetic only.  A packed
 exponent is one `int` holding FIELD bits per variable, x1 lowest; the
 top bit of each field is a guard bit that no stored exponent sets, so
 the product of two monomials is the sum of their keys, a carry out of a
-field shows as a guard bit (checked by the caller), and the x-partial
+field shows as a guard bit (checked by the caller), and an x-partial
 reads a field with shift and mask.
 
 A graded element is two-level: {super key: numerator dict}, where the
@@ -26,16 +26,27 @@ times the whole other factor, and `poly_add(acc, b, e, c)` adds it
 straight into its accumulator, so no row is ever stored.  Every
 coefficient product goes through `poly_mul`.
 
+x-partials: the bracket pairs an x-derivative of one element with a
+momentum derivative of the other, and takes that x-partial inside the
+product, never as a dict of its own.  `element_mul(..., dx)` passes the
+variable to `poly_mul(a, b, weight, out, mu)`, which reads b's terms as
+their partial in field mu while it multiplies: each term's exponent in
+that field scales it and its key drops one unit there, and a term
+without the variable is skipped.  `poly_partial` builds the partial as a
+dict, for `Poly.partial` and the `forms` oracle only.
+
 Mutation: every function leaves its arguments alone and returns new
 values, except the three accumulators.  `poly_add(a, b, shift, scale)`
-adds a scaled, shifted b into a in place; `poly_mul(a, b, weight, out)`
-adds weight*a*b into `out` in place, or into a fresh dict when `out` is
-None; and `element_mul(f, g, odd_mask, out, weight)` adds weight*f*g, for
-any nonzero integer weight, into the term map `out` in place, each
-product straight into its monomial's numerators, so no full product or
-negated copy is built.  The only dicts they write are `a`, `out` and
-the numerator dicts `element_mul` itself made.  The numerators of a
-`Poly` are shared by the callers and are never written.
+adds a scaled, shifted b into a in place; `poly_mul(a, b, weight, out,
+mu)` adds weight*a*b, or weight*a*(db/dx), into `out` in place, or into
+a fresh dict when `out` is None; and `element_mul(f, g, odd_mask, out,
+weight, dx)` adds weight*f*g, for any nonzero integer weight and either
+factor read as an x-partial, into the term map `out` in place, each
+product straight into its monomial's numerators, so no full product,
+partial or negated copy is built.  The only dicts they write are `a`,
+`out` and the numerator dicts `element_mul` itself made.  The numerators
+of a `Poly` or an element are shared by the callers, the bracket's
+derivative maps among them, and are never written.
 """
 
 FIELD = 16
@@ -83,16 +94,50 @@ def poly_scale(a, c):
     return {exp: c * v for exp, v in a.items()} if c else {}
 
 
-def poly_mul(a, b, weight=1, out=None):
+def poly_mul(a, b, weight=1, out=None, mu=None):
     """Add weight * a * b into `out` row by row and return it, starting
     from a fresh dict when `out` is None: one `poly_add` per term of the
-    shorter factor, so a one-term factor gives its row."""
+    shorter factor, so a one-term factor gives its row.
+
+    With `mu`, b is read as its x-partial in field mu (0-based) as it is
+    multiplied, and no partial is built: a term x^e*c of b counts as
+    k*c x^(e - 1 in field mu), k the exponent of field mu in e, and a term
+    with k = 0 is skipped.  When b is the shorter factor the rows run over
+    its terms that hold x^mu; otherwise each row of a reads b term by
+    term."""
     if out is None:
         out = {}
-    if len(a) > len(b):
-        a, b = b, a
+    if mu is None:
+        if len(a) > len(b):
+            a, b = b, a
+        for exp, c in a.items():
+            poly_add(out, b, exp, c * weight)
+        return out
+    shift = FIELD * mu
+    one = 1 << shift
+    if len(b) <= len(a):
+        for exp, c in b.items():
+            k = exp >> shift & FIELD_MASK
+            if k:
+                poly_add(out, a, exp - one, c * k * weight)
+        return out
     for exp, c in a.items():
-        poly_add(out, b, exp, c * weight)
+        exp -= one
+        c *= weight
+        for e, v in b.items():
+            k = e >> shift & FIELD_MASK
+            if k:
+                e += exp
+                v *= c * k
+                s = out.get(e)
+                if s is None:
+                    out[e] = v
+                else:
+                    s += v
+                    if s:
+                        out[e] = s
+                    else:
+                        del out[e]
     return out
 
 
@@ -108,9 +153,11 @@ def poly_partial(a, mu):
     return out
 
 
-def element_mul(f, g, odd_mask, out, weight):
+def element_mul(f, g, odd_mask, out, weight, dx=0):
     """Add weight * f * g into the term map `out` in place; weight is any
-    nonzero int.
+    nonzero int.  A nonzero `dx` reads one factor's numerators as their
+    x-partial inside `poly_mul`: g's in x^dx when dx > 0, f's in x^-dx
+    when dx < 0.
 
     f and g are term maps {super key: numerator dict}, all of f over one
     denominator and all of g over another; `out` is over their product
@@ -118,6 +165,7 @@ def element_mul(f, g, odd_mask, out, weight):
     caller drops.  A pair of keys whose odd parts share a bit is zero;
     otherwise each odd letter of g's key crosses the odd letters of f's
     key above it, and the product's key is the sum of the two."""
+    mu = abs(dx) - 1 if dx else None
     for k1, p1 in f.items():
         o1 = k1 & odd_mask
         for k2, p2 in g.items():
@@ -135,4 +183,5 @@ def element_mul(f, g, odd_mask, out, weight):
                 if crossed & 1:
                     w = -w
             key = k1 + k2
-            out[key] = poly_mul(p1, p2, w, out.get(key))
+            out[key] = (poly_mul(p2, p1, w, out.get(key), mu) if dx < 0
+                        else poly_mul(p1, p2, w, out.get(key), mu))

@@ -4,10 +4,10 @@ The config is a single JSON document.  Forms are arrays of
 {"indices": [distinct ints], "coeff": "polynomial expression"};
 polynomial expressions use the grammar of poly.parse_poly (rationals,
 x1..xd, + - * ^, parentheses); matrices are row-major arrays of
-rational strings (`_CELL`) or JSON numbers.  Every diagnostic names the
-offending field.  The caps below bound the work a config can ask for:
-chart.d and chart.p are checked before any chart is built, and a bad
-document raises only ConfigError.
+rational strings (`_CELL`) or finite JSON numbers.  Every diagnostic
+names the offending field.  The caps below bound the work a config can
+ask for: chart.d and chart.p are checked before any chart is built, and
+a bad document raises only ConfigError.
 """
 
 from __future__ import annotations
@@ -178,6 +178,9 @@ def _cell(cell, fullmatch) -> Fraction:
             num = num * den + int(dec)
         return Fraction(-num if sign == "-" else num, den)
     if type(cell) in (int, float):  # a JSON number, not a bool
+        # json.loads reads NaN, Infinity and a literal past the float range
+        if type(cell) is float and not math.isfinite(cell):
+            raise ValueError("not a finite number")
         return Fraction(str(cell))
     raise ValueError("expected an integer, a/b or a decimal in ASCII digits "
                      f"without exponent, got {cell!r}")

@@ -51,10 +51,12 @@ class GradedElement:
     `_derivs` is the bracket's memo of this element's derivatives, None
     until `symplectic` first derives it: [left, right, held, pairs, q], the
     left and right derivatives as {tag: term map} (a tag as in `chart`:
-    the sid of a super generator, -mu for x^mu), the odd letters the left
-    map holds and the odd letters a right argument pairs with, as super-key
-    bits, and q, None or (Theta element, (Theta, self)), which `algebroid`
-    sets on a section it brackets.  It stays valid because no operation
+    the sid of a super generator, -mu for x^mu; a -mu entry, left only,
+    holds this element's own numerator dicts for the terms whose
+    coefficient uses x^mu, which the product derives), the odd letters
+    the left map holds and the odd letters a right argument pairs with,
+    as super-key bits, and q, None or (Theta element, (Theta, self)),
+    which `algebroid` sets on a section it brackets.  It stays valid because no operation
     changes an element's numerators, and q is taken again under another
     Theta."""
 
@@ -148,7 +150,7 @@ class GradedElement:
         else:
             return NotImplemented
         return product_sum(self.chart, self.den * other.den,
-                           [(self.nums, other.nums, 1)])
+                           [(self.nums, other.nums, 1, 0)])
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, Poly)):
@@ -272,16 +274,17 @@ def _from_polys(chart: ChartSpec, polys: dict) -> GradedElement:
 
 
 def product_sum(chart: ChartSpec, den: int, pairs) -> GradedElement:
-    """The sum of weight * f * g over the (f, g, weight) in `pairs`: f and
-    g are term maps {super key: numerators}, weight is a nonzero int, and
+    """The sum of weight * f * g over the (f, g, weight, dx) in `pairs`: f
+    and g are term maps {super key: numerators}, weight is a nonzero int,
+    dx is 0 or reads one side as an x-partial (see `element_mul`), and
     every weighted product is over the one denominator den.  All products
     accumulate in one map of integer numerators; a monomial whose terms
     cancel is dropped, both guards are checked, and one gcd makes the
     result canonical."""
     out: dict = {}
     odd_mask = chart.odd_mask
-    for f, g, weight in pairs:
-        element_mul(f, g, odd_mask, out, weight)
+    for f, g, weight, dx in pairs:
+        element_mul(f, g, odd_mask, out, weight, dx)
     out = {k: v for k, v in out.items() if v}
     if out:
         _check_guard(out, chart.super_guard)

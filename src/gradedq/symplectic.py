@@ -13,11 +13,15 @@ A bracket works in numerator space, on the two-level form of
 `element`: a derivative is a term map {super key: integer numerators}
 over its argument's denominator.  A super derivative is a bit operation
 on the key (an odd letter flips its bit, an even field loses one) with
-the numerators shared or scaled, an x-partial derives the numerators,
-and no gcd runs and no `Poly` is built.  Each derivative of g meets the
-one derivative of f it pairs with (`ChartSpec.partner`), and
-`element.product_sum` multiplies every pair into one integer
-accumulator and makes the result canonical with one gcd.
+the numerators shared or scaled.  An x-partial in x^mu is recorded
+under tag -mu as the terms whose coefficient uses x^mu, with the
+element's own numerators, and is taken inside the coefficient product
+(`poly_mul`).  No partial and no `Poly` is built, and no gcd runs.  Each
+derivative of g meets the one derivative of f it pairs with
+(`ChartSpec.partner`), and `element.product_sum` multiplies every pair
+into one integer accumulator, reading the side of a pair whose tag is
+an x-partial as that partial, and makes the result canonical with one
+gcd.
 
 An element is derived in each letter at most once per side, and as a
 right argument only in the letters that pair.  A bracket (f, g) first
@@ -25,12 +29,12 @@ derives f on the right, in every letter, in one pass over f's terms,
 and records the odd letters a right argument pairs with: the odd
 partners of f's letters and, at odd p, the (odd) momenta of the
 variables f's coefficients use.  It then derives g on the left in those
-odd letters only, with every even letter and x-partial.  Each map is
-kept on its element (`GradedElement` slot `_derivs`) and reused by every
-later bracket with it on that side; one that needs more odd letters of
-a left map widens it in place by a pass in the missing letters that a
-key of the element holds, and by no pass when none does.
-The x-partials are the same on both sides, so only the left pass builds
+odd letters only, with every even letter, and records its x-partials.
+Each map is kept on its element (`GradedElement` slot `_derivs`) and
+reused by every later bracket with it on that side; one that needs more
+odd letters of a left map widens it in place by a pass in the missing
+letters that a key of the element holds, and by no pass when none does.
+The x-partials are the same on both sides, so only the left pass records
 them: a bracket (f, g) whose g carries a momentum reads f's x-partials
 from f's left memo, in no odd letter, so a self-bracket such as (Theta,
 Theta) never widens the map it walks.  So Theta in Q = (Theta, -) is
@@ -64,7 +68,7 @@ from math import lcm
 from operator import or_
 
 from .chart import ChartError, ChartSpec
-from ._kernel_py import FIELD, FIELD_MASK, poly_partial, poly_scale
+from ._kernel_py import FIELD, FIELD_MASK, poly_scale
 from .element import GradedElement, product_sum
 from .poly import _variables
 
@@ -107,9 +111,9 @@ def _right(f: GradedElement) -> tuple[dict, int]:
 def _left(f: GradedElement, odd_letters: int) -> dict:
     """f's left derivatives, holding at least the odd letters in
     `odd_letters`: the first call derives them with every even letter and
-    x-partial, and a later one that needs more odd letters adds only the
-    missing ones that some key of f holds, so it walks f's terms again
-    only when one of them can contribute."""
+    records every x-partial, and a later one that needs more odd letters
+    adds only the missing ones that some key of f holds, so it walks f's
+    terms again only when one of them can contribute."""
     memo = _memo(f)
     left = memo[0]
     if left is None:
@@ -127,13 +131,15 @@ def _derive(f: GradedElement, from_right: bool, odd_letters: int, first: bool) -
     """One pass over f's terms: {tag: {super key: numerators over f.den}},
     the graded derivative in each odd letter of `odd_letters` (super-key
     bits) a key contains, by bit operations, and, on a first pass, in
-    every even letter and, on the left, every x-partial a coefficient
-    uses.  An odd letter flips its bit, with the sign of the odd letters
-    it crosses (those before it from the left, those after it from the
+    every even letter and, on the left, the x-partials: under tag -mu,
+    the terms whose coefficient uses x^mu, which the product derives.
+    An odd letter flips its bit, with the sign of the odd letters it
+    crosses (those before it from the left, those after it from the
     right); an even field loses one, with its exponent as the
     coefficient.  A derivative in one generator is injective on the terms
     it keeps, so no two terms land on the same key.  A numerator dict
-    scaled by 1 is f's own, shared and never written."""
+    scaled by 1, and every one under an x-partial tag, is f's own, shared
+    and never written."""
     chart = f.chart
     odd_mask, odd_sids, even_sids = chart.odd_mask, chart.odd_sids, chart.even_sids
     n_odd = len(odd_sids)
@@ -162,14 +168,16 @@ def _derive(f: GradedElement, from_right: bool, odd_letters: int, first: bool) -
             unit <<= FIELD
         if not from_right:
             for mu in _variables(nums):
-                out.setdefault(-mu, {})[key] = poly_partial(nums, mu - 1)
+                out.setdefault(-mu, {})[key] = nums
     return out
 
 
 def _bracket_pairs(f: GradedElement, g: GradedElement, weight: int) -> tuple[int, list]:
     """(den, pairs): the derivative pairs (d_r f / dz^a, d_l g / dz^b,
-    weight * pi^{ab}) of the bracket (f, g) times the int `weight`, for
-    `product_sum`, and den the denominator of their products."""
+    weight * pi^{ab}, dx) of the bracket (f, g) times the int `weight`,
+    for `product_sum`, and den the denominator of their products; dx is
+    0, or names the side whose tag is x^mu (-mu for f, mu for g), which
+    `element_mul` reads as that x-partial."""
     if f.chart is not g.chart and f.chart != g.chart:
         raise ChartError(f"chart mismatch: {f.chart} vs {g.chart}")
     df, paired = _right(f)
@@ -185,7 +193,9 @@ def _bracket_pairs(f: GradedElement, g: GradedElement, weight: int) -> tuple[int
         # read in no odd letter so that (f, f) never widens the map it walks
         fa = (_left(f, 0) if a < 0 else df).get(a)
         if fa is not None:
-            pairs.append((fa, gb, weight * partner[a][1]))
+            # a tag -mu holds raw numerators, derived in x^mu inside the product
+            dx = a if a < 0 else -b if b < 0 else 0
+            pairs.append((fa, gb, weight * partner[a][1], dx))
     return f.den * g.den, pairs
 
 
@@ -213,11 +223,11 @@ def bracket_sum(chart: ChartSpec, brackets, products=()) -> GradedElement:
             if e.chart != chart:
                 raise ChartError(f"chart mismatch: {e.chart} vs {chart}")
         staged.append((f.den * g.den * weight.denominator,
-                       [(f.nums, g.nums, weight.numerator)]))
+                       [(f.nums, g.nums, weight.numerator, 0)]))
     den = lcm(*(d for d, _ in staged))
-    return product_sum(chart, den, [(fa, gb, w * (den // d))
+    return product_sum(chart, den, [(fa, gb, w * (den // d), dx)
                                     for d, pairs in staged
-                                    for fa, gb, w in pairs])
+                                    for fa, gb, w, dx in pairs])
 
 
 def gauge_exp(R: GradedElement, f: GradedElement) -> GradedElement:

@@ -1,7 +1,9 @@
 """Sections, derived Dorfman brackets, anchors, ranks, axiom suites."""
 
 import random
+import sys
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,7 +17,7 @@ from gradedq import (ChartError, DiffForm, GradedElement, Poly, Section,
                      monomial_basis, monomial_count, pairing, q_apply,
                      q_square_check, theta_m5, theta_vinogradov, verify_courant,
                      verify_leibniz)
-from gradedq import algebroid, npq, symplectic
+from gradedq import _kernel_py, algebroid, element, npq, symplectic
 from gradedq.randomgen import random_poly, random_section
 from test_kernel import rederived
 
@@ -535,6 +537,47 @@ def test_right_passes_build_no_x_partials(monkeypatch):
     right = [e._derivs[1] for e in derived.values() if e._derivs[1]]
     assert right and any(tag < 0 for memo in left for tag in memo)
     assert [tag for memo in right for tag in memo if tag < 0] == []
+
+
+def test_brackets_take_x_partials_in_the_product(monkeypatch):
+    """No bracket builds an x-partial: across a Leibniz trial on v(4,3), the
+    master equation there and a Courant trial on v(3,2), `symplectic`
+    makes no `poly_partial` call, and its pairs read the partials inside
+    `element_mul`; `forms.ext_d` on the same charts still calls it."""
+    callers = Counter()
+    partial = _kernel_py.poly_partial
+
+    def counting(a, mu):
+        callers[sys._getframe(1).f_globals["__name__"]] += 1
+        return partial(a, mu)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "gradedq" and hasattr(mod, "poly_partial"):
+            monkeypatch.setattr(mod, "poly_partial", counting)
+    read = []
+    multiply = element.element_mul
+
+    def recording(f, g, odd_mask, out, weight, dx=0):
+        read.append(dx)
+        return multiply(f, g, odd_mask, out, weight, dx)
+
+    monkeypatch.setattr(element, "element_mul", recording)
+    x = [Poly.var(4, mu) for mu in range(1, 5)]
+    hflux = DiffForm.basis(4, (1, 2, 3, 4),
+                           (1 + x[0] + 2 * x[1] - x[2] + Fraction(1, 2) * x[3]) ** 3)
+    theta = theta_vinogradov(P3, hflux)
+    assert verify_leibniz(theta, trials=1, seed=5).passed
+    beta = DiffForm.basis(3, (1, 2, 3), Poly.var(3, 2))
+    assert verify_courant(theta_vinogradov(P2, beta), trials=1, seed=5).passed
+    assert max(read) > 0  # g's numerators read as a partial (dx > 0)
+    # (Theta, Theta) reads f's too: its g carries momenta
+    assert master_equation(theta)[1] and min(read) < 0
+    assert callers["gradedq.symplectic"] == 0
+    for rho in (DiffForm.basis(4, (1, 2, 4), x[0] * x[2] + x[3]),
+                DiffForm.basis(3, (1, 2), Poly.var(3, 3) ** 2)):
+        before = callers.total()
+        ext_d(rho)  # through `Poly.partial`
+        assert callers.total() > before
 
 
 def test_no_letter_is_derived_twice(monkeypatch):

@@ -368,6 +368,11 @@ CELL_ERROR = ("expected an integer, a/b or a decimal in ASCII digits without "
               "exponent, got ")
 
 
+class JsonLiteral(str):
+    """A field value that the config file holds as this raw JSON text, such
+    as `NaN` or `1e400`, which `json.dumps` cannot write from a float."""
+
+
 def config_with(path, value, base=GOLDEN_PASS):
     """The config at `base` with the field at `path` set to `value`."""
     cfg = json.loads(pathlib.Path(base).read_text())
@@ -451,6 +456,16 @@ class TestInputErrors:
                      id="matrix-zero-denominator"),
         pytest.param(("matrices", "g", 0, 1), True, f"matrices.g[0][1]: {CELL_ERROR}True",
                      id="matrix-bool"),
+        # a JSON number is read only when finite; json.loads takes NaN and
+        # the infinities, and reads 1e400 as inf
+        pytest.param(("matrices", "g", 0, 0), JsonLiteral("NaN"),
+                     "matrices.g[0][0]: not a finite number", id="matrix-nan"),
+        pytest.param(("matrices", "g", 1, 1), JsonLiteral("Infinity"),
+                     "matrices.g[1][1]: not a finite number", id="matrix-infinity"),
+        pytest.param(("matrices", "g", 0, 1), JsonLiteral("-Infinity"),
+                     "matrices.g[0][1]: not a finite number", id="matrix-minus-infinity"),
+        pytest.param(("matrices", "g", 2, 1), JsonLiteral("1e400"),
+                     "matrices.g[2][1]: not a finite number", id="matrix-1e400"),
         pytest.param(("matrices", "g", 1, 0), None, f"matrices.g[1][0]: {CELL_ERROR}None",
                      id="matrix-null"),
         pytest.param(("matrices", "g", 1, 1), [1], f"matrices.g[1][1]: {CELL_ERROR}[1]",
@@ -527,7 +542,10 @@ class TestInputErrors:
     ])
     def test_bad_config_field(self, capsys, tmp_path, path, value, error):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config_with(path, value)))
+        text = json.dumps(config_with(path, value))
+        if isinstance(value, JsonLiteral):
+            text = text.replace(json.dumps(value), value)
+        cfg.write_text(text)
         code = main(["axioms", str(cfg), "--suite", "leibniz", "--trials", "1",
                      "--json"])
         doc = json.loads(capsys.readouterr().out)

@@ -488,6 +488,56 @@ class TestKernelAgainstReference:
         # the factors' numerator dicts were read, never written
         assert (pf, pg) == (packed_terms(d, f, unit), packed_terms(d, g, unit))
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+        st.just(d), int_polys(d), int_polys(d), int_polys(d),
+        st.sampled_from([1, -1, 3, -3]))))
+    def test_poly_mul_takes_the_partial_in_the_product(self, case):
+        d, a, b, acc, weight = case
+        pa, pb = packed(d, a), packed(d, b)
+        for mu in range(d):
+            # either factor differentiated: when the lengths differ, one
+            # orientation has it shorter and the other longer
+            for x, y in ((pa, pb), (pb, pa)):
+                expected = _kernel_py.poly_mul(x, _kernel_py.poly_partial(y, mu), weight)
+                assert _kernel_py.poly_mul(x, y, weight, None, mu) == expected
+                # into a map holding other terms, and into one that cancels
+                out = packed(d, acc)
+                assert _kernel_py.poly_mul(x, y, weight, out, mu) is out
+                assert out == _kernel_py.poly_add(packed(d, acc), expected)
+                out = _kernel_py.poly_scale(expected, -1)
+                assert _kernel_py.poly_mul(x, y, weight, out, mu) == {}
+        assert (pa, pb) == (packed(d, a), packed(d, b))
+
+    def test_poly_mul_partial_on_the_shorter_and_the_longer_factor(self):
+        x1, x2 = _pack(2, (1, 0)), _pack(2, (0, 1))
+        cube = {3 * x1: 1, 2 * x1 + x2: 3, x2: -2, 0: 5}  # x1^3 + 3x1^2x2 - 2x2 + 5
+        # d/dx1 of cube = 3x1^2 + 6x1x2, times 2x2
+        expected = {2 * x1 + x2: 6, x1 + 2 * x2: 12}
+        assert _kernel_py.poly_mul({x2: 2}, cube, 1, None, 0) == expected
+        # d/dx1 of 2x1x2 = 2x2, times cube
+        assert _kernel_py.poly_mul(cube, {x1 + x2: 2}, 1, None, 0) \
+            == _kernel_py.poly_mul(cube, {x2: 2})
+        # no term holds the variable: nothing is added
+        assert _kernel_py.poly_mul(cube, {x2: 2}, -3, None, 0) == {}
+
+    @settings(max_examples=100, deadline=None)
+    @given(term_maps(), st.sampled_from([1, -1, 2, -3]))
+    def test_element_mul_reads_one_side_as_its_partial(self, case, weight):
+        parity, d, f, g = case
+        mask, unit = layout(parity)
+        pf, pg = packed_terms(d, f, unit), packed_terms(d, g, unit)
+        for mu in range(d):
+            def materialised(terms):
+                return {k: _kernel_py.poly_partial(p, mu) for k, p in terms.items()}
+            for dx, left, right in ((-(mu + 1), materialised(pf), pg),
+                                    (mu + 1, pf, materialised(pg))):
+                lazy, built = {}, {}
+                _kernel_py.element_mul(pf, pg, mask, lazy, weight, dx)
+                _kernel_py.element_mul(left, right, mask, built, weight)
+                assert nonzero(lazy) == nonzero(built)
+        assert (pf, pg) == (packed_terms(d, f, unit), packed_terms(d, g, unit))
+
 
 BRACKET_CHARTS = [make_chart("vinogradov", 3, 2), make_chart("vinogradov", 2, 3),
                   make_chart("m5", 6)]
