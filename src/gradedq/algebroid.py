@@ -44,7 +44,7 @@ from .forms import DiffForm, Section, SectionError, vec_lie_bracket
 from .npq import Hamiltonian, embed_form, form_terms, q_apply
 from ._kernel_py import poly_scale
 from .poly import Poly, _normal
-from .randomgen import random_poly, random_section
+from .randomgen import _below, random_poly, random_section
 from .reports import CheckReport, SuiteReport, witnesses_of
 from . import symplectic
 
@@ -283,7 +283,8 @@ def verify_courant(theta: Hamiltonian, trials: int = 100, seed: int = 0,
 
         # chain complex: rho(rho*(lam1)) = 0
         lam1 = DiffForm(chart.d, 1)
-        lam1.add_term((rng.randint(1, chart.d),), random_poly(rng, chart.d, max_degree))
+        lam1.add_term((1 + _below(rng.getrandbits, chart.d),),
+                      random_poly(rng, chart.d, max_degree))
         defects.append(GradedElement.from_poly(
             chart, anchor(theta, embed_form(chart, lam1), f)))
 

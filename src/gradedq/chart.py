@@ -170,7 +170,9 @@ class ChartSpec:
         """The degree of the monomial with super key `key`, read off its
         bits: each odd degree times the odd bits of that degree set, plus
         each even field times its generator's degree."""
-        deg = sum(n * (key & bits).bit_count() for n, bits in self._odd_degree_bits)
+        deg = 0
+        for n, bits in self._odd_degree_bits:
+            deg += n * (key & bits).bit_count()
         even = key >> len(self.odd_sids)
         for n in self._even_degrees:
             if not even:
@@ -225,8 +227,9 @@ class ChartSpec:
         return tuple(mono)
 
     def __eq__(self, other):
-        return (isinstance(other, ChartSpec)
-                and (self.kind, self.d, self.p) == (other.kind, other.d, other.p))
+        return self is other or (
+            isinstance(other, ChartSpec)
+            and (self.kind, self.d, self.p) == (other.kind, other.d, other.p))
 
     def __hash__(self):
         return hash((self.kind, self.d, self.p))

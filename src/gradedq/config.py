@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from decimal import Decimal  # loaded by fractions already
 from fractions import Fraction
 
 from .chart import ChartError, ChartSpec, make_chart
@@ -182,6 +183,8 @@ def _cell(cell, fullmatch) -> Fraction:
         if type(cell) is float and not math.isfinite(cell):
             raise ValueError("not a finite number")
         return Fraction(str(cell))
+    if type(cell) is Decimal:  # what `_json_float` keeps for 1e-400
+        raise ValueError("a nonzero number below the float range")
     raise ValueError("expected an integer, a/b or a decimal in ASCII digits "
                      f"without exponent, got {cell!r}")
 
@@ -217,10 +220,22 @@ def _parse_matrix(rows, where: str) -> tuple:
     return tuple(out)
 
 
+def _json_float(literal: str):
+    """json.loads' reading of a number with a fraction or an exponent:
+    float(literal), except that a nonzero literal below the float range,
+    which float() reads as 0, stays exact as a Decimal for `_cell` to
+    refuse.  Fraction(literal) would expand its power of ten: 1e-20000000
+    takes about 30 s (see `_CELL`)."""
+    val = float(literal)
+    if val or not literal.lower().partition("e")[0].strip("-.0"):
+        return val
+    return Decimal(literal)
+
+
 def parse_config(text: str) -> Config:
     """Parse and validate a config document."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_float=_json_float)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"line {exc.lineno}", f"JSON syntax error: {exc.msg}") \
             from None

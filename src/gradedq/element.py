@@ -165,10 +165,13 @@ class GradedElement:
         """Common total degree, 0 for zero, or INHOMOGENEOUS."""
         if not self.nums:
             return 0
-        degs = set(map(self.chart.key_degree, self.nums))
-        if len(degs) == 1:
-            return degs.pop()
-        return INHOMOGENEOUS
+        keys = iter(self.nums)
+        key_degree = self.chart.key_degree
+        deg = key_degree(next(keys))
+        for key in keys:  # stop at the first key of another degree
+            if key_degree(key) != deg:
+                return INHOMOGENEOUS
+        return deg
 
     # structure -------------------------------------------------------
     def monomials(self):

@@ -128,14 +128,14 @@ def q_square_check(theta: Hamiltonian, samples: int = 8, seed: int = 0,
     Passing coincides with the master equation holding; failures carry the
     leading offending monomials as witnesses.
     """
-    from .randomgen import random_homogeneous
+    from .randomgen import _below, random_homogeneous
     chart = theta.chart
     suite = SuiteReport("q-square", seed=seed)
     probes = [(g.name, GradedElement.generator(chart, g.name))
               for g in chart.xs + chart.supers]
     rng = random.Random(seed)
     for k in range(samples):
-        n = rng.randint(0, chart.p + 1)
+        n = _below(rng.getrandbits, chart.p + 2)
         probes.append((f"random[{k}] (degree {n})",
                        random_homogeneous(rng, chart, n, max_degree)))
     for name, z in probes:

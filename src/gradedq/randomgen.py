@@ -4,6 +4,14 @@ All randomness is injected from the caller as a random.Random instance;
 the library operations themselves are deterministic.  Defaults
 follow the harness policy: polynomial coefficients of total x-degree at
 most 2 with integer numerators in [-3, 3].
+
+Integers are drawn by `_below` from `rng.getrandbits` exactly as
+`Random.randrange` draws them: the same values and the same generator
+state after each draw, so every seeded suite and report is unchanged.
+It skips `randint`'s argument checks, about 0.39 µs of a draw against
+0.14 µs through `getrandbits` (CPython 3.11, x86-64), over some 380
+draws per Courant suite of 4 trials.  `rng.sample` draws through that
+same routine.
 """
 
 from __future__ import annotations
@@ -20,6 +28,20 @@ MAX_COEFF_DEGREE = 2
 COEFF_RANGE = 3
 
 
+def _below(bits, n: int) -> int:
+    """rng.randrange(n) for bits = rng.getrandbits: draw n.bit_length()
+    bits until the result is below n, as `Random._randbelow_with_getrandbits`
+    does (CPython 3.10 to 3.13).  n < 1 raises ValueError, as an empty
+    range does; getrandbits(0) is always 0, so it would loop for ever."""
+    if n < 1:
+        raise ValueError(f"empty range: no integer in [0, {n})")
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 def random_poly(rng: random.Random, d: int, max_degree: int = MAX_COEFF_DEGREE,
                 allow_zero: bool = False) -> Poly:
     """One or two terms of total degree at most max_degree, each drawn
@@ -28,15 +50,16 @@ def random_poly(rng: random.Random, d: int, max_degree: int = MAX_COEFF_DEGREE,
     if max_degree >= _EXP_LIMIT:
         raise PolyError(f"max_degree {max_degree} reaches the packed exponent "
                         f"limit {_EXP_LIMIT}")
+    bits = rng.getrandbits
     acc = {}
-    for _ in range(rng.randint(1, 2)):  # one or two terms
+    for _ in range(1 + _below(bits, 2)):  # one or two terms
         key = 0
-        for _ in range(rng.randint(0, max_degree)):
-            key += 1 << FIELD * rng.randrange(d)
-        acc[key] = acc.get(key, 0) + rng.randint(-COEFF_RANGE, COEFF_RANGE)
+        for _ in range(_below(bits, max_degree + 1)):
+            key += 1 << FIELD * _below(bits, d)
+        acc[key] = acc.get(key, 0) + _below(bits, 2 * COEFF_RANGE + 1) - COEFF_RANGE
     nums = {k: c for k, c in acc.items() if c}
     if not nums and not allow_zero:
-        nums = {1 << FIELD * rng.randrange(d): 1}
+        nums = {1 << FIELD * _below(bits, d): 1}
     return _raw(d, 1, nums)
 
 
@@ -74,7 +97,7 @@ def random_homogeneous(rng: random.Random, chart: ChartSpec, n: int,
     count = monomial_count(chart, n)
     if not count:
         return GradedElement.zero(chart)
-    picks = rng.sample(range(count), min(count, rng.randint(1, terms)))
+    picks = rng.sample(range(count), min(count, 1 + _below(rng.getrandbits, terms)))
     # distinct picks are distinct monomials, so their terms never merge;
     # every draw is over denominator 1
     return _element(chart, 1, {chart.encode(monomial_at(chart, n, i)):

@@ -13,7 +13,8 @@ from gradedq import (ChartError, DiffForm, GradedElement, Poly, PolyError,
                      PolyParseError, make_chart, monomial_basis, parse_poly)
 from gradedq import element
 from gradedq.element import INHOMOGENEOUS, monomial_at, monomial_count
-from gradedq.randomgen import random_homogeneous, random_poly
+from gradedq.forms import Section
+from gradedq.randomgen import _below, random_homogeneous, random_poly, random_section
 
 
 def sign(k: int) -> int:
@@ -41,6 +42,15 @@ class TestChart:
         got = {(g.family, g.degree) for g in chart.supers}
         assert got == {("psi", 1), ("zeta", 3), ("chi", 5), ("p", 6)}
         assert chart.p == 6
+
+    def test_equal_charts_are_equal_apart_from_identity(self):
+        a, b = make_chart("vinogradov", 3, 2), make_chart("vinogradov", 3, 2)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a == a
+        for other in (make_chart("m5", 3), make_chart("vinogradov", 4, 2),
+                      make_chart("vinogradov", 3, 3)):
+            assert a != other and other != a
+        assert a != (a.kind, a.d, a.p)
 
     def test_canonical_order(self):
         chart = make_chart("m5", 2)
@@ -391,6 +401,15 @@ class TestGradedElement:
         assert (psi1 * p1).euler_degree() == 3
         assert GradedElement.zero(self.chart).euler_degree() == 0
         assert (psi1 + p1).euler_degree() == INHOMOGENEOUS
+        # the check stops at the first key of another degree, wherever it is
+        psi2, psi3 = self.gen(self.chart, "psi2"), self.gen(self.chart, "psi3")
+        for odd_one in (0, 2):
+            terms = [psi1 * psi2, psi1 * psi3, psi2 * psi3]
+            terms[odd_one] = p1 * psi1
+            elem = terms[0] + terms[1] + terms[2]
+            first, *_, last = elem.nums
+            assert elem.chart.key_degree(first if odd_one == 0 else last) == 3
+            assert elem.euler_degree() == INHOMOGENEOUS
 
     def test_x_coefficients_are_degree_zero(self):
         x1 = self.gen(self.chart, "x1")
@@ -601,7 +620,8 @@ def _random_homogeneous_from_basis(rng, chart, n, max_degree=2, terms=2):
     picks = rng.sample(basis, min(len(basis), rng.randint(1, terms)))
     out = GradedElement.zero(chart)
     for mono in picks:
-        out = out + GradedElement(chart, {mono: random_poly(rng, chart.d, max_degree)})
+        out = out + GradedElement(
+            chart, {mono: _random_poly_from_tuples(rng, chart.d, max_degree)})
     return out
 
 
@@ -680,6 +700,70 @@ class TestRandomPoly:
             assert rng.getstate() == state
         # one below the limit is a legal degree bound
         assert random_poly(random.Random(0), 3, 2**15 - 1)
+
+
+# ---------------------------------------------------------------------
+# seeded integer draws
+# ---------------------------------------------------------------------
+
+def _random_section_by_randint(rng, chart, max_degree=2):
+    """random_section as it was written before its integers were drawn by
+    `_below`, kept as the reference draw."""
+    d = chart.d
+    v = tuple(_random_poly_from_tuples(rng, d, max_degree, allow_zero=True)
+              for _ in range(d))
+    forms = []
+    for _, rank, _, _ in chart.section_forms:
+        out = DiffForm(d, rank)
+        for _ in range(2 if rank <= d else 0):
+            idx = tuple(sorted(rng.sample(range(1, d + 1), rank)))
+            out.add_term(idx, _random_poly_from_tuples(rng, d, max_degree))
+        forms.append(out)
+    return Section(v, *forms)
+
+
+SEEDED_CHARTS = [make_chart("vinogradov", 3, 2), make_chart("vinogradov", 4, 3),
+                 make_chart("m5", 8)]
+
+
+class TestBelow:
+    SIZES = sorted(set(range(1, 71)) | {2**k + e for k in range(41) for e in (-1, 0, 1)}
+                   - {0})
+
+    def test_draws_as_randrange(self):
+        # the values and the generator state after each draw; a CPython
+        # that changes randrange's draw fails here, not in a report
+        for seed in range(200):
+            rng, ref = random.Random(seed), random.Random(seed)
+            bits = rng.getrandbits
+            for n in self.SIZES:
+                assert _below(bits, n) == ref.randrange(n)
+                assert rng.getstate() == ref.getstate(), (seed, n)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_empty_range_raises(self, n):
+        with pytest.raises(ValueError):
+            _below(random.Random(0).getrandbits, n)
+
+    @pytest.mark.parametrize("chart", SEEDED_CHARTS, ids=repr)
+    @pytest.mark.parametrize("max_degree", range(4))
+    def test_random_homogeneous_and_section_draw_as_randint(self, chart, max_degree):
+        for seed in range(10):
+            rng, ref = random.Random(seed), random.Random(seed)
+            for n in range(chart.p + 2):
+                for terms in (1, 2, 3):
+                    drawn = random_homogeneous(rng, chart, n, max_degree, terms)
+                    assert drawn == _random_homogeneous_from_basis(
+                        ref, chart, n, max_degree, terms)
+            assert random_section(rng, chart, max_degree) \
+                == _random_section_by_randint(ref, chart, max_degree)
+            assert rng.getstate() == ref.getstate()
+
+    def test_bad_bounds_still_raise(self):
+        with pytest.raises(ValueError):
+            random_poly(random.Random(0), 3, max_degree=-1)
+        with pytest.raises(ValueError):
+            random_homogeneous(random.Random(0), SEEDED_CHARTS[0], 1, terms=0)
 
 
 def test_packed_keys_past_bit_61_hash_apart():

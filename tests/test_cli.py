@@ -466,6 +466,20 @@ class TestInputErrors:
                      "matrices.g[0][1]: not a finite number", id="matrix-minus-infinity"),
         pytest.param(("matrices", "g", 2, 1), JsonLiteral("1e400"),
                      "matrices.g[2][1]: not a finite number", id="matrix-1e400"),
+        # and a nonzero literal that float() reads as 0 is refused, not read
+        # as 0; its exact value is not built (10**20000000 takes about 30 s)
+        pytest.param(("matrices", "g", 0, 0), JsonLiteral("1e-400"),
+                     "matrices.g[0][0]: a nonzero number below the float range",
+                     id="matrix-1e-400"),
+        pytest.param(("matrices", "g", 1, 2), JsonLiteral("-2.5E-400"),
+                     "matrices.g[1][2]: a nonzero number below the float range",
+                     id="matrix-minus-2.5E-400"),
+        pytest.param(("matrices", "g", 2, 2), JsonLiteral("0." + "0" * 400 + "1"),
+                     "matrices.g[2][2]: a nonzero number below the float range",
+                     id="matrix-400-zero-decimals"),
+        pytest.param(("matrices", "g", 0, 1), JsonLiteral("1e-20000000"),
+                     "matrices.g[0][1]: a nonzero number below the float range",
+                     id="matrix-1e-20000000"),
         pytest.param(("matrices", "g", 1, 0), None, f"matrices.g[1][0]: {CELL_ERROR}None",
                      id="matrix-null"),
         pytest.param(("matrices", "g", 1, 1), [1], f"matrices.g[1][1]: {CELL_ERROR}[1]",
@@ -640,6 +654,17 @@ class TestInputErrors:
         row = parse_config(json.dumps(config_with(("matrices", "g"), [cells])))
         assert [(type(v), v) for v in row.matrices["g"][0]] == [
             (Fraction, Fraction(str(cell))) for cell in cells]
+
+    def test_matrix_number_cells_keep_their_values(self):
+        # zero literals with an exponent below the float range read as 0
+        cells = ["0e-400", "0.0", "-0.0", "0.5e-3", "-0E-999"]
+        cfg = json.dumps(config_with(("matrices", "g"), [[0] * len(cells)]))
+        cfg = cfg.replace(", ".join(["0"] * len(cells)), ", ".join(cells))
+        assert parse_config(cfg).matrices["g"] == ((0, 0, 0, Fraction(1, 2000), 0),)
+        # the least float is exact, and refused by the denominator bound
+        cfg = json.dumps(config_with(("matrices", "g"), [[1, 0], [0, 1]]))
+        with pytest.raises(ConfigError, match=r"g\[0\]\[0\]: the common denominator"):
+            parse_config(cfg.replace("[[1, 0]", "[[5e-324, 0]"))
 
     @pytest.mark.parametrize("base, path, indices", [
         (GOLDEN_PASS, ("theta", "beta"), [1, 2, 1]),
