@@ -15,7 +15,9 @@ generator in the low bits (selected by `odd_mask`), then one guarded
 field per even generator.  The product of two super monomials is zero
 when their odd bits meet, its Koszul sign is the parity of the odd-odd
 crossings (a popcount per odd letter), and its key is the sum of the
-keys; the coefficients multiply with `poly_mul`.
+keys; the coefficients multiply with `poly_mul`.  A product's monomial
+whose coefficients cancel is deleted at once, so a term map that
+`element_mul` fills never holds an empty numerator dict.
 
 Invariants the code relies on: no stored numerator is zero, and a
 derivative in one generator is injective on the terms it keeps, so
@@ -160,11 +162,13 @@ def element_mul(f, g, odd_mask, out, weight, dx=0):
     when dx < 0.
 
     f and g are term maps {super key: numerator dict}, all of f over one
-    denominator and all of g over another; `out` is over their product
-    and may keep empty numerator dicts where terms cancelled, which the
-    caller drops.  A pair of keys whose odd parts share a bit is zero;
-    otherwise each odd letter of g's key crosses the odd letters of f's
-    key above it, and the product's key is the sum of the two."""
+    denominator and all of g over another, and `out` is over their
+    product.  A monomial of `out` whose numerators cancel is deleted where
+    they cancel, and a product that adds no term (an x-partial of
+    numerators without that x) makes no entry, so the caller has no empty
+    numerator dict to drop.  A pair of keys whose odd parts share a bit
+    is zero; otherwise each odd letter of g's key crosses the odd letters
+    of f's key above it, and the product's key is the sum of the two."""
     mu = abs(dx) - 1 if dx else None
     for k1, p1 in f.items():
         o1 = k1 & odd_mask
@@ -183,5 +187,9 @@ def element_mul(f, g, odd_mask, out, weight, dx=0):
                 if crossed & 1:
                     w = -w
             key = k1 + k2
-            out[key] = (poly_mul(p2, p1, w, out.get(key), mu) if dx < 0
-                        else poly_mul(p1, p2, w, out.get(key), mu))
+            acc = (poly_mul(p2, p1, w, out.get(key), mu) if dx < 0
+                   else poly_mul(p1, p2, w, out.get(key), mu))
+            if acc:
+                out[key] = acc
+            elif key in out:  # its numerators cancelled
+                del out[key]

@@ -33,13 +33,15 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import reduce
 from itertools import chain
 from math import gcd, lcm
+from operator import or_
 
 from .chart import ChartError, ChartSpec
 from ._kernel_py import element_mul, key_bytes, poly_add, poly_scale
-from .poly import (Poly, PolyError, _check_guard, _normal, render_product,
-                   render_sum)
+from .poly import (_OVERFLOW, ExponentOverflowError, Poly, PolyError, _normal,
+                   render_product, render_sum)
 
 INHOMOGENEOUS = "inhomogeneous"
 
@@ -281,17 +283,18 @@ def product_sum(chart: ChartSpec, den: int, pairs) -> GradedElement:
     and g are term maps {super key: numerators}, weight is a nonzero int,
     dx is 0 or reads one side as an x-partial (see `element_mul`), and
     every weighted product is over the one denominator den.  All products
-    accumulate in one map of integer numerators; a monomial whose terms
-    cancel is dropped, both guards are checked, and one gcd makes the
-    result canonical."""
+    accumulate in one map of integer numerators, where `element_mul`
+    deletes a monomial whose terms cancel, so no filtering pass follows.
+    A super key or an x key that carried into a guard bit raises
+    `ExponentOverflowError` (a zero sum has no key to check), and one gcd
+    makes the result canonical."""
     out: dict = {}
     odd_mask = chart.odd_mask
     for f, g, weight, dx in pairs:
         element_mul(f, g, odd_mask, out, weight, dx)
-    out = {k: v for k, v in out.items() if v}
-    if out:
-        _check_guard(out, chart.super_guard)
-        _check_guard(chain.from_iterable(out.values()), chart.x_guard)
+    if out and (reduce(or_, out) & chart.super_guard
+                or reduce(or_, chain.from_iterable(out.values())) & chart.x_guard):
+        raise ExponentOverflowError(_OVERFLOW)
     return _reduced(chart, den, out)
 
 
@@ -320,9 +323,16 @@ def monomial_count(chart: ChartSpec, n: int) -> int:
 def monomial_at(chart: ChartSpec, n: int, i: int) -> tuple:
     """The i-th monomial of monomial_basis(chart, n), 0 <= i < its count,
     found in one pass over the count table without listing the basis."""
+    return chart.decode(_key_at(chart, n, i))
+
+
+def _key_at(chart: ChartSpec, n: int, i: int) -> int:
+    """The super key of monomial_at(chart, n, i), summed from each
+    generator's unit key as the count table is walked, so no tuple is
+    built and nothing is encoded."""
     table = _count_table(chart, n)
-    degrees = chart.degrees
-    mono = []
+    degrees, unit = chart.degrees, chart.unit
+    key = 0
     s, r = 0, n
     while r:
         # the monomials whose first generator is s come before those of s+1
@@ -334,9 +344,9 @@ def monomial_at(chart: ChartSpec, n: int, i: int) -> tuple:
         while i >= after[r - deg * e]:
             i -= after[r - deg * e]
             e += 1
-        mono.append((s, e))
+        key += e * unit[s]
         s, r = s + 1, r - deg * e
-    return tuple(mono)
+    return key
 
 
 def monomial_basis(chart: ChartSpec, n: int) -> list[tuple]:

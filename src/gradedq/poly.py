@@ -287,17 +287,15 @@ def _normal(d: int, den: int, nums: dict) -> Poly:
     return _raw(d, den, nums)
 
 
-def _check_guard(keys, guard: int):
-    """Raise if a packed key of a product carried into a guard bit."""
-    if reduce(or_, keys, 0) & guard:
-        raise ExponentOverflowError(
-            f"an exponent reached {_EXP_LIMIT}, the packed field limit")
+# the message of every carry into a guard bit, here and in `element`
+_OVERFLOW = f"an exponent reached {_EXP_LIMIT}, the packed field limit"
 
 
 def _product(d: int, den: int, nums: dict) -> Poly:
     """`_normal` for the numerators of a product, after checking that no
     exponent carried into a guard bit."""
-    _check_guard(nums, _guard_bits(d))
+    if reduce(or_, nums, 0) & _guard_bits(d):
+        raise ExponentOverflowError(_OVERFLOW)
     return _normal(d, den, nums)
 
 

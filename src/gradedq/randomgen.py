@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 
 from .chart import ChartSpec
-from .element import GradedElement, _element, monomial_at, monomial_count
+from .element import GradedElement, _element, _key_at, monomial_count
 from .forms import DiffForm, Section
 from ._kernel_py import FIELD
 from .poly import _EXP_LIMIT, Poly, PolyError, _raw
@@ -100,6 +100,6 @@ def random_homogeneous(rng: random.Random, chart: ChartSpec, n: int,
     picks = rng.sample(range(count), min(count, 1 + _below(rng.getrandbits, terms)))
     # distinct picks are distinct monomials, so their terms never merge;
     # every draw is over denominator 1
-    return _element(chart, 1, {chart.encode(monomial_at(chart, n, i)):
+    return _element(chart, 1, {_key_at(chart, n, i):
                                random_poly(rng, chart.d, max_degree).nums
                                for i in picks})

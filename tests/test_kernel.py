@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from gradedq import (ChartError, GradedElement, Poly, PolyError, _kernel_py,
                      make_chart, parse_poly)
 from gradedq.chart import super_layout
+from gradedq.element import _key_at, _reduced, monomial_at, monomial_count, product_sum
 from gradedq.poly import ExponentOverflowError, _pack, _unpack
 from gradedq.randomgen import random_homogeneous
 from gradedq.symplectic import _derive, _left, _right, bracket_sum, poisson
@@ -456,11 +457,11 @@ class TestKernelAgainstReference:
         pf, pg = packed_terms(d, f, unit), packed_terms(d, g, unit)
         out = {}
         _kernel_py.element_mul(pf, pg, mask, out, weight)
-        assert nonzero(out) == packed_terms(
+        assert out == packed_terms(
             d, reference_element_mul(f, g, parity, weight), unit)
         # a second pair lands on the monomials of the first: rows add in place
         _kernel_py.element_mul(pf, pg, mask, out, -2 * weight)
-        assert nonzero(out) == packed_terms(
+        assert out == packed_terms(
             d, reference_element_mul(f, g, parity, -weight), unit)
         assert (pf, pg) == (packed_terms(d, f, unit), packed_terms(d, g, unit))
 
@@ -473,18 +474,19 @@ class TestKernelAgainstReference:
         out = {}
         _kernel_py.element_mul(pf, pg, mask, out, sign)
         first = reference_element_mul(f, g, parity, sign)
-        assert nonzero(out) == packed_terms(d, first, unit)
+        assert out == packed_terms(d, first, unit)
         # a second pair adds into the same map
         _kernel_py.element_mul(pg, pf, mask, out, 1)
         both = dict(first)
         for m, p in reference_element_mul(g, f, parity, 1).items():
             both[m] = ref_add(both.get(m, {}), p)
-        assert nonzero(out) == packed_terms(d, nonzero(both), unit)
-        # the same pair with both signs cancels term by term
+        assert out == packed_terms(d, nonzero(both), unit)
+        # the same pair with both signs cancels term by term, and each
+        # monomial is deleted where its numerators cancel
         out = {}
         _kernel_py.element_mul(pf, pg, mask, out, sign)
         _kernel_py.element_mul(pf, pg, mask, out, -sign)
-        assert nonzero(out) == {}
+        assert out == {}
         # the factors' numerator dicts were read, never written
         assert (pf, pg) == (packed_terms(d, f, unit), packed_terms(d, g, unit))
 
@@ -535,7 +537,8 @@ class TestKernelAgainstReference:
                 lazy, built = {}, {}
                 _kernel_py.element_mul(pf, pg, mask, lazy, weight, dx)
                 _kernel_py.element_mul(left, right, mask, built, weight)
-                assert nonzero(lazy) == nonzero(built)
+                # a numerator without x^mu adds nothing and makes no entry
+                assert lazy == nonzero(built)
         assert (pf, pg) == (packed_terms(d, f, unit), packed_terms(d, g, unit))
 
 
@@ -605,6 +608,64 @@ def weighted_sums(draw):
                 for _ in range(draw(st.integers(0, most)))]
 
     return chart, terms(2), terms(3)
+
+
+@st.composite
+def cancelling_products(draw):
+    """A chart of PRODUCT_CHARTS, three homogeneous elements f, g, h with
+    denominators up to 12, a set `taken` of g's super keys and a weight."""
+    chart = draw(st.sampled_from(PRODUCT_CHARTS))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+
+    def element():
+        return random_homogeneous(rng, chart, rng.randint(0, chart.p), terms=3) \
+            * Fraction(rng.randint(1, 12), rng.randint(1, 12))
+
+    f, g, h = element(), element(), element()
+    keys = sorted(g.nums)
+    taken = set(keys[:draw(st.integers(0, len(keys)))])
+    return chart, f, g, h, taken, draw(st.sampled_from([1, -1, 2, -3]))
+
+
+def koszul(f, g):
+    """The sign of g*f against f*g for homogeneous f and g: -1 when both
+    have odd degree."""
+    return -1 if f.euler_degree() % 2 and g.euler_degree() % 2 else 1
+
+
+class TestCancelledMonomials:
+    """`element_mul` deletes a monomial where its numerators cancel, so
+    `product_sum` returns a canonical element with no filtering pass."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(cancelling_products())
+    def test_full_cancellation_is_the_canonical_zero(self, case):
+        chart, f, g, _, _, w = case
+        # w*f*g less itself, and less w*(+-g*f): keys of both orders cancel
+        for pairs in ([(f.nums, g.nums, w, 0), (f.nums, g.nums, -w, 0)],
+                      [(f.nums, g.nums, w, 0), (g.nums, f.nums, -w * koszul(f, g), 0)]):
+            out = product_sum(chart, f.den * g.den, pairs)
+            assert out.nums == {} and out.den == 1
+            assert out == GradedElement.zero(chart)
+
+    @settings(max_examples=150, deadline=None)
+    @given(cancelling_products())
+    def test_partial_cancellation_keeps_no_empty_map(self, case):
+        chart, f, g, h, taken, w = case
+        kept = _reduced(chart, g.den, {k: v for k, v in g.nums.items() if k not in taken})
+        gone = {k: v for k, v in g.nums.items() if k in taken}
+        den = f.den * g.den
+        out = product_sum(chart, den, [(f.nums, g.nums, w, 0), (f.nums, gone, -w, 0)])
+        assert element_canonical(out)
+        assert out == f * kept * w
+        # a third product between the two that cancel: where f*h meets
+        # f*gone, only some numerators of a monomial cancel
+        negated = {k: {x: -n for x, n in v.items()} for k, v in gone.items()}
+        out = product_sum(chart, den * h.den, [
+            (f.nums, g.nums, w * h.den, 0), (f.nums, h.nums, w * g.den, 0),
+            (f.nums, negated, w * h.den, 0)])
+        assert element_canonical(out)
+        assert out == f * (kept + h) * w
 
 
 class TestBracketSum:
@@ -882,6 +943,43 @@ class TestPackedExponents:
         assert poisson(f, GradedElement.generator(chart, "chi1") * Poly.var(3, 2)) \
             == GradedElement.from_poly(chart, Poly(3, {(self.LIMIT - 1, 1, 0): 1}))
 
+    def carrying_terms(self):
+        """(chart, x pair, super pair): f, g on v(3,2) whose bracket and
+        whose product carry into an x guard bit, and into a super one."""
+        chart = make_chart("vinogradov", 3, 2)
+        p1 = chart.sid_of_name("p1")
+        x_high = GradedElement.generator(chart, "psi1") * Poly.var(3, 1, self.LIMIT - 1)
+        x_one = GradedElement.generator(chart, "chi1") * Poly.var(3, 1)
+        # (x1 p1^(L-1), p1^2) = -+2 p1^L, and p1^(L-1) * p1^2 carries too
+        p_high = GradedElement(chart, {((p1, self.LIMIT - 1),): Poly.var(3, 1)})
+        p_two = GradedElement(chart, {((p1, 2),): Poly.const(3, 1)})
+        return chart, (x_high, x_one), (p_high, p_two)
+
+    def test_guard_carries_raise_the_overflow_message(self):
+        chart, *carrying = self.carrying_terms()
+        message = r"^an exponent reached 32768, the packed field limit$"
+        for f, g in carrying:
+            for run in (lambda: poisson(f, g), lambda: bracket_sum(chart, [(f, g, 1)]),
+                        lambda: bracket_sum(chart, [], [(f, g, 1)]),
+                        lambda: bracket_sum(chart, [], [(f, g, Fraction(-1, 3))])):
+                with pytest.raises(ExponentOverflowError, match=message):
+                    run()
+
+    def test_a_carry_that_cancels_is_not_checked(self):
+        chart, *carrying = self.carrying_terms()
+        psi = GradedElement.generator(chart, "psi2") * Poly.var(3, 2) * 3
+        chi = GradedElement.generator(chart, "chi2")
+        kept = poisson(psi, chi)
+        assert kept
+        for f, g in carrying:
+            zero = GradedElement.zero(chart)
+            assert bracket_sum(chart, [(f, g, 1), (fresh(f), fresh(g), -1)]) == zero
+            assert bracket_sum(chart, [], [(f, g, 2), (f, g, -2)]) == zero
+            # a sum that keeps other monomials is checked on those alone
+            assert bracket_sum(chart, [(f, g, 1), (psi, chi, 1),
+                                       (fresh(f), fresh(g), -1)]) == kept
+            assert bracket_sum(chart, [(psi, chi, 1)], [(f, g, 1), (f, g, -1)]) == kept
+
 
 # the charts of the packed-form properties: p even, p odd (chi even, p
 # odd), and the m5 chart with its odd zeta
@@ -956,8 +1054,17 @@ class TestPackedOnCharts:
         out = {}
         _kernel_py.element_mul(packed_terms(d, f, unit), packed_terms(d, g, unit),
                                chart.odd_mask, out, weight)
-        assert nonzero(out) == packed_terms(
+        assert out == packed_terms(
             d, reference_element_mul(f, g, chart.parity, weight), unit)
+
+    @pytest.mark.parametrize("chart", PACKED_CHARTS, ids=repr)
+    def test_key_at_packs_the_unranked_monomial(self, chart):
+        for n in range(chart.p + 2):
+            keys = [_key_at(chart, n, i) for i in range(monomial_count(chart, n))]
+            assert keys == [chart.encode(monomial_at(chart, n, i))
+                            for i in range(len(keys))]
+            assert len(set(keys)) == len(keys)
+            assert all(chart.key_degree(k) == n for k in keys)
 
     @settings(max_examples=100, deadline=None)
     @given(chart_term_maps(), st.integers(1, 6))
